@@ -5,17 +5,19 @@ import argparse
 import sys
 
 from .errors import NumericalError
-from .harness import KINDS, ExperimentSpec, format_csv, run
+from .harness import KINDS, ExperimentSpec, format_csv, run, write_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saturee",
         description="Energy-efficiency experiments for the MU-MISO downlink.")
+    # Every dest names an ExperimentSpec field.
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
         p = sub.add_parser(kind)
-        p.add_argument("--config", required=(kind != "toy"),
+        p.add_argument("--config", dest="config_path", metavar="CONFIG",
+                       required=(kind != "toy"),
                        help="JSON system configuration")
         p.add_argument("--pmin-dbm", type=float, default=-10.0)
         p.add_argument("--pmax-dbm", type=float, default=46.0)
@@ -27,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bits", action="store_true",
                        help="report rates and efficiencies in base-2 units")
         if kind == "toy":
-            p.add_argument("--pstatic", type=float, default=1.0,
+            p.add_argument("--pstatic", dest="p_static", metavar="PSTATIC",
+                           type=float, default=1.0,
                            help="static power of the single-link model")
     return parser
 
@@ -35,19 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = ExperimentSpec(
-            kind=args.kind,
-            config_path=args.config,
-            pmin_dbm=args.pmin_dbm,
-            pmax_dbm=args.pmax_dbm,
-            pstep_db=args.pstep_db,
-            trials=args.trials,
-            seed=args.seed,
-            out=args.out,
-            workers=args.workers,
-            bits=args.bits,
-            p_static=getattr(args, "pstatic", 1.0),
-        )
+        spec = ExperimentSpec(**vars(args))
         points, note = run(spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -55,16 +46,14 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    text = format_csv(points, bits=spec.bits)
     if spec.out:
         try:
-            from pathlib import Path
-            Path(spec.out).write_text(text)
+            write_csv(points, spec.out, bits=spec.bits)
         except OSError as exc:
             print(f"error: cannot write {spec.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_csv(points, bits=spec.bits))
     if note:
         print(note)
     return 0

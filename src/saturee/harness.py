@@ -1,8 +1,9 @@
 """Experiment runner: Monte Carlo sweeps, trade-off curves, CSV output.
 
-Per-trial randomness is keyed by (seed, trial index), and aggregation
-always walks the trials in index order, so the emitted CSV bytes do not
-depend on how many workers computed them.
+Every runner is a budget grid times a list of schemes from one table,
+scored by one evaluator.  Per-trial randomness is keyed by (seed, trial
+index), and aggregation always walks the trials in index order, so the
+emitted CSV bytes do not depend on how many workers computed them.
 """
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ import numpy as np
 
 from . import asympt, beamform, channel, optim, satpower
 from .satpower import SaturationBand
-from .sysmodel import (SystemConfig, derive_power_model, load_config,
-                       transmit_power_from_dbm, transmit_power_to_dbm)
+from .sysmodel import (DerivedPowerModel, SystemConfig, derive_power_model,
+                       load_config, total_power, transmit_power_from_dbm,
+                       transmit_power_to_dbm)
 
 KINDS = ("sweep", "tradeoff", "saturation", "compare", "toy")
 CSV_HEADER = "scheme,P_dbm,sum_rate,total_power,ee,stderr,trials"
@@ -60,8 +62,8 @@ class EePoint:
     sum_rate: float
     total_power: float
     ee: float
-    stderr: float
-    trials: int
+    stderr: float = 0.0
+    trials: int = 0
 
 
 def dbm_grid(spec: ExperimentSpec) -> np.ndarray:
@@ -90,141 +92,173 @@ def _mc_point(scheme: str, p_dbm: float, rates: np.ndarray,
                    trials=trials)
 
 
-def _analytic_point(scheme: str, p_dbm: float, rate: float,
-                    consumed: float) -> EePoint:
-    return EePoint(scheme=scheme, P_dbm=float(p_dbm), sum_rate=float(rate),
-                   total_power=float(consumed), ee=float(rate) / float(consumed),
-                   stderr=0.0, trials=0)
+# --------------------------------------------------------------- schemes
+
+@dataclass(frozen=True)
+class _Cell:
+    """What every scheme reads besides the channel draw and the budget."""
+
+    cfg: SystemConfig
+    pm: DerivedPowerModel
+    band: SaturationBand | None = None
+    delta: float = 1e-3                      # Dinkelbach stopping tolerance
 
 
-# ----------------------------------------------------------------- sweep
+def _evaluate(cell: _Cell, rate: float, p_sum: float) -> tuple[float, float, float]:
+    """Sum rate, consumed power and efficiency of one operating point."""
+    consumed = total_power(p_sum, cell.pm, cell.cfg.xi)
+    return rate, consumed, rate / consumed
 
-def _sweep_chunk(cfg: SystemConfig, p_list: np.ndarray, band: SaturationBand,
-                 seed: int, t0: int, t1: int) -> dict[str, np.ndarray]:
-    """Per-trial metrics for trials [t0, t1): rate and EE arrays of shape
-    (trials, n_powers) for each Monte Carlo scheme."""
-    pm = derive_power_model(cfg)
-    n_p = len(p_list)
-    out = {name: np.empty((t1 - t0, n_p, 2))
-           for name in ("mrt_mc", "noiui_mc", "proposed", "baseline")}
+
+# A Monte Carlo scheme binds to one channel draw and returns a function of
+# the budget; a closed form is a function of the budget alone.  Both give
+# (sum rate, radiated power): the budget itself for equal power and the
+# closed forms, the solution's sum power for the solvers.
+
+def _solution_point(ch, sol, n0: float) -> tuple[float, float]:
+    return beamform.sum_rate(beamform.sinr(ch, sol, n0)), float(np.sum(sol.p))
+
+
+def _mrt_mc(cell: _Cell, ch):
+    dirs = beamform.mrt(ch)
+
+    def at(p):
+        sol = beamform.BeamformingSolution(
+            v=dirs, p=beamform.equal_power(cell.cfg.N, p))
+        return beamform.sum_rate(beamform.sinr(ch, sol, cell.pm.n0)), p
+    return at
+
+
+def _noiui_mc(cell: _Cell, ch):
+    """Equal power with the interference removed by a genie."""
+    norms2 = np.sum(np.abs(ch.h) ** 2, axis=1)
+    return lambda p: (float(np.sum(np.log1p(
+        norms2 * (p / cell.cfg.N) / cell.pm.n0))), p)
+
+
+def _proposed(cell: _Cell, ch):
+    # The scheme reads the budget only through min(p_prop, budget), so all
+    # budgets at or above p_prop share one solve per draw.
+    solves: dict[float, tuple[float, float]] = {}
+
+    def at(p):
+        p_op = min(cell.band.p_prop, p)
+        if p_op not in solves:
+            sol = satpower.proposed_scheme(ch, cell.cfg, p_op, cell.band)
+            solves[p_op] = _solution_point(ch, sol, cell.pm.n0)
+        return solves[p_op]
+    return at
+
+
+def _baseline(cell: _Cell, ch):
+    return lambda p: _solution_point(
+        ch, optim.dinkelbach_ee(ch, cell.cfg, p, delta=cell.delta).solution,
+        cell.pm.n0)
+
+
+def _se_mc(cell: _Cell, ch):
+    def at(p):
+        res = optim.wmmse(ch, cell.cfg, p)
+        return res.sum_rate, res.p_sum
+    return at
+
+
+def _rzf_asym(cell: _Cell, p):
+    de = asympt.det_equiv_rzf(cell.cfg, beamform.mmse_loading_alpha(cell.cfg, p))
+    return cell.cfg.N * math.log1p(
+        asympt.sinr_rzf_asymptotic(p, de, cell.pm.n0)), p
+
+
+# CSV scheme name -> (Monte Carlo over channel draws, scheme).
+SCHEMES = {
+    "mrt_mc": (True, _mrt_mc),
+    "mrt_asym": (False, lambda cell, p: (cell.cfg.N * math.log1p(
+        asympt.sinr_mrt_asymptotic(p, cell.cfg, cell.pm.n0)), p)),
+    "lb": (False, lambda cell, p: (asympt.rate_lower_bound(p, cell.cfg), p)),
+    "noiui_mc": (True, _noiui_mc),
+    "ub": (False, lambda cell, p: (asympt.rate_upper_bound(p, cell.cfg), p)),
+    "rzf_asym": (False, _rzf_asym),
+    "proposed": (True, _proposed),
+    "baseline": (True, _baseline),
+    "se_mc": (True, _se_mc),
+}
+SWEEP_SCHEMES = ("mrt_mc", "mrt_asym", "lb", "noiui_mc", "ub", "rzf_asym",
+                 "proposed", "baseline")
+TRADEOFF_SCHEMES = ("lb", "se_mc", "ub")
+
+
+def _trial_chunk(cell: _Cell, names: list[str], p_list, seed: int,
+                 t0: int, t1: int) -> dict[str, np.ndarray]:
+    """Per-trial (rate, efficiency) of the named Monte Carlo schemes for
+    trials [t0, t1), as arrays of shape (trials, budgets, 2)."""
+    out = {name: np.empty((t1 - t0, len(p_list), 2)) for name in names}
     for row, trial in enumerate(range(t0, t1)):
-        ch = channel.generate(cfg, seed, trial)
-        dirs = beamform.mrt(ch)
-        norms2 = np.sum(np.abs(ch.h) ** 2, axis=1)
-        for ip, p in enumerate(p_list):
-            consumed_full = cfg.xi * p + pm.Pconst
-            sol = beamform.BeamformingSolution(v=dirs,
-                                               p=beamform.equal_power(cfg.N, p))
-            r_mrt = beamform.sum_rate(beamform.sinr(ch, sol, pm.n0))
-            out["mrt_mc"][row, ip] = (r_mrt, r_mrt / consumed_full)
-
-            r_free = float(np.sum(np.log1p(norms2 * (p / cfg.N) / pm.n0)))
-            out["noiui_mc"][row, ip] = (r_free, r_free / consumed_full)
-
-            sol_p = satpower.proposed_scheme(ch, cfg, p, band)
-            r_p = beamform.sum_rate(beamform.sinr(ch, sol_p, pm.n0))
-            cons_p = cfg.xi * float(np.sum(sol_p.p)) + pm.Pconst
-            out["proposed"][row, ip] = (r_p, r_p / cons_p)
-
-            base = optim.dinkelbach_ee(ch, cfg, p)
-            r_b = float(np.sum(np.log1p(
-                beamform.sinr(ch, base.solution, pm.n0))))
-            cons_b = cfg.xi * float(np.sum(base.solution.p)) + pm.Pconst
-            out["baseline"][row, ip] = (r_b, r_b / cons_b)
+        ch = channel.generate(cell.cfg, seed, trial)
+        for name in names:
+            at = SCHEMES[name][1](cell, ch)
+            for ip, p in enumerate(p_list):
+                rate, _, ee = _evaluate(cell, *at(p))
+                out[name][row, ip] = (rate, ee)
     return out
 
 
-def _run_trials(worker, spec: ExperimentSpec, args: tuple) -> dict[str, np.ndarray]:
-    """Run a per-trial worker over the trial range, possibly in parallel,
+def _run_trials(spec: ExperimentSpec, args: tuple) -> dict[str, np.ndarray]:
+    """Run :func:`_trial_chunk` over the trial range, possibly in parallel,
     and reassemble the chunks in trial order."""
     if spec.workers == 1:
-        return worker(*args, spec.seed, 0, spec.trials)
+        return _trial_chunk(*args, spec.seed, 0, spec.trials)
     bounds = np.linspace(0, spec.trials, spec.workers + 1).astype(int)
-    chunks = []
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        futures = [pool.submit(worker, *args, spec.seed, int(a), int(b))
+        futures = [pool.submit(_trial_chunk, *args, spec.seed, int(a), int(b))
                    for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         chunks = [f.result() for f in futures]
     return {key: np.concatenate([c[key] for c in chunks], axis=0)
             for key in chunks[0]}
 
 
-def run_sweep(spec: ExperimentSpec) -> list[EePoint]:
-    """Efficiency versus budget for every scheme on the configured grid."""
-    cfg, extras = load_config(spec.config_path)
-    band = satpower.compute_band(cfg, beta=extras.get("beta", satpower.DEFAULT_BETA),
-                                 alpha=extras.get("rzf_alpha"))
+def _grid_rows(spec: ExperimentSpec, cell: _Cell,
+               names: tuple[str, ...]) -> list[EePoint]:
+    """One row per budget of the grid and scheme in names, budget-major."""
     grid = dbm_grid(spec)
-    p_list = np.array([transmit_power_from_dbm(d, cfg) for d in grid])
-    pm = derive_power_model(cfg)
-
-    mc = _run_trials(_sweep_chunk, spec, (cfg, p_list, band))
-
+    p_list = np.array([transmit_power_from_dbm(d, cell.cfg) for d in grid])
+    mc = _run_trials(spec, (cell, [n for n in names if SCHEMES[n][0]], p_list))
     points: list[EePoint] = []
     for ip, (d, p) in enumerate(zip(grid, p_list)):
-        consumed = cfg.xi * p + pm.Pconst
-        points.append(_mc_point("mrt_mc", d, mc["mrt_mc"][:, ip, 0],
-                                mc["mrt_mc"][:, ip, 1], spec.trials))
-        rate_mrt = cfg.N * math.log1p(
-            asympt.sinr_mrt_asymptotic(p, cfg, pm.n0))
-        points.append(_analytic_point("mrt_asym", d, rate_mrt, consumed))
-        points.append(_analytic_point("lb", d,
-                                      float(asympt.rate_lower_bound(p, cfg)),
-                                      consumed))
-        points.append(_mc_point("noiui_mc", d, mc["noiui_mc"][:, ip, 0],
-                                mc["noiui_mc"][:, ip, 1], spec.trials))
-        points.append(_analytic_point("ub", d,
-                                      float(asympt.rate_upper_bound(p, cfg)),
-                                      consumed))
-        de = asympt.det_equiv_rzf(cfg, beamform.mmse_loading_alpha(cfg, p))
-        rate_rzf = cfg.N * math.log1p(
-            asympt.sinr_rzf_asymptotic(p, de, pm.n0))
-        points.append(_analytic_point("rzf_asym", d, rate_rzf, consumed))
-        points.append(_mc_point("proposed", d, mc["proposed"][:, ip, 0],
-                                mc["proposed"][:, ip, 1], spec.trials))
-        points.append(_mc_point("baseline", d, mc["baseline"][:, ip, 0],
-                                mc["baseline"][:, ip, 1], spec.trials))
+        for name in names:
+            if name in mc:
+                points.append(_mc_point(name, d, mc[name][:, ip, 0],
+                                        mc[name][:, ip, 1], spec.trials))
+                continue
+            rate, consumed, ee = _evaluate(cell, *SCHEMES[name][1](cell, p))
+            points.append(EePoint(scheme=name, P_dbm=float(d),
+                                  sum_rate=float(rate),
+                                  total_power=float(consumed), ee=float(ee)))
     return points
 
 
-# -------------------------------------------------------------- tradeoff
+def _band_options(extras: dict) -> dict:
+    """compute_band keyword arguments from a config's extras."""
+    return {"beta": extras.get("beta", satpower.DEFAULT_BETA),
+            "alpha": extras.get("rzf_alpha")}
 
-def _tradeoff_chunk(cfg: SystemConfig, p_list: np.ndarray, seed: int,
-                    t0: int, t1: int) -> dict[str, np.ndarray]:
-    out = {"se_mc": np.empty((t1 - t0, len(p_list), 2))}
-    pm = derive_power_model(cfg)
-    for row, trial in enumerate(range(t0, t1)):
-        ch = channel.generate(cfg, seed, trial)
-        for ip, p in enumerate(p_list):
-            res = optim.wmmse(ch, cfg, p)
-            consumed = cfg.xi * res.p_sum + pm.Pconst
-            out["se_mc"][row, ip] = (res.sum_rate, res.sum_rate / consumed)
-    return out
+
+# ---------------------------------------------------------------- runners
+
+def run_sweep(spec: ExperimentSpec) -> list[EePoint]:
+    """Efficiency versus budget for every scheme on the configured grid."""
+    cfg, extras = load_config(spec.config_path)
+    band = satpower.compute_band(cfg, **_band_options(extras))
+    return _grid_rows(spec, _Cell(cfg, derive_power_model(cfg), band),
+                      SWEEP_SCHEMES)
 
 
 def run_tradeoff(spec: ExperimentSpec) -> list[EePoint]:
     """Rate versus consumed power for the two envelopes and the Monte
     Carlo spectral-efficiency solver."""
     cfg, _ = load_config(spec.config_path)
-    grid = dbm_grid(spec)
-    p_list = np.array([transmit_power_from_dbm(d, cfg) for d in grid])
-    pm = derive_power_model(cfg)
-    mc = _run_trials(_tradeoff_chunk, spec, (cfg, p_list))
-    points: list[EePoint] = []
-    for ip, (d, p) in enumerate(zip(grid, p_list)):
-        consumed = cfg.xi * p + pm.Pconst
-        points.append(_analytic_point("lb", d,
-                                      float(asympt.rate_lower_bound(p, cfg)),
-                                      consumed))
-        points.append(_mc_point("se_mc", d, mc["se_mc"][:, ip, 0],
-                                mc["se_mc"][:, ip, 1], spec.trials))
-        points.append(_analytic_point("ub", d,
-                                      float(asympt.rate_upper_bound(p, cfg)),
-                                      consumed))
-    return points
+    return _grid_rows(spec, _Cell(cfg, derive_power_model(cfg)),
+                      TRADEOFF_SCHEMES)
 
-
-# ------------------------------------------------------------ saturation
 
 def run_saturation(spec: ExperimentSpec) -> list[EePoint]:
     """Band summary encoded in the common row format.
@@ -234,25 +268,20 @@ def run_saturation(spec: ExperimentSpec) -> list[EePoint]:
     their value in the ee column.
     """
     cfg, extras = load_config(spec.config_path)
-    band = satpower.compute_band(cfg, beta=extras.get("beta", satpower.DEFAULT_BETA),
-                                 alpha=extras.get("rzf_alpha"))
-    rows = []
-    for name, p in (("p_lb", band.p_lb), ("p_rzf", band.p_rzf),
-                    ("p_prop", band.p_prop), ("p_ub", band.p_ub)):
-        rows.append(EePoint(scheme=name, P_dbm=transmit_power_to_dbm(p, cfg),
-                            sum_rate=0.0, total_power=p, ee=0.0, stderr=0.0,
-                            trials=0))
-    for name, g in (("gamma_lb", band.gamma_lb), ("gamma_rzf", band.gamma_rzf),
-                    ("gamma_se_est", band.gamma_se_est),
-                    ("gamma_ub", band.gamma_ub)):
-        rows.append(EePoint(scheme=name, P_dbm=0.0, sum_rate=0.0,
-                            total_power=0.0, ee=g, stderr=0.0, trials=0))
-    rows.append(EePoint(scheme="omega", P_dbm=0.0, sum_rate=0.0,
-                        total_power=0.0, ee=band.omega, stderr=0.0, trials=0))
+    band = satpower.compute_band(cfg, **_band_options(extras))
+    rows = [EePoint(scheme=name, P_dbm=transmit_power_to_dbm(p, cfg),
+                    sum_rate=0.0, total_power=p, ee=0.0)
+            for name, p in (("p_lb", band.p_lb), ("p_rzf", band.p_rzf),
+                            ("p_prop", band.p_prop), ("p_ub", band.p_ub))]
+    rows += [EePoint(scheme=name, P_dbm=0.0, sum_rate=0.0, total_power=0.0,
+                     ee=g)
+             for name, g in (("gamma_lb", band.gamma_lb),
+                             ("gamma_rzf", band.gamma_rzf),
+                             ("gamma_se_est", band.gamma_se_est),
+                             ("gamma_ub", band.gamma_ub),
+                             ("omega", band.omega))]
     return rows
 
-
-# --------------------------------------------------------------- compare
 
 @dataclass(frozen=True)
 class CompareReport:
@@ -276,39 +305,24 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int, seed: int,
     Returns the report plus the per-trial (rate, ee) arrays of both
     schemes in trial order.
     """
-    pm = derive_power_model(cfg)
-    prop = np.empty((trials, 2))
-    base = np.empty((trials, 2))
-
     tic = time.perf_counter()
     band = satpower.compute_band(cfg, beta=beta, alpha=alpha)
-    for t in range(trials):
-        ch = channel.generate(cfg, seed, t)
-        sol = satpower.proposed_scheme(ch, cfg, budget, band)
-        rate = float(np.sum(np.log1p(beamform.sinr(ch, sol, pm.n0))))
-        prop[t] = (rate, rate / (cfg.xi * float(np.sum(sol.p)) + pm.Pconst))
+    cell = _Cell(cfg, derive_power_model(cfg), band, delta)
+    prop = _trial_chunk(cell, ["proposed"], (budget,), seed, 0, trials)
     t_prop = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    for t in range(trials):
-        ch = channel.generate(cfg, seed, t)
-        res = optim.dinkelbach_ee(ch, cfg, budget, delta=delta)
-        rate = float(np.sum(np.log1p(beamform.sinr(ch, res.solution, pm.n0))))
-        base[t] = (rate, rate / (cfg.xi * float(np.sum(res.solution.p)) + pm.Pconst))
+    base = _trial_chunk(cell, ["baseline"], (budget,), seed, 0, trials)
     t_base = time.perf_counter() - tic
 
+    prop, base = prop["proposed"][:, 0], base["baseline"][:, 0]
     mean_p, _ = _mean_std(prop[:, 1])
     mean_b, _ = _mean_std(base[:, 1])
     report = CompareReport(
-        band=band,
-        budget_dbm=float(np.round(10.0 * math.log10(budget * cfg.W * 1000.0), 9)),
-        mean_ee_proposed=mean_p,
-        mean_ee_baseline=mean_b,
-        ee_ratio=mean_p / mean_b,
-        seconds_proposed=t_prop,
-        seconds_baseline=t_base,
-        speedup=t_base / t_prop,
-    )
+        band=band, budget_dbm=transmit_power_to_dbm(budget, cfg),
+        mean_ee_proposed=mean_p, mean_ee_baseline=mean_b,
+        ee_ratio=mean_p / mean_b, seconds_proposed=t_prop,
+        seconds_baseline=t_base, speedup=t_base / t_prop)
     return report, prop, base
 
 
@@ -316,18 +330,13 @@ def run_compare(spec: ExperimentSpec) -> tuple[list[EePoint], CompareReport]:
     """CSV rows plus the timing report at the top budget of the grid."""
     cfg, extras = load_config(spec.config_path)
     budget = transmit_power_from_dbm(spec.pmax_dbm, cfg)
-    report, prop, base = compare_schemes(
-        cfg, budget, spec.trials, spec.seed,
-        beta=extras.get("beta", satpower.DEFAULT_BETA),
-        alpha=extras.get("rzf_alpha"))
-    points = [
-        _mc_point("proposed", spec.pmax_dbm, prop[:, 0], prop[:, 1], spec.trials),
-        _mc_point("baseline", spec.pmax_dbm, base[:, 0], base[:, 1], spec.trials),
-    ]
+    report, prop, base = compare_schemes(cfg, budget, spec.trials, spec.seed,
+                                         **_band_options(extras))
+    points = [_mc_point(name, spec.pmax_dbm, per_trial[:, 0], per_trial[:, 1],
+                        spec.trials)
+              for name, per_trial in (("proposed", prop), ("baseline", base))]
     return points, report
 
-
-# ------------------------------------------------------------------- toy
 
 def run_toy(spec: ExperimentSpec) -> list[EePoint]:
     """Single-link toy curves; the grid values are read as dB over unit
@@ -336,17 +345,11 @@ def run_toy(spec: ExperimentSpec) -> list[EePoint]:
     points: list[EePoint] = []
     for d in dbm_grid(spec):
         p = 10.0 ** ((d - 30.0) / 10.0)
-        rate = float(satpower.toy_rate(p))
-        points.append(EePoint(scheme="full", P_dbm=float(d), sum_rate=rate,
-                              total_power=p + spec.p_static,
-                              ee=rate / (p + spec.p_static), stderr=0.0,
-                              trials=0))
-        pc = min(p, p_sat)
-        rate_c = float(satpower.toy_rate(pc))
-        points.append(EePoint(scheme="clamped", P_dbm=float(d), sum_rate=rate_c,
-                              total_power=pc + spec.p_static,
-                              ee=rate_c / (pc + spec.p_static), stderr=0.0,
-                              trials=0))
+        for name, q in (("full", p), ("clamped", min(p, p_sat))):
+            rate = float(satpower.toy_rate(q))
+            points.append(EePoint(scheme=name, P_dbm=float(d), sum_rate=rate,
+                                  total_power=q + spec.p_static,
+                                  ee=rate / (q + spec.p_static)))
     return points
 
 
@@ -392,13 +395,9 @@ def describe_report(report: CompareReport) -> str:
 
 def run(spec: ExperimentSpec) -> tuple[list[EePoint], str | None]:
     """Dispatch one experiment; returns rows plus an optional stdout note."""
-    if spec.kind == "sweep":
-        return run_sweep(spec), None
-    if spec.kind == "tradeoff":
-        return run_tradeoff(spec), None
-    if spec.kind == "saturation":
-        return run_saturation(spec), None
     if spec.kind == "compare":
         points, report = run_compare(spec)
         return points, describe_report(report)
-    return run_toy(spec), None
+    runner = {"sweep": run_sweep, "tradeoff": run_tradeoff,
+              "saturation": run_saturation, "toy": run_toy}[spec.kind]
+    return runner(spec), None

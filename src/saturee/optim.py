@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .beamform import BeamformingSolution, mmse_loading_alpha, rzf
 from .channel import ChannelRealization
 from .scalar_opt import golden_section_max
-from .sysmodel import SystemConfig, derive_power_model
+from .sysmodel import SystemConfig, derive_power_model, total_power
 
 _POWER_RTOL = 1e-10
 
@@ -130,7 +131,7 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
     return cols.T
 
 
-def _stats(h: np.ndarray, b: np.ndarray, n0: float):
+def _stats(h: np.ndarray, b: np.ndarray):
     """Per-user link statistics for the current beamformers.
 
     The interference power is summed over the off-diagonal entries
@@ -160,7 +161,7 @@ def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
     and cheap; it never decreases the objective because tau = 1 stays
     inside the bracket.
     """
-    _, sig, inter = _stats(h, b, n0)
+    _, sig, inter = _stats(h, b)
     psum = float(np.sum(np.abs(b) ** 2))
     if psum <= 0.0:
         return b
@@ -176,8 +177,17 @@ def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
     return b * math.sqrt(tau)
 
 
+class _Descent(NamedTuple):
+    """Outcome of one block descent; state.objective is its sum rate."""
+
+    state: WmmseState
+    p_sum: float
+    history: np.ndarray
+    converged: bool
+
+
 def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
-             tol: float, max_iter: int, b0: np.ndarray):
+             tol: float, max_iter: int, b0: np.ndarray) -> _Descent:
     """Shared block descent.  ridge = lambda * xi regularizes the
     beamformer step for the fractional inner problems; ridge = 0 gives
     plain sum-rate maximization.
@@ -192,8 +202,9 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
     u = w = None
     rate = psum = 0.0
     it = 0
+    converged = False
     for it in range(max_iter + 1):
-        d, sig, inter = _stats(h, b, n0)
+        d, sig, inter = _stats(h, b)
         e = inter + n0
         sinr_vals = sig / e
         u = d / (e + sig)
@@ -203,14 +214,16 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
         obj = rate - ridge * psum
         history.append(obj)
         if prev is not None and abs(obj - prev) <= tol * max(1.0, abs(obj)):
-            return b, u, w, it, rate, psum, np.array(history), True
+            converged = True
+            break
         prev = obj
         if it == max_iter:
             break
         b = _beam_step(h, u, w, budget, ridge)
         if ridge > 0.0:
             b = _rescale(h, b, n0, budget, ridge)
-    return b, u, w, it, rate, psum, np.array(history), False
+    return _Descent(WmmseState(b=b, u=u, w=w, iteration=it, objective=rate),
+                    psum, np.array(history), converged)
 
 
 def wmmse(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
@@ -234,16 +247,11 @@ def wmmse(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
         if b0.shape != ch.h.shape:
             raise ValueError(
                 f"init shape {b0.shape} does not match channel {ch.h.shape}")
-    b, u, w, it, rate, psum, hist, ok = _iterate(
-        ch.h, pm.n0, p_budget, 0.0, tol, max_iter, b0)
-    return WmmseResult(
-        solution=_to_solution(b, ch.h),
-        state=WmmseState(b=b, u=u, w=w, iteration=it, objective=rate),
-        converged=ok,
-        sum_rate=rate,
-        p_sum=psum,
-        objective_history=hist,
-    )
+    run = _iterate(ch.h, pm.n0, p_budget, 0.0, tol, max_iter, b0)
+    return WmmseResult(solution=_to_solution(run.state.b, ch.h),
+                       state=run.state, converged=run.converged,
+                       sum_rate=run.state.objective, p_sum=run.p_sum,
+                       objective_history=run.history)
 
 
 def _to_solution(b: np.ndarray, h: np.ndarray) -> BeamformingSolution:
@@ -286,18 +294,15 @@ def dinkelbach_ee(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
     state = None
     rate = consumed = 0.0
     ok = False
-    u = w = None
-    it = 0
     for outer in range(1, max_outer + 1):
-        b, u, w, it, rate, psum, _, _ = _iterate(
-            ch.h, pm.n0, p_budget, lam * cfg.xi, inner_tol, max_inner, b)
-        consumed = cfg.xi * psum + pm.Pconst
+        run = _iterate(ch.h, pm.n0, p_budget, lam * cfg.xi, inner_tol,
+                       max_inner, b)
+        b, rate = run.state.b, run.state.objective
+        consumed = total_power(run.p_sum, pm, cfg.xi)
         f_val = rate - lam * consumed
         lam_hist.append(lam)
         f_hist.append(f_val)
-        state = DinkelbachState(lam=lam, F_value=f_val,
-                                inner=WmmseState(b=b, u=u, w=w, iteration=it,
-                                                 objective=rate),
+        state = DinkelbachState(lam=lam, F_value=f_val, inner=run.state,
                                 outer_iteration=outer)
         if abs(f_val) <= delta:
             ok = True

@@ -197,7 +197,6 @@ def proposed_scheme(ch: ChannelRealization, cfg: SystemConfig,
     """
     if not p_budget > 0.0:
         raise ValueError(f"power budget must be positive, got {p_budget}")
-    pm = derive_power_model(cfg)
     p = min(band.p_prop, p_budget)
     dirs = beamform.rzf(ch, beamform.mmse_loading_alpha(cfg, p))
     b0 = dirs * math.sqrt(p / cfg.N)

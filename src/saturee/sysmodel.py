@@ -145,16 +145,15 @@ def normalized_config(M: int, N: int, Pconst: float, xi: float = 1.0) -> SystemC
 
 _CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
 # Knobs read by the experiment layer rather than the system model itself.
-_EXTRA_FIELDS = {"beta", "rzf_alpha", "p_static"}
+_EXTRA_FIELDS = {"beta", "rzf_alpha"}
 
 
 def load_config(path: str | Path) -> tuple[SystemConfig, dict]:
     """Read a flat JSON config file.
 
     Returns the :class:`SystemConfig` plus a dict of recognized extras
-    (band interpolation weight "beta", fixed regularizer "rzf_alpha",
-    toy-model "p_static").  Unknown keys are an error so typos never pass
-    silently.
+    (band interpolation weight "beta", fixed regularizer "rzf_alpha").
+    Unknown keys are an error so typos never pass silently.
     """
     path = Path(path)
     try:

@@ -146,6 +146,34 @@ def test_run_sweep_rows_and_determinism():
             == harness.format_csv(points))
 
 
+def test_sweep_proposed_flat_above_p_prop(monkeypatch):
+    """The one-shot scheme reads the budget only through min(p_prop,
+    budget): its rows agree exactly at every budget at or above p_prop,
+    and each draw pays for a single solve there."""
+    cfg, extras = load_config(DEFAULT_CONFIG)
+    band = satpower.compute_band(cfg, beta=extras["beta"])
+    solve = satpower.proposed_scheme
+    solved_at = []
+
+    def counted(ch, cfg, p, band):
+        solved_at.append(p)
+        return solve(ch, cfg, p, band)
+
+    monkeypatch.setattr(satpower, "proposed_scheme", counted)
+    spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
+                          pmin_dbm=20.0, pmax_dbm=30.0, pstep_db=2.0,
+                          trials=2, seed=4)
+    rows = [r for r in harness.run_sweep(spec) if r.scheme == "proposed"]
+    above = [r for r in rows
+             if transmit_power_from_dbm(r.P_dbm, cfg) >= band.p_prop]
+    assert 2 <= len(above) < len(rows)
+    for row in above[1:]:
+        assert (row.sum_rate, row.ee, row.stderr) == (
+            above[0].sum_rate, above[0].ee, above[0].stderr)
+    below = len(rows) - len(above)
+    assert len(solved_at) == spec.trials * (below + 1)
+
+
 def test_run_compare_report():
     spec = ExperimentSpec(kind="compare", config_path=DEFAULT_CONFIG,
                           pmax_dbm=40.0, trials=5, seed=7)

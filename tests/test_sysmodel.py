@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from saturee import cli
 from saturee.sysmodel import (SystemConfig, dbm_to_watt, derive_power_model,
                               energy_efficiency, load_config,
                               normalized_config, total_power,
@@ -146,3 +147,14 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
     with pytest.raises(ValueError, match="cannot read"):
         load_config(tmp_path / "absent.json")
+
+
+def test_load_config_rejects_toy_static_power(tmp_path, capsys):
+    # The toy model reads its static power from --pstatic alone, so the
+    # key in a config file would be silently ignored.
+    path = tmp_path / "cell.json"
+    path.write_text('{"M": 3, "N": 3, "p_static": 2.0}')
+    with pytest.raises(ValueError, match="p_static"):
+        load_config(path)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert "p_static" in capsys.readouterr().err
