@@ -13,7 +13,7 @@ import numpy as np
 
 from . import beamform, channel
 from .errors import NumericalError
-from .sysmodel import SystemConfig, derive_power_model
+from .sysmodel import SystemConfig, derive_power_model, total_power
 
 _FP_RESIDUAL = 1e-10
 
@@ -27,7 +27,7 @@ def ee_mrt_asymptotic(p, cfg: SystemConfig):
     """Efficiency along the asymptotic MRT rate curve."""
     pm = derive_power_model(cfg)
     rate = cfg.N * np.log1p(sinr_mrt_asymptotic(p, cfg, pm.n0))
-    return rate / (cfg.xi * p + pm.Pconst)
+    return rate / total_power(p, pm, cfg.xi)
 
 
 def rate_lower_bound(p, cfg: SystemConfig):
@@ -38,7 +38,7 @@ def rate_lower_bound(p, cfg: SystemConfig):
 
 def ee_lower_bound(p, cfg: SystemConfig):
     pm = derive_power_model(cfg)
-    return rate_lower_bound(p, cfg) / (cfg.xi * p + pm.Pconst)
+    return rate_lower_bound(p, cfg) / total_power(p, pm, cfg.xi)
 
 
 def rate_upper_bound(p, cfg: SystemConfig):
@@ -49,7 +49,7 @@ def rate_upper_bound(p, cfg: SystemConfig):
 
 def ee_upper_bound(p, cfg: SystemConfig):
     pm = derive_power_model(cfg)
-    return rate_upper_bound(p, cfg) / (cfg.xi * p + pm.Pconst)
+    return rate_upper_bound(p, cfg) / total_power(p, pm, cfg.xi)
 
 
 @dataclass(frozen=True)
@@ -155,4 +155,4 @@ def ee_rzf_asymptotic(p, cfg: SystemConfig, de: DetEquivParams):
     """Efficiency along the deterministic RZF rate curve."""
     pm = derive_power_model(cfg)
     rate = cfg.N * np.log1p(sinr_rzf_asymptotic(p, de, pm.n0))
-    return rate / (cfg.xi * p + pm.Pconst)
+    return rate / total_power(p, pm, cfg.xi)

@@ -4,10 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ChannelRealization
-from .sysmodel import SystemConfig, derive_power_model
+from .sysmodel import SystemConfig, derive_power_model, total_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,19 +26,19 @@ def mrt(ch: ChannelRealization) -> np.ndarray:
 
 
 def rzf(ch: ChannelRealization, alpha: float) -> np.ndarray:
-    """Regularized zero-forcing directions.
+    """Regularized zero-forcing directions, alpha > 0 the loading factor.
 
-    v_k is the normalized k-th column of (sum_j h_j h_j^H + M alpha I)^-1
-    applied to h_k; alpha > 0 is the loading factor.
+    Row k of H (N, M) is user k's channel and v_k the normalized column k
+    of (H^T H* + M alpha I_M)^-1 H^T = H^T (H* H^T + M alpha I_N)^-1 (the
+    push-through identity), so the rows of V solve the N x N user-dimension
+    system (H H^H + M alpha I_N) V = H instead of an M x M one.
     """
     if not alpha > 0.0:
         raise ValueError(f"rzf loading must be positive, got {alpha}")
     h = ch.h
     n, m = h.shape
-    gram = h.T @ h.conj()                     # sum_j h_j h_j^H, (M, M)
-    a = gram + (m * alpha) * np.eye(m)
-    raw = cho_solve(cho_factor(a), h.T)       # column k = A^-1 h_k
-    dirs = raw.T
+    gram = h @ h.conj().T                     # [k, j] = h_k^T h_j^*, (N, N)
+    dirs = np.linalg.solve(gram + (m * alpha) * np.eye(n), h)
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("degenerate channel: regularized directions collapsed")
@@ -85,5 +84,5 @@ def instantaneous_ee(ch: ChannelRealization, sol: BeamformingSolution,
     """Sum rate over total consumed power for one realization."""
     pm = derive_power_model(cfg)
     rate = sum_rate(sinr(ch, sol, pm.n0))
-    consumed = cfg.xi * float(np.sum(sol.p)) + pm.Pconst
+    consumed = total_power(float(np.sum(sol.p)), pm, cfg.xi)
     return rate / consumed

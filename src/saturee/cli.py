@@ -12,25 +12,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saturee",
         description="Energy-efficiency experiments for the MU-MISO downlink.")
-    # Every dest names an ExperimentSpec field.
+    # Every dest names an ExperimentSpec field. An option left off the
+    # command line sets no attribute, so the spec's own default applies.
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
-        p = sub.add_parser(kind)
+        p = sub.add_parser(kind, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", dest="config_path", metavar="CONFIG",
                        required=(kind != "toy"),
                        help="JSON system configuration")
-        p.add_argument("--pmin-dbm", type=float, default=-10.0)
-        p.add_argument("--pmax-dbm", type=float, default=46.0)
-        p.add_argument("--pstep-db", type=float, default=2.0)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--pmin-dbm", type=float)
+        p.add_argument("--pmax-dbm", type=float)
+        p.add_argument("--pstep-db", type=float)
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="CSV output path (default: stdout)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int)
         p.add_argument("--bits", action="store_true",
                        help="report rates and efficiencies in base-2 units")
         if kind == "toy":
             p.add_argument("--pstatic", dest="p_static", metavar="PSTATIC",
-                           type=float, default=1.0,
+                           type=float,
                            help="static power of the single-link model")
     return parser
 

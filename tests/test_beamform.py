@@ -1,5 +1,8 @@
 """Beamformers and the exact SINR / rate / efficiency evaluation."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +66,26 @@ def test_rzf_unit_rows_and_positive_alpha(cfg3):
         beamform.rzf(ch, 0.0)
     with pytest.raises(ValueError):
         beamform.rzf(ch, -1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1e4])
+@pytest.mark.parametrize("n, m", [(16, 64), (3, 3), (8, 2), (2, 8), (64, 64)])
+def test_rzf_matches_antenna_dimension_inverse(n, m, alpha):
+    """The user-dimension solve gives the directions of the M x M form."""
+    ch = channel.generate(SystemConfig(M=m, N=n), 21, 0)
+    h = ch.h
+    raw = np.linalg.solve(h.T @ h.conj() + m * alpha * np.eye(m), h.T).T
+    direct = raw / np.linalg.norm(raw, axis=1)[:, None]
+    assert np.allclose(beamform.rzf(ch, alpha), direct, rtol=0.0, atol=1e-12)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import saturee.cli; "
+             "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_rzf_large_loading_degenerates_to_mrt(cfg3):

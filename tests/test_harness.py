@@ -239,6 +239,13 @@ def test_cli_bits_scaling(capsys):
     assert float(row[2]) == 1.0
 
 
+def test_cli_defaults_come_from_spec():
+    args = cli._build_parser().parse_args(["sweep", "--config", "X"])
+    assert vars(args) == {"kind": "sweep", "config_path": "X"}
+    assert ExperimentSpec(**vars(args)) == ExperimentSpec(kind="sweep",
+                                                          config_path="X")
+
+
 def test_cli_error_codes(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(tmp_path / "absent.json")]) == 2
     bad = tmp_path / "bad.json"
