@@ -101,7 +101,6 @@ class _Cell:
     cfg: SystemConfig
     pm: DerivedPowerModel
     band: SaturationBand | None = None
-    delta: float = 1e-3                      # Dinkelbach stopping tolerance
 
 
 def _evaluate(cell: _Cell, rate: float, p_sum: float) -> tuple[float, float, float]:
@@ -152,7 +151,7 @@ def _proposed(cell: _Cell, ch):
 
 def _baseline(cell: _Cell, ch):
     return lambda p: _solution_point(
-        ch, optim.dinkelbach_ee(ch, cell.cfg, p, delta=cell.delta).solution,
+        ch, optim.dinkelbach_ee(ch, cell.cfg, p).solution,
         cell.pm.n0)
 
 
@@ -236,18 +235,12 @@ def _grid_rows(spec: ExperimentSpec, cell: _Cell,
     return points
 
 
-def _band_options(extras: dict) -> dict:
-    """compute_band keyword arguments from a config's extras."""
-    return {"beta": extras.get("beta", satpower.DEFAULT_BETA),
-            "alpha": extras.get("rzf_alpha")}
-
-
 # ---------------------------------------------------------------- runners
 
 def run_sweep(spec: ExperimentSpec) -> list[EePoint]:
     """Efficiency versus budget for every scheme on the configured grid."""
-    cfg, extras = load_config(spec.config_path)
-    band = satpower.compute_band(cfg, **_band_options(extras))
+    cfg = load_config(spec.config_path)
+    band = satpower.compute_band(cfg)
     return _grid_rows(spec, _Cell(cfg, derive_power_model(cfg), band),
                       SWEEP_SCHEMES)
 
@@ -255,7 +248,7 @@ def run_sweep(spec: ExperimentSpec) -> list[EePoint]:
 def run_tradeoff(spec: ExperimentSpec) -> list[EePoint]:
     """Rate versus consumed power for the two envelopes and the Monte
     Carlo spectral-efficiency solver."""
-    cfg, _ = load_config(spec.config_path)
+    cfg = load_config(spec.config_path)
     return _grid_rows(spec, _Cell(cfg, derive_power_model(cfg)),
                       TRADEOFF_SCHEMES)
 
@@ -267,8 +260,8 @@ def run_saturation(spec: ExperimentSpec) -> list[EePoint]:
     total_power column with unit efficiency fields; efficiencies carry
     their value in the ee column.
     """
-    cfg, extras = load_config(spec.config_path)
-    band = satpower.compute_band(cfg, **_band_options(extras))
+    cfg = load_config(spec.config_path)
+    band = satpower.compute_band(cfg)
     rows = [EePoint(scheme=name, P_dbm=transmit_power_to_dbm(p, cfg),
                     sum_rate=0.0, total_power=p, ee=0.0)
             for name, p in (("p_lb", band.p_lb), ("p_rzf", band.p_rzf),
@@ -295,10 +288,8 @@ class CompareReport:
     speedup: float
 
 
-def compare_schemes(cfg: SystemConfig, budget: float, trials: int, seed: int,
-                    beta: float = satpower.DEFAULT_BETA,
-                    alpha: float | None = None,
-                    delta: float = 1e-3) -> tuple[CompareReport, np.ndarray, np.ndarray]:
+def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
+                    seed: int) -> tuple[CompareReport, np.ndarray, np.ndarray]:
     """Timed head-to-head of the one-shot scheme against the fractional
     baseline over identical channel draws, single worker.
 
@@ -306,8 +297,8 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int, seed: int,
     schemes in trial order.
     """
     tic = time.perf_counter()
-    band = satpower.compute_band(cfg, beta=beta, alpha=alpha)
-    cell = _Cell(cfg, derive_power_model(cfg), band, delta)
+    band = satpower.compute_band(cfg)
+    cell = _Cell(cfg, derive_power_model(cfg), band)
     prop = _trial_chunk(cell, ["proposed"], (budget,), seed, 0, trials)
     t_prop = time.perf_counter() - tic
 
@@ -328,10 +319,9 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int, seed: int,
 
 def run_compare(spec: ExperimentSpec) -> tuple[list[EePoint], CompareReport]:
     """CSV rows plus the timing report at the top budget of the grid."""
-    cfg, extras = load_config(spec.config_path)
+    cfg = load_config(spec.config_path)
     budget = transmit_power_from_dbm(spec.pmax_dbm, cfg)
-    report, prop, base = compare_schemes(cfg, budget, spec.trials, spec.seed,
-                                         **_band_options(extras))
+    report, prop, base = compare_schemes(cfg, budget, spec.trials, spec.seed)
     points = [_mc_point(name, spec.pmax_dbm, per_trial[:, 0], per_trial[:, 1],
                         spec.trials)
               for name, per_trial in (("proposed", prop), ("baseline", base))]
@@ -346,10 +336,10 @@ def run_toy(spec: ExperimentSpec) -> list[EePoint]:
     for d in dbm_grid(spec):
         p = 10.0 ** ((d - 30.0) / 10.0)
         for name, q in (("full", p), ("clamped", min(p, p_sat))):
-            rate = float(satpower.toy_rate(q))
-            points.append(EePoint(scheme=name, P_dbm=float(d), sum_rate=rate,
+            points.append(EePoint(scheme=name, P_dbm=float(d),
+                                  sum_rate=float(satpower.toy_rate(q)),
                                   total_power=q + spec.p_static,
-                                  ee=rate / (q + spec.p_static)))
+                                  ee=float(satpower.toy_ee(q, spec.p_static))))
     return points
 
 

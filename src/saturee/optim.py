@@ -19,6 +19,13 @@ from .scalar_opt import golden_section_max
 from .sysmodel import SystemConfig, derive_power_model, total_power
 
 _POWER_RTOL = 1e-10
+# A power this little above the budget is rounding, not a binding
+# constraint: from an RZF start the first beam step lands a few hundred
+# ulps off the budget.
+_ON_BUDGET_RTOL = 1e-12
+_TOL = 1e-4          # block descent stop: relative objective change
+_MAX_ITER = 200      # block descent cap, WMMSE or one Dinkelbach inner
+_MAX_OUTER = 100     # Dinkelbach parametric steps
 
 
 @dataclass
@@ -109,7 +116,7 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
     def power_at(mu: float) -> float:
         return float(np.sum(q2 / (base + mu)[:, None] ** 2))
 
-    if power_at(0.0) <= budget:
+    if power_at(0.0) <= budget * (1.0 + _ON_BUDGET_RTOL):
         mu = 0.0
     else:
         mu_hi = math.sqrt(float(np.sum(q2)) / budget)
@@ -158,8 +165,8 @@ def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
     weighted Gram spectrum), so the descent stalls far from the
     stationary power.  The objective restricted to b -> sqrt(tau) b is
     concave in tau, which makes this one-dimensional refinement exact
-    and cheap; it never decreases the objective because tau = 1 stays
-    inside the bracket.
+    and cheap; it keeps tau = 1 unless the search beats it, so it never
+    decreases the objective.  A rounding excess over the budget is feasible.
     """
     _, sig, inter = _stats(h, b)
     psum = float(np.sum(np.abs(b) ** 2))
@@ -171,8 +178,10 @@ def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
         return rate - ridge * tau * psum
 
     tau_hi = budget / psum
+    if not tau_hi >= 1.0 - _ON_BUDGET_RTOL:
+        return b
     tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
-    if gain(tau) <= gain(1.0) or not tau_hi >= 1.0:
+    if gain(tau) <= gain(1.0):
         return b
     return b * math.sqrt(tau)
 
@@ -187,7 +196,7 @@ class _Descent(NamedTuple):
 
 
 def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
-             tol: float, max_iter: int, b0: np.ndarray) -> _Descent:
+             tol: float, b0: np.ndarray) -> _Descent:
     """Shared block descent.  ridge = lambda * xi regularizes the
     beamformer step for the fractional inner problems; ridge = 0 gives
     plain sum-rate maximization.
@@ -203,7 +212,7 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
     rate = psum = 0.0
     it = 0
     converged = False
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         d, sig, inter = _stats(h, b)
         e = inter + n0
         sinr_vals = sig / e
@@ -217,7 +226,7 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
             converged = True
             break
         prev = obj
-        if it == max_iter:
+        if it == _MAX_ITER:
             break
         b = _beam_step(h, u, w, budget, ridge)
         if ridge > 0.0:
@@ -227,15 +236,14 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
 
 
 def wmmse(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
-          tol: float = 1e-4, max_iter: int = 200,
-          init: np.ndarray | None = None) -> WmmseResult:
+          tol: float = _TOL, init: np.ndarray | None = None) -> WmmseResult:
     """Sum-rate maximization by weighted-MMSE block coordinate descent.
 
     Starts from equal-power maximum-ratio beamformers (or the given
     beamformer matrix) and stops when the relative objective change
     drops below tol.  The returned objective history is nondecreasing up
-    to rounding; if max_iter runs out first the best iterate so far is
-    returned with converged = False.
+    to rounding; if the iteration cap runs out first the best iterate so
+    far is returned with converged = False.
     """
     if not p_budget > 0.0:
         raise ValueError(f"power budget must be positive, got {p_budget}")
@@ -247,7 +255,7 @@ def wmmse(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
         if b0.shape != ch.h.shape:
             raise ValueError(
                 f"init shape {b0.shape} does not match channel {ch.h.shape}")
-    run = _iterate(ch.h, pm.n0, p_budget, 0.0, tol, max_iter, b0)
+    run = _iterate(ch.h, pm.n0, p_budget, 0.0, tol, b0)
     return WmmseResult(solution=_to_solution(run.state.b, ch.h),
                        state=run.state, converged=run.converged,
                        sum_rate=run.state.objective, p_sum=run.p_sum,
@@ -268,8 +276,7 @@ def _to_solution(b: np.ndarray, h: np.ndarray) -> BeamformingSolution:
 
 
 def dinkelbach_ee(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
-                  delta: float = 1e-3, inner_tol: float = 1e-4,
-                  max_outer: int = 100, max_inner: int = 200) -> DinkelbachResult:
+                  delta: float = 1e-3) -> DinkelbachResult:
     """Energy-efficiency maximization by Dinkelbach's parametric method.
 
     Each outer step solves max sum-rate minus lam times consumed power
@@ -294,9 +301,8 @@ def dinkelbach_ee(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
     state = None
     rate = consumed = 0.0
     ok = False
-    for outer in range(1, max_outer + 1):
-        run = _iterate(ch.h, pm.n0, p_budget, lam * cfg.xi, inner_tol,
-                       max_inner, b)
+    for outer in range(1, _MAX_OUTER + 1):
+        run = _iterate(ch.h, pm.n0, p_budget, lam * cfg.xi, _TOL, b)
         b, rate = run.state.b, run.state.objective
         consumed = total_power(run.p_sum, pm, cfg.xi)
         f_val = rate - lam * consumed

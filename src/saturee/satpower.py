@@ -23,8 +23,6 @@ from .scalar_opt import bisect_root_log
 from .specfun import lambert_w0
 from .sysmodel import SystemConfig, derive_power_model
 
-DEFAULT_BETA = 1.3
-
 
 def toy_rate(p):
     """Single-link rate log(1 + P) in normalized units."""
@@ -163,25 +161,22 @@ def interpolate(gamma_lb: float, gamma_ub: float, gamma_rzf: float,
                           omega=omega, gap=gap)
 
 
-def compute_band(cfg: SystemConfig, beta: float = DEFAULT_BETA,
-                 alpha: float | None = None) -> SaturationBand:
-    """Full band computation for a configuration.
+def compute_band(cfg: SystemConfig) -> SaturationBand:
+    """Full band computation for a configuration, calibrated by cfg.beta.
 
-    The RZF deterministic equivalents need a loading; by default it is the
-    MMSE-style value evaluated at the geometric midpoint of the bracket,
-    which keeps the calibration curve representative of the whole band.
+    The RZF deterministic equivalents need a loading: the MMSE-style value
+    at the geometric midpoint of the bracket, which keeps the calibration
+    curve representative of the whole band.
     """
     plb = p_lb(cfg)
     pub = p_ub(cfg)
     gamma_lb = float(asympt.ee_lower_bound(plb, cfg))
     gamma_ub = float(asympt.ee_upper_bound(pub, cfg))
-    if alpha is None:
-        pm = derive_power_model(cfg)
-        alpha = cfg.N * pm.n0 / (cfg.M * math.sqrt(plb * pub))
+    alpha = beamform.mmse_loading_alpha(cfg, math.sqrt(plb * pub))
     de = asympt.det_equiv_rzf(cfg, alpha)
     przf = p_rzf(cfg, de)
     gamma_rzf = float(asympt.ee_rzf_asymptotic(przf, cfg, de))
-    return interpolate(gamma_lb, gamma_ub, gamma_rzf, beta, plb, pub,
+    return interpolate(gamma_lb, gamma_ub, gamma_rzf, cfg.beta, plb, pub,
                        p_rzf=przf)
 
 

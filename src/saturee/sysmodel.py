@@ -1,5 +1,8 @@
 """System configuration and the power / energy-efficiency arithmetic.
 
+A cell is one :class:`SystemConfig`, the band's calibration factor beta
+included, and a config file is that object as flat JSON (:func:`load_config`).
+
 Unit conventions, used everywhere in this package:
 
 * transmit and circuit powers are carried as spectral densities in W/Hz
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -41,7 +45,9 @@ class SystemConfig:
     normalized per second and per Hz.  Powers are dBm figures over the
     whole band: Pc_prime_dbm is the per-antenna circuit power and
     Po_prime_dbm the static overhead.  xi >= 1 is the amplifier
-    inefficiency multiplying the radiated power.
+    inefficiency multiplying the radiated power.  beta > 0 is the safety
+    factor on the RZF peak efficiency that places the operating power
+    inside the saturation band.
     """
 
     M: int
@@ -53,24 +59,30 @@ class SystemConfig:
     xi: float = 1.0
     Pc_prime_dbm: float = 30.0
     Po_prime_dbm: float = 40.0
+    beta: float = 1.3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.M, int) or not isinstance(self.N, int):
-            raise ValueError("antenna and user counts must be integers")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subtype, so a JSON true would pass as 1.
+            kind = int if f.name in ("M", "N") else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is int else "a number"
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.M < 1 or self.N < 1:
             raise ValueError(f"need M >= 1 and N >= 1, got M={self.M}, N={self.N}")
-        if not (self.W > 0.0 and math.isfinite(self.W)):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.W}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
+        if not self.W > 0.0:
+            raise ValueError(f"bandwidth must be positive, got {self.W}")
+        if not self.T > 0.0:
             raise ValueError(f"transmission interval must be positive, got {self.T}")
-        if not (self.xi >= 1.0 and math.isfinite(self.xi)):
+        if not self.xi >= 1.0:
             raise ValueError(f"amplifier inefficiency must be >= 1, got {self.xi}")
-        for name in ("noise_psd_dbm_per_hz", "noise_figure_db",
-                     "Pc_prime_dbm", "Po_prime_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.noise_figure_db < 0.0:
             raise ValueError("noise figure cannot be negative")
+        if not self.beta > 0.0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -144,16 +156,13 @@ def normalized_config(M: int, N: int, Pconst: float, xi: float = 1.0) -> SystemC
 
 
 _CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}
-# Knobs read by the experiment layer rather than the system model itself.
-_EXTRA_FIELDS = {"beta", "rzf_alpha"}
 
 
-def load_config(path: str | Path) -> tuple[SystemConfig, dict]:
-    """Read a flat JSON config file.
+def load_config(path: str | Path) -> SystemConfig:
+    """Read a flat JSON config file into a :class:`SystemConfig`.
 
-    Returns the :class:`SystemConfig` plus a dict of recognized extras
-    (band interpolation weight "beta", fixed regularizer "rzf_alpha").
-    Unknown keys are an error so typos never pass silently.
+    Keys are the dataclass fields; unknown keys are an error so typos
+    never pass silently.
     """
     path = Path(path)
     try:
@@ -164,15 +173,12 @@ def load_config(path: str | Path) -> tuple[SystemConfig, dict]:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(raw) - _CONFIG_FIELDS - _EXTRA_FIELDS
+    unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
-    kwargs = {k: v for k, v in raw.items() if k in _CONFIG_FIELDS}
-    for name in ("M", "N"):
-        if name in kwargs:
-            if not isinstance(kwargs[name], int):
-                raise ValueError(f"{name} must be a JSON integer in {path}")
-    if "M" not in kwargs or "N" not in kwargs:
+    if "M" not in raw or "N" not in raw:
         raise ValueError(f"config file {path} must set M and N")
-    extras = {k: v for k, v in raw.items() if k in _EXTRA_FIELDS}
-    return SystemConfig(**kwargs), extras
+    try:
+        return SystemConfig(**raw)
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc

@@ -82,8 +82,8 @@ def test_run_saturation_rows():
     assert [r.scheme for r in rows] == [
         "p_lb", "p_rzf", "p_prop", "p_ub",
         "gamma_lb", "gamma_rzf", "gamma_se_est", "gamma_ub", "omega"]
-    cfg, extras = load_config(DEFAULT_CONFIG)
-    band = satpower.compute_band(cfg, beta=extras["beta"])
+    cfg = load_config(DEFAULT_CONFIG)
+    band = satpower.compute_band(cfg)
     by_name = {r.scheme: r for r in rows}
     assert by_name["p_lb"].total_power == band.p_lb
     assert by_name["p_ub"].total_power == band.p_ub
@@ -150,8 +150,8 @@ def test_sweep_proposed_flat_above_p_prop(monkeypatch):
     """The one-shot scheme reads the budget only through min(p_prop,
     budget): its rows agree exactly at every budget at or above p_prop,
     and each draw pays for a single solve there."""
-    cfg, extras = load_config(DEFAULT_CONFIG)
-    band = satpower.compute_band(cfg, beta=extras["beta"])
+    cfg = load_config(DEFAULT_CONFIG)
+    band = satpower.compute_band(cfg)
     solve = satpower.proposed_scheme
     solved_at = []
 

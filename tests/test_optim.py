@@ -37,6 +37,40 @@ def test_wmmse_single_user_closed_form():
         assert align == pytest.approx(np.linalg.norm(ch.h[0]), rel=1e-9)
 
 
+def test_beam_step_keeps_mu_zero_at_a_rounding_excess():
+    """From the MMSE-loaded RZF start on the 64x16 cell the unconstrained
+    beam step meets the budget up to rounding; it must not pay for a
+    multiplier search that moves mu off zero by a rounding-sized step."""
+    cfg = SystemConfig(M=64, N=16)
+    pm = derive_power_model(cfg)
+    budget = transmit_power_from_dbm(46.0, cfg)
+    for trial in range(5):
+        h = channel.generate(cfg, 1, trial).h
+        b0 = beamform.rzf(_fixed(h), beamform.mmse_loading_alpha(cfg, budget))
+        d, sig, inter = optim._stats(h, b0 * math.sqrt(budget / cfg.N))
+        u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
+        free = optim._beam_step(h, u, w, math.inf, 0.0)
+        p_free = float(np.sum(np.abs(free) ** 2))
+        assert abs(p_free - budget) <= 1e-12 * budget
+        tight = min(budget, p_free * (1.0 - 1e-14))
+        assert np.array_equal(optim._beam_step(h, u, w, tight, 0.0), free)
+
+
+def test_rescale_accepts_a_rounding_excess_over_the_budget():
+    """A beam step that keeps mu = 0 may leave the power a rounding
+    excess above the budget; the power-scale step must still lower the
+    power when the regularized objective peaks well below it."""
+    cfg = SystemConfig(M=3, N=3)
+    pm = derive_power_model(cfg)
+    h = channel.generate(cfg, 3, 0).h
+    b = beamform.rzf(_fixed(h), 1e-3) * math.sqrt(1e-6)
+    psum = float(np.sum(np.abs(b) ** 2))
+    ridge = 10.0 / psum                       # peak far below psum
+    for budget in (psum, psum * (1.0 - 1e-13)):
+        scaled = optim._rescale(h, b, pm.n0, budget, ridge)
+        assert float(np.sum(np.abs(scaled) ** 2)) < 0.5 * psum
+
+
 def test_wmmse_orthogonal_matches_power_filling():
     """Orthogonal users decouple into a scalar power split; compare the
     achieved sum rate against a dense scan of that split."""

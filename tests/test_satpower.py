@@ -1,4 +1,6 @@
 """Closed-form saturation powers, interpolation, one-shot scheme."""
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -233,7 +235,7 @@ def test_compute_band_reference_cells(cfg3, cfg_high):
         assert (band.gamma_lb < band.gamma_rzf < band.gamma_se_est
                 < band.gamma_ub)
         assert 0.0 < band.omega < 1.0
-        assert band.beta == satpower.DEFAULT_BETA
+        assert band.beta == cfg.beta == 1.3
 
 
 @settings(max_examples=25)
@@ -248,10 +250,30 @@ def test_compute_band_ordering_random_configs(draw):
 
 
 def test_compute_band_beta_knob(cfg3):
-    low = satpower.compute_band(cfg3, beta=1.05)
-    high = satpower.compute_band(cfg3, beta=1.6)
+    low = satpower.compute_band(dataclasses.replace(cfg3, beta=1.05))
+    high = satpower.compute_band(dataclasses.replace(cfg3, beta=1.6))
     # a larger efficiency estimate pulls the operating point upward
     assert high.p_prop > low.p_prop
+
+
+@pytest.mark.parametrize("M, N", [(2, 8), (1, 4), (3, 3), (32, 2), (64, 4)])
+def test_wide_configuration_range(M, N):
+    """Overloaded (M < N) and massive (M >> N) cells, amplifier
+    inefficiency up to 4 and circuit powers from 0 to 70 dBm: the band
+    stays ordered, the one-shot solve stays within its power and every
+    SINR is finite, below, at and far above the operating power."""
+    for xi, pc, po in itertools.product(
+            (1.0, 2.5, 4.0), (0.0, 30.0, 70.0), (0.0, 40.0, 70.0)):
+        cfg = SystemConfig(M=M, N=N, xi=xi, Pc_prime_dbm=pc, Po_prime_dbm=po)
+        n0 = derive_power_model(cfg).n0
+        band = satpower.compute_band(cfg)
+        assert band.p_lb <= band.p_prop <= band.p_ub, cfg
+        ch = channel.generate(cfg, 9, 0)
+        for budget in (band.p_prop / 10.0, band.p_prop, band.p_ub * 10.0):
+            sol = satpower.proposed_scheme(ch, cfg, budget, band)
+            cap = min(budget, band.p_prop)
+            assert float(np.sum(sol.p)) <= cap * (1.0 + 1e-10), (cfg, budget)
+            assert np.all(np.isfinite(beamform.sinr(ch, sol, n0))), cfg
 
 
 # -------------------------------------------------------- one-shot solve

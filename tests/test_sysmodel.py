@@ -63,6 +63,10 @@ def test_config_validation():
         SystemConfig(M=3, N=3, xi=0.5)
     with pytest.raises(ValueError):
         SystemConfig(M=3, N=3, noise_figure_db=-1.0)
+    assert SystemConfig(M=3, N=3).beta == 1.3
+    for bad in (0.0, -1.0, math.inf, math.nan, True, "1.3", None):
+        with pytest.raises(ValueError, match="beta"):
+            SystemConfig(M=3, N=3, beta=bad)
 
 
 def test_total_power_examples():
@@ -123,9 +127,8 @@ def test_normalized_config_units():
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cell.json"
     path.write_text('{"M": 4, "N": 2, "xi": 2.0, "beta": 1.5}')
-    cfg, extras = load_config(path)
-    assert cfg.M == 4 and cfg.N == 2 and cfg.xi == 2.0
-    assert extras == {"beta": 1.5}
+    cfg = load_config(path)
+    assert cfg == SystemConfig(M=4, N=2, xi=2.0, beta=1.5)
 
 
 def test_load_config_errors(tmp_path):
@@ -158,3 +161,20 @@ def test_load_config_rejects_toy_static_power(tmp_path, capsys):
         load_config(path)
     assert cli.main(["sweep", "--config", str(path)]) == 2
     assert "p_static" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [
+    '"xi": "2"', '"beta": "1.3"', '"beta": null', '"W": true', '"M": true',
+    '"Pc_prime_dbm": [30]', '"beta": Infinity', '"beta": NaN',
+    '"beta": 0', '"beta": -1.3', '"rzf_alpha": 0.1'])
+def test_load_config_rejects_bad_values(tmp_path, capsys, entry):
+    # Wrong types and a non-finite or non-positive beta are config errors
+    # (exit 2), never a traceback or a silently clamped operating power.
+    # The calibration loading has no key: it comes from the band itself.
+    path = tmp_path / "cell.json"
+    path.write_text('{"M": 3, "N": 3, ' + entry + '}')
+    key = entry.split('"')[1]
+    with pytest.raises(ValueError, match=key):
+        load_config(path)
+    assert cli.main(["saturation", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
