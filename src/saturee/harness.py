@@ -49,6 +49,9 @@ class ExperimentSpec:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
+        grid = (self.pmin_dbm, self.pmax_dbm, self.pstep_db)
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError(f"power grid values must be finite, got {grid}")
         if self.pstep_db <= 0.0 or self.pmax_dbm < self.pmin_dbm:
             raise ValueError("power grid must be increasing")
 

@@ -75,6 +75,45 @@ def _mrt_equal_power_init(h: np.ndarray, budget: float) -> np.ndarray:
     return h / norms[:, None] * math.sqrt(budget / n)
 
 
+def _multiplier(r: np.ndarray, base: np.ndarray, budget: float) -> float:
+    """Smallest mu >= 0 with P(mu) = sum_i r_i / (base_i + mu)^2 <= budget,
+    to within _POWER_RTOL below the budget.
+
+    Newton runs on the secular form P(mu)^-1/2 - target^-1/2, which is
+    exactly linear in mu for one mode and concave otherwise, so from
+    mu = 0 (the infeasible side) it rises monotonically to the root.
+    The target sits half the tolerance inside the budget, so that rising
+    sequence crosses the budget and stops on the feasible side.  A step
+    that leaves the bracket or fails to shrink it is replaced by
+    bisection.
+    """
+    def power(mu: float) -> tuple[float, float]:
+        x = 1.0 / (base + mu)
+        t = r * x * x
+        return float(t.sum()), float(t @ x)    # P and -P'/2
+
+    p, slope = power(0.0)
+    if p <= budget * (1.0 + _ON_BUDGET_RTOL):
+        return 0.0
+    target = budget * (1.0 - 0.5 * _POWER_RTOL)
+    # P(mu) < sum(r) / mu^2, so this upper end is feasible.
+    lo, hi = 0.0, math.sqrt(float(r.sum()) / budget)
+    mu = lo
+    for _ in range(200):
+        nxt = mu + p / slope * (math.sqrt(p / target) - 1.0)
+        mu = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        p, slope = power(mu)
+        if p > budget:
+            lo = mu
+        elif budget - p <= _POWER_RTOL * budget:
+            return mu
+        else:
+            hi = mu
+        if hi - lo <= 1e-15 * hi:
+            break
+    return hi
+
+
 def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
                ridge: float) -> np.ndarray:
     """Beamformer update b_k = (sum_j w_j |u_j|^2 h_j h_j^H + (ridge + mu) I)^-1
@@ -89,7 +128,8 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
     exact identity qt[i, k] = s_i conj(U[k, i]) sqrt(w_k) phase(u_k).
     Every factor there is well scaled, so no huge column ever multiplies
     a small basis error, and the power becomes a cheap rational function
-    of mu searched by plain bisection on scalars.
+    of mu, P(mu) = sum_i r_i / (lam_i + ridge + mu)^2, whose root
+    _multiplier finds by safeguarded Newton on scalars.
     """
     coeff = w * np.abs(u) ** 2
     root = np.sqrt(coeff)[:, None] * h.conj()
@@ -110,30 +150,8 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
     absu = np.abs(u)
     amp = np.sqrt(w) * np.where(absu > 0.0, u / np.where(absu > 0.0, absu, 1.0), 0.0)
     qt = s[:, None] * (uu.conj().T * amp[None, :])
-    q2 = (lam[:, None] * (np.abs(uu.T) ** 2)) * w[None, :]
     base = lam + ridge
-
-    def power_at(mu: float) -> float:
-        return float(np.sum(q2 / (base + mu)[:, None] ** 2))
-
-    if power_at(0.0) <= budget * (1.0 + _ON_BUDGET_RTOL):
-        mu = 0.0
-    else:
-        mu_hi = math.sqrt(float(np.sum(q2)) / budget)
-        while power_at(mu_hi) > budget:
-            mu_hi *= 2.0
-        mu_lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (mu_lo + mu_hi)
-            if power_at(mid) > budget:
-                mu_lo = mid
-            else:
-                mu_hi = mid
-            if abs(power_at(mu_hi) - budget) <= _POWER_RTOL * budget:
-                break
-            if mu_hi - mu_lo <= 1e-15 * mu_hi:
-                break
-        mu = mu_hi
+    mu = _multiplier(lam * (w @ (np.abs(uu) ** 2)), base, budget)
     cols = vh.conj().T @ (qt / (base + mu)[:, None])
     return cols.T
 

@@ -253,3 +253,12 @@ def test_cli_error_codes(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(bad)]) == 2
     assert cli.main(["toy", "--pmin-dbm", "10", "--pmax-dbm", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("option", ["--pmin-dbm", "--pmax-dbm", "--pstep-db"])
+def test_cli_rejects_non_finite_power_grid(option, value, capsys):
+    """A non-finite grid bound or step is a usage error (exit 2), not a
+    crash in building the grid."""
+    assert cli.main(["toy", f"{option}={value}"]) == 2
+    assert "finite" in capsys.readouterr().err

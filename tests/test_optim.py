@@ -56,6 +56,101 @@ def test_beam_step_keeps_mu_zero_at_a_rounding_excess():
         assert np.array_equal(optim._beam_step(h, u, w, tight, 0.0), free)
 
 
+def _bisect_multiplier(r, base, budget):
+    """Reference multiplier search: plain bisection on the sum power, as
+    the beam step ran it before the Newton solve."""
+    def power_at(mu):
+        return float(np.sum(r / (base + mu) ** 2))
+
+    if power_at(0.0) <= budget * (1.0 + optim._ON_BUDGET_RTOL):
+        return 0.0
+    mu_hi = math.sqrt(float(np.sum(r)) / budget)
+    while power_at(mu_hi) > budget:
+        mu_hi *= 2.0
+    mu_lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (mu_lo + mu_hi)
+        if power_at(mid) > budget:
+            mu_lo = mid
+        else:
+            mu_hi = mid
+        if abs(power_at(mu_hi) - budget) <= optim._POWER_RTOL * budget:
+            break
+        if mu_hi - mu_lo <= 1e-15 * mu_hi:
+            break
+    return mu_hi
+
+
+_CELLS = ((3, 3), (2, 8), (64, 16))
+
+
+def _check_multiplier(r, base):
+    p0 = float(np.sum(r / base ** 2))
+    for frac in np.geomspace(1e-3, 0.5, 5):
+        budget = frac * p0
+        mu = optim._multiplier(r, base, budget)
+        p = float(np.sum(r / (base + mu) ** 2))
+        assert p <= budget
+        assert budget - p <= 1e-10 * budget
+        assert mu == pytest.approx(_bisect_multiplier(r, base, budget),
+                                   rel=1e-8)
+
+
+def test_multiplier_matches_bisection_on_beam_steps(monkeypatch):
+    """The Newton multiplier lands where the bisection did, on the feasible
+    side within the power tolerance, for the beam steps of Dinkelbach
+    solves (ridge zero on the first outer step, positive after)."""
+    seen = []
+    search = optim._multiplier
+
+    def record(r, base, budget):
+        seen.append((r.copy(), base.copy()))
+        return search(r, base, budget)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optim, "_multiplier", record)
+        for m, n in _CELLS:
+            cfg = SystemConfig(M=m, N=n)
+            budget = transmit_power_from_dbm(30.0, cfg)
+            for trial in range(2):
+                optim.dinkelbach_ee(channel.generate(cfg, 5, trial), cfg,
+                                    budget)
+    assert len(seen) >= 40
+    for r, base in seen:
+        _check_multiplier(r, base)
+
+
+def test_multiplier_matches_bisection_on_synthetic_spectra():
+    """One mode, where the secular form is linear, and modes whose base
+    spans 24 orders."""
+    rng = np.random.default_rng(3)
+    base = np.geomspace(1e-12, 1e12, 25)
+    _check_multiplier(np.array([2.0]), np.array([3.0]))
+    _check_multiplier(rng.uniform(0.5, 2.0, base.size) * base, base)
+    _check_multiplier(rng.uniform(0.5, 2.0, base.size), base)
+
+
+def test_beam_step_matches_bisection_reference(monkeypatch):
+    """Swapping the bisection back in moves the beamformers by no more
+    than the power tolerance allows."""
+    for m, n in _CELLS:
+        cfg = SystemConfig(M=m, N=n)
+        pm = derive_power_model(cfg)
+        budget = transmit_power_from_dbm(30.0, cfg)
+        h = channel.generate(cfg, 7, 0).h
+        d, sig, inter = optim._stats(h, optim._mrt_equal_power_init(h, budget))
+        u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
+        for ridge in (0.0, 1e-3 / budget):
+            free = optim._beam_step(h, u, w, math.inf, ridge)
+            p_free = float(np.sum(np.abs(free) ** 2))
+            for frac in (1e-3, 0.1, 0.5):
+                new = optim._beam_step(h, u, w, frac * p_free, ridge)
+                with monkeypatch.context() as mp:
+                    mp.setattr(optim, "_multiplier", _bisect_multiplier)
+                    ref = optim._beam_step(h, u, w, frac * p_free, ridge)
+                np.testing.assert_allclose(new, ref, rtol=1e-8, atol=0.0)
+
+
 def test_rescale_accepts_a_rounding_excess_over_the_budget():
     """A beam step that keeps mu = 0 may leave the power a rounding
     excess above the budget; the power-scale step must still lower the
