@@ -1,8 +1,6 @@
 """Large-system expressions: asymptotic SINRs, rate bounds, RZF equivalents.
 
-Everything here is a function of the configuration only, no channel draws,
-except for the empirical estimator at the bottom which exists to validate
-the analytic fixed point against one very large realization.
+Everything here is a function of the configuration only, no channel draws.
 """
 from __future__ import annotations
 
@@ -11,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import beamform, channel
 from .errors import NumericalError
 from .sysmodel import SystemConfig, derive_power_model, total_power
 
@@ -21,13 +18,6 @@ _FP_RESIDUAL = 1e-10
 def sinr_mrt_asymptotic(p, cfg: SystemConfig, n0: float):
     """Deterministic MRT SINR under equal power, M P / ((N - 1) P + N n0)."""
     return cfg.M * p / ((cfg.N - 1) * p + cfg.N * n0)
-
-
-def ee_mrt_asymptotic(p, cfg: SystemConfig):
-    """Efficiency along the asymptotic MRT rate curve."""
-    pm = derive_power_model(cfg)
-    rate = cfg.N * np.log1p(sinr_mrt_asymptotic(p, cfg, pm.n0))
-    return rate / total_power(p, pm, cfg.xi)
 
 
 def rate_lower_bound(p, cfg: SystemConfig):
@@ -110,39 +100,6 @@ def det_equiv_rzf(cfg: SystemConfig, alpha: float) -> DetEquivParams:
         if not (math.isfinite(val) and val > 0.0):
             raise NumericalError(f"deterministic equivalent {name} = {val}")
     return params
-
-
-def det_equiv_rzf_empirical(cfg: SystemConfig, alpha: float, size: int = 256,
-                            seed: int = 0) -> DetEquivParams:
-    """Estimate the same constants from one large channel realization.
-
-    Keeps the user-to-antenna ratio of cfg but blows the dimensions up to
-    `size` antennas; measures the resolvent trace, the mean signal gain
-    and the mean interference gain of actual RZF directions, then inverts
-    the limiting relations.  Serves as the independent check on
-    :func:`det_equiv_rzf`.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"loading must be positive, got {alpha}")
-    mb = size
-    nb = max(1, round(size * cfg.N / cfg.M))
-    ratio = nb / mb
-    h = channel._draw(mb, nb, seed, 0)
-    big = channel.ChannelRealization(h=h, seed=seed, trial_index=0)
-
-    resolvent = np.linalg.inv(h.T @ h.conj() / mb + alpha * np.eye(mb))
-    m_hat = float(np.trace(resolvent).real) / mb
-
-    dirs = beamform.rzf(big, alpha)
-    gains = np.abs(h.conj() @ dirs.T) ** 2
-    sig = float(np.mean(np.diagonal(gains)))
-    interf = float(np.mean(np.sum(gains, axis=1) - np.diagonal(gains)))
-
-    m2_hat = mb * m_hat * m_hat / sig
-    gamma_hat = interf * m_hat * m_hat / sig
-    psi_hat = ratio * m2_hat / (1.0 + m_hat) ** 2
-    return DetEquivParams(m0=m_hat, gamma0=gamma_hat, psi0=psi_hat,
-                          alpha=alpha, ratio=ratio)
 
 
 def sinr_rzf_asymptotic(p, de: DetEquivParams, n0: float):

@@ -1,20 +1,14 @@
-"""Linear beamforming, per-user SINR and instantaneous efficiency."""
-from __future__ import annotations
+"""Linear beamforming, per-user SINR and instantaneous efficiency.
 
-from dataclasses import dataclass
+A beamformer matrix b is (N, M): row k is user k's beamformer and
+|b_k|^2 the power density in W/Hz radiated for that user.
+"""
+from __future__ import annotations
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .sysmodel import SystemConfig, derive_power_model, total_power
-
-
-@dataclass(frozen=True, eq=False)
-class BeamformingSolution:
-    """Unit-norm directions v (N, M) plus per-user powers p (N,) in W/Hz."""
-
-    v: np.ndarray
-    p: np.ndarray
 
 
 def mrt(ch: ChannelRealization) -> np.ndarray:
@@ -53,25 +47,28 @@ def mmse_loading_alpha(cfg: SystemConfig, p: float) -> float:
     return cfg.N * pm.n0 / (cfg.M * p)
 
 
-def equal_power(n_users: int, p: float) -> np.ndarray:
-    """Split a sum power budget evenly, p_k = p / N."""
-    if p < 0.0:
-        raise ValueError(f"power budget cannot be negative, got {p}")
-    return np.full(n_users, p / n_users)
+def link_gains(h: np.ndarray, b: np.ndarray):
+    """Per-user link statistics of the beamformers b on the channels h:
+    d_k = h_k^H b_k, the signal power |d_k|^2 and the interference power
+    sum over j != k of |h_k^H b_j|^2.
 
-
-def sinr(ch: ChannelRealization, sol: BeamformingSolution, n0: float) -> np.ndarray:
-    """Per-user SINR under the given directions and powers."""
-    cross = ch.h.conj() @ sol.v.T             # [k, j] = h_k^H v_j
+    The interference power is summed over the off-diagonal entries
+    directly.  Subtracting the signal term from a full row sum would
+    cancel catastrophically near zero-forcing points, where the leakage
+    sits ten or more orders below the signal.
+    """
+    cross = h.conj() @ b.T                    # [k, j] = h_k^H b_j
+    d = np.diagonal(cross).copy()
     gains = np.abs(cross) ** 2
-    signal = np.diagonal(gains) * sol.p
-    # Sum the interference off-diagonals directly; subtracting the signal
-    # from a full row sum would cancel catastrophically once the leakage
-    # sits many orders below the signal.
-    leak = gains.copy()
-    np.fill_diagonal(leak, 0.0)
-    interference = leak @ sol.p
-    return signal / (interference + n0)
+    sig = np.diagonal(gains).copy()
+    np.fill_diagonal(gains, 0.0)
+    return d, sig, np.sum(gains, axis=1)
+
+
+def sinr(ch: ChannelRealization, b: np.ndarray, n0: float) -> np.ndarray:
+    """Per-user SINR under the beamformer matrix b."""
+    _, sig, inter = link_gains(ch.h, b)
+    return sig / (inter + n0)
 
 
 def sum_rate(sinrs: np.ndarray) -> float:
@@ -79,10 +76,10 @@ def sum_rate(sinrs: np.ndarray) -> float:
     return float(np.sum(np.log1p(sinrs)))
 
 
-def instantaneous_ee(ch: ChannelRealization, sol: BeamformingSolution,
+def instantaneous_ee(ch: ChannelRealization, b: np.ndarray,
                      cfg: SystemConfig) -> float:
     """Sum rate over total consumed power for one realization."""
     pm = derive_power_model(cfg)
-    rate = sum_rate(sinr(ch, sol, pm.n0))
-    consumed = total_power(float(np.sum(sol.p)), pm, cfg.xi)
+    rate = sum_rate(sinr(ch, b, pm.n0))
+    consumed = total_power(float(np.sum(np.abs(b) ** 2)), pm, cfg.xi)
     return rate / consumed

@@ -115,20 +115,17 @@ def _evaluate(cell: _Cell, rate: float, p_sum: float) -> tuple[float, float, flo
 # A Monte Carlo scheme binds to one channel draw and returns a function of
 # the budget; a closed form is a function of the budget alone.  Both give
 # (sum rate, radiated power): the budget itself for equal power and the
-# closed forms, the solution's sum power for the solvers.
+# closed forms, the beamformers' sum power for the solvers.
 
-def _solution_point(ch, sol, n0: float) -> tuple[float, float]:
-    return beamform.sum_rate(beamform.sinr(ch, sol, n0)), float(np.sum(sol.p))
+def _solution_point(ch, b: np.ndarray, n0: float) -> tuple[float, float]:
+    return (beamform.sum_rate(beamform.sinr(ch, b, n0)),
+            float(np.sum(np.abs(b) ** 2)))
 
 
 def _mrt_mc(cell: _Cell, ch):
     dirs = beamform.mrt(ch)
-
-    def at(p):
-        sol = beamform.BeamformingSolution(
-            v=dirs, p=beamform.equal_power(cell.cfg.N, p))
-        return beamform.sum_rate(beamform.sinr(ch, sol, cell.pm.n0)), p
-    return at
+    return lambda p: (beamform.sum_rate(beamform.sinr(
+        ch, dirs * math.sqrt(p / cell.cfg.N), cell.pm.n0)), p)
 
 
 def _noiui_mc(cell: _Cell, ch):
@@ -146,16 +143,15 @@ def _proposed(cell: _Cell, ch):
     def at(p):
         p_op = min(cell.band.p_prop, p)
         if p_op not in solves:
-            sol = satpower.proposed_scheme(ch, cell.cfg, p_op, cell.band)
-            solves[p_op] = _solution_point(ch, sol, cell.pm.n0)
+            b = satpower.proposed_scheme(ch, cell.cfg, p_op, cell.band)
+            solves[p_op] = _solution_point(ch, b, cell.pm.n0)
         return solves[p_op]
     return at
 
 
 def _baseline(cell: _Cell, ch):
     return lambda p: _solution_point(
-        ch, optim.dinkelbach_ee(ch, cell.cfg, p).solution,
-        cell.pm.n0)
+        ch, optim.dinkelbach_ee(ch, cell.cfg, p).b, cell.pm.n0)
 
 
 def _se_mc(cell: _Cell, ch):
@@ -210,9 +206,12 @@ def _run_trials(spec: ExperimentSpec, args: tuple) -> dict[str, np.ndarray]:
     if spec.workers == 1:
         return _trial_chunk(*args, spec.seed, 0, spec.trials)
     bounds = np.linspace(0, spec.trials, spec.workers + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        futures = [pool.submit(_trial_chunk, *args, spec.seed, int(a), int(b))
-                   for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    # A forking pool starts all its processes at the first submit, so it
+    # is sized by the chunks that hold work, not by the worker count.
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        futures = [pool.submit(_trial_chunk, *args, spec.seed, a, b)
+                   for a, b in spans]
         chunks = [f.result() for f in futures]
     return {key: np.concatenate([c[key] for c in chunks], axis=0)
             for key in chunks[0]}

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .beamform import BeamformingSolution, mmse_loading_alpha, rzf
+from .beamform import link_gains, mmse_loading_alpha, mrt, rzf
 from .channel import ChannelRealization
 from .scalar_opt import golden_section_max
 from .sysmodel import SystemConfig, derive_power_model, total_power
@@ -30,18 +29,17 @@ _MAX_OUTER = 100     # Dinkelbach parametric steps
 
 @dataclass
 class WmmseState:
-    """Iterate of the block descent: beamformers, receivers, MSE weights."""
+    """Where the block descent stopped: the number of beam steps taken."""
 
-    b: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
     iteration: int
-    objective: float
 
 
 @dataclass
 class WmmseResult:
-    solution: BeamformingSolution
+    """Beamformer matrix b (N, M) of the last iterate, its sum rate and
+    sum power, and the objective after every iteration."""
+
+    b: np.ndarray
     state: WmmseState
     converged: bool
     sum_rate: float
@@ -50,29 +48,15 @@ class WmmseResult:
 
 
 @dataclass
-class DinkelbachState:
-    lam: float
-    F_value: float
-    inner: WmmseState
-    outer_iteration: int
-
-
-@dataclass
 class DinkelbachResult:
-    solution: BeamformingSolution
+    """Beamformer matrix b (N, M) of the last inner solve, its efficiency
+    lambda_star, and the parameter and F(lam) of every outer step."""
+
+    b: np.ndarray
     lambda_star: float
-    state: DinkelbachState
     converged: bool
     lambda_history: np.ndarray
     f_history: np.ndarray
-
-
-def _mrt_equal_power_init(h: np.ndarray, budget: float) -> np.ndarray:
-    norms = np.linalg.norm(h, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate channel: some user has a zero vector")
-    n = h.shape[0]
-    return h / norms[:, None] * math.sqrt(budget / n)
 
 
 def _multiplier(r: np.ndarray, base: np.ndarray, budget: float) -> float:
@@ -156,24 +140,6 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
     return cols.T
 
 
-def _stats(h: np.ndarray, b: np.ndarray):
-    """Per-user link statistics for the current beamformers.
-
-    The interference power is summed over the off-diagonal entries
-    directly.  Subtracting the signal term from a full row sum would
-    cancel catastrophically near zero-forcing points, where the leakage
-    sits ten or more orders below the signal.
-    """
-    cross = h.conj() @ b.T                    # [k, j] = h_k^H b_j
-    d = np.diagonal(cross).copy()
-    gains = np.abs(cross) ** 2
-    sig = np.diagonal(gains).copy()
-    leak = gains
-    np.fill_diagonal(leak, 0.0)
-    inter = np.sum(leak, axis=1)
-    return d, sig, inter
-
-
 def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
              ridge: float) -> np.ndarray:
     """Ascent step on a uniform power scale of all beamformers.
@@ -186,7 +152,7 @@ def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
     and cheap; it keeps tau = 1 unless the search beats it, so it never
     decreases the objective.  A rounding excess over the budget is feasible.
     """
-    _, sig, inter = _stats(h, b)
+    _, sig, inter = link_gains(h, b)
     psum = float(np.sum(np.abs(b) ** 2))
     if psum <= 0.0:
         return b
@@ -204,38 +170,23 @@ def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
     return b * math.sqrt(tau)
 
 
-class _Descent(NamedTuple):
-    """Outcome of one block descent; state.objective is its sum rate."""
-
-    state: WmmseState
-    p_sum: float
-    history: np.ndarray
-    converged: bool
-
-
 def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
-             tol: float, b0: np.ndarray) -> _Descent:
+             tol: float, b0: np.ndarray) -> WmmseResult:
     """Shared block descent.  ridge = lambda * xi regularizes the
     beamformer step for the fractional inner problems; ridge = 0 gives
     plain sum-rate maximization.
 
-    Returns the final iterate plus the per-iteration objective history
-    (sum rate minus ridge times sum power, so just the sum rate when
-    ridge is zero).
+    The objective history holds the sum rate minus ridge times sum
+    power, so just the sum rate when ridge is zero.
     """
     b = b0
     history = []
     prev = None
-    u = w = None
-    rate = psum = 0.0
-    it = 0
     converged = False
     for it in range(_MAX_ITER + 1):
-        d, sig, inter = _stats(h, b)
+        d, sig, inter = link_gains(h, b)
         e = inter + n0
         sinr_vals = sig / e
-        u = d / (e + sig)
-        w = 1.0 + sinr_vals
         rate = float(np.sum(np.log1p(sinr_vals)))
         psum = float(np.sum(np.abs(b) ** 2))
         obj = rate - ridge * psum
@@ -246,11 +197,12 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
         prev = obj
         if it == _MAX_ITER:
             break
-        b = _beam_step(h, u, w, budget, ridge)
+        b = _beam_step(h, d / (e + sig), 1.0 + sinr_vals, budget, ridge)
         if ridge > 0.0:
             b = _rescale(h, b, n0, budget, ridge)
-    return _Descent(WmmseState(b=b, u=u, w=w, iteration=it, objective=rate),
-                    psum, np.array(history), converged)
+    return WmmseResult(b=b, state=WmmseState(iteration=it),
+                       converged=converged, sum_rate=rate, p_sum=psum,
+                       objective_history=np.array(history))
 
 
 def wmmse(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
@@ -267,30 +219,13 @@ def wmmse(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
         raise ValueError(f"power budget must be positive, got {p_budget}")
     pm = derive_power_model(cfg)
     if init is None:
-        b0 = _mrt_equal_power_init(ch.h, p_budget)
+        b0 = mrt(ch) * math.sqrt(p_budget / cfg.N)
     else:
         b0 = np.asarray(init, dtype=complex)
         if b0.shape != ch.h.shape:
             raise ValueError(
                 f"init shape {b0.shape} does not match channel {ch.h.shape}")
-    run = _iterate(ch.h, pm.n0, p_budget, 0.0, tol, b0)
-    return WmmseResult(solution=_to_solution(run.state.b, ch.h),
-                       state=run.state, converged=run.converged,
-                       sum_rate=run.state.objective, p_sum=run.p_sum,
-                       objective_history=run.history)
-
-
-def _to_solution(b: np.ndarray, h: np.ndarray) -> BeamformingSolution:
-    powers = np.sum(np.abs(b) ** 2, axis=1)
-    norms = np.sqrt(powers)
-    dirs = np.empty_like(b)
-    live = norms > 0.0
-    dirs[live] = b[live] / norms[live, None]
-    if np.any(~live):
-        # Users driven to zero power keep a well-defined direction.
-        hn = np.linalg.norm(h[~live], axis=1)
-        dirs[~live] = h[~live] / hn[:, None]
-    return BeamformingSolution(v=dirs, p=powers)
+    return _iterate(ch.h, pm.n0, p_budget, 0.0, tol, b0)
 
 
 def dinkelbach_ee(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
@@ -316,27 +251,18 @@ def dinkelbach_ee(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
     lam = 0.0
     lam_hist: list[float] = []
     f_hist: list[float] = []
-    state = None
-    rate = consumed = 0.0
     ok = False
-    for outer in range(1, _MAX_OUTER + 1):
+    for _ in range(_MAX_OUTER):
         run = _iterate(ch.h, pm.n0, p_budget, lam * cfg.xi, _TOL, b)
-        b, rate = run.state.b, run.state.objective
+        b, rate = run.b, run.sum_rate
         consumed = total_power(run.p_sum, pm, cfg.xi)
         f_val = rate - lam * consumed
         lam_hist.append(lam)
         f_hist.append(f_val)
-        state = DinkelbachState(lam=lam, F_value=f_val, inner=run.state,
-                                outer_iteration=outer)
         if abs(f_val) <= delta:
             ok = True
             break
         lam = rate / consumed
-    return DinkelbachResult(
-        solution=_to_solution(b, ch.h),
-        lambda_star=rate / consumed,
-        state=state,
-        converged=ok,
-        lambda_history=np.array(lam_hist),
-        f_history=np.array(f_hist),
-    )
+    return DinkelbachResult(b=b, lambda_star=rate / consumed, converged=ok,
+                            lambda_history=np.array(lam_hist),
+                            f_history=np.array(f_hist))

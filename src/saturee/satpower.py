@@ -16,7 +16,6 @@ import numpy as np
 
 from . import asympt, beamform, optim
 from .asympt import DetEquivParams
-from .beamform import BeamformingSolution
 from .channel import ChannelRealization
 from .errors import NumericalError
 from .scalar_opt import bisect_root_log
@@ -181,8 +180,9 @@ def compute_band(cfg: SystemConfig) -> SaturationBand:
 
 
 def proposed_scheme(ch: ChannelRealization, cfg: SystemConfig,
-                    p_budget: float, band: SaturationBand) -> BeamformingSolution:
-    """One spectral-efficiency solve at the clamped power min(p_prop, budget).
+                    p_budget: float, band: SaturationBand) -> np.ndarray:
+    """Beamformer matrix of one spectral-efficiency solve at the clamped
+    power min(p_prop, budget).
 
     The solve starts from equal-power RZF beamformers at the operating
     power.  A maximum-ratio start can abandon a user whose channel is
@@ -195,4 +195,4 @@ def proposed_scheme(ch: ChannelRealization, cfg: SystemConfig,
     p = min(band.p_prop, p_budget)
     dirs = beamform.rzf(ch, beamform.mmse_loading_alpha(cfg, p))
     b0 = dirs * math.sqrt(p / cfg.N)
-    return optim.wmmse(ch, cfg, p, init=b0).solution
+    return optim.wmmse(ch, cfg, p, init=b0).b

@@ -24,8 +24,11 @@ from pathlib import Path
 
 
 def dbm_to_watt(dbm: float) -> float:
-    """Convert a dBm figure to watts."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Convert a dBm figure to watts; inf past the float range."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watt_to_dbm(watt: float) -> float:
@@ -83,6 +86,17 @@ class SystemConfig:
             raise ValueError("noise figure cannot be negative")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        # Finite dBm figures can still leave the float range as densities.
+        pm = derive_power_model(self)
+        for names, value, positive in (
+                ("noise_psd_dbm_per_hz, noise_figure_db", pm.n0, True),
+                ("Pc_prime_dbm, W", pm.Pc, False),
+                ("Po_prime_dbm, W", pm.Po, False),
+                ("M, Pc_prime_dbm, Po_prime_dbm", pm.Pconst, True)):
+            if not (math.isfinite(value) and (value > 0.0 or not positive)):
+                need = "finite and positive" if positive else "finite"
+                raise ValueError(f"{names} give a power density of {value} "
+                                 f"W/Hz, which must be {need}")
 
 
 @dataclass(frozen=True)
@@ -115,11 +129,6 @@ def total_power(p_sum: float, pm: DerivedPowerModel, xi: float):
     p_sum is the radiated sum power density; accepts arrays transparently.
     """
     return xi * p_sum + pm.Pconst
-
-
-def energy_efficiency(sum_rate: float, consumed: float):
-    """Rate over consumed power; nat/J for per-Hz inputs."""
-    return sum_rate / consumed
 
 
 def transmit_power_from_dbm(dbm: float, cfg: SystemConfig) -> float:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saturee import beamform, channel
-from saturee.beamform import BeamformingSolution
 from saturee.sysmodel import SystemConfig, derive_power_model
 
 
@@ -120,33 +119,72 @@ def test_mmse_loading_value(cfg3):
         beamform.mmse_loading_alpha(cfg3, 0.0)
 
 
-def test_equal_power():
-    p = beamform.equal_power(4, 2.0)
-    assert np.allclose(p, 0.5)
-    assert float(np.sum(p)) == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        beamform.equal_power(3, -1.0)
+def _direction_power_sinr(h, v, p, n0):
+    """SINR of unit directions v under per-user powers p, as the package
+    computed it when it carried beamformers in that form."""
+    cross = h.conj() @ v.T
+    gains = np.abs(cross) ** 2
+    signal = np.diagonal(gains) * p
+    leak = gains.copy()
+    np.fill_diagonal(leak, 0.0)
+    interference = leak @ p
+    return signal / (interference + n0)
+
+
+# name: (M, N, RZF loading or None for MRT, n0, per-user power draw,
+# bound on leakage over signal or None)
+_SINR_CASES = {
+    "mrt": (3, 3, None, 2e-20, lambda rng, n: rng.uniform(0.0, 1e-8, n),
+            None),
+    "rzf": (2, 8, 0.3, 0.5, lambda rng, n: rng.uniform(0.0, 1.0, n), None),
+    "zero-power-user": (16, 4, 1e-3, 1e-3, lambda rng, n: rng.uniform(
+        0.5, 2.0, n) * (np.arange(n) != 1), None),
+    # Noise far below a leakage typically ten orders below the signal
+    # (seven on the worst draw).  Powers of four keep sqrt(p) exact, so
+    # both forms see the same cross products and only the summing of the
+    # interference can differ.
+    "near-zf": (4, 4, 1e-8, 1e-30, lambda rng, n: 4.0 ** rng.integers(
+        -3, 4, n), 1e-7),
+}
+
+
+@pytest.mark.parametrize("case", _SINR_CASES.values(), ids=_SINR_CASES.keys())
+def test_sinr_matches_direction_power_form(case):
+    """Unit directions scaled by sqrt(p) give the SINR of the
+    (directions, powers) form."""
+    m, n, alpha, n0, powers, leak_bound = case
+    cfg = SystemConfig(M=m, N=n)
+    rng = np.random.default_rng(6)
+    for trial in range(20):
+        ch = channel.generate(cfg, 8, trial)
+        v = beamform.mrt(ch) if alpha is None else beamform.rzf(ch, alpha)
+        p = powers(rng, n)
+        b = v * np.sqrt(p)[:, None]
+        ref = _direction_power_sinr(ch.h, v, p, n0)
+        np.testing.assert_allclose(beamform.sinr(ch, b, n0), ref, rtol=1e-12,
+                                   atol=0.0)
+        if leak_bound is not None:
+            _, sig, inter = beamform.link_gains(ch.h, b)
+            assert np.all(inter <= leak_bound * sig) and np.all(inter > n0)
 
 
 def test_sinr_zero_power(cfg3):
     ch = channel.generate(cfg3, 1, 0)
-    sol = BeamformingSolution(v=beamform.mrt(ch), p=np.zeros(3))
-    assert np.allclose(beamform.sinr(ch, sol, 1e-20), 0.0)
+    assert np.allclose(beamform.sinr(ch, beamform.mrt(ch) * 0.0, 1e-20), 0.0)
 
 
 def test_sinr_single_user_closed_form():
     ch = _fixed([[1.0, 2.0, 2.0]])
     n0 = 0.5
-    sol = BeamformingSolution(v=beamform.mrt(ch), p=np.array([0.25]))
+    b = beamform.mrt(ch) * math.sqrt(0.25)
     # no interference: ||h||^2 p / n0 = 9 * 0.25 / 0.5
-    assert beamform.sinr(ch, sol, n0)[0] == pytest.approx(4.5, rel=1e-12)
+    assert beamform.sinr(ch, b, n0)[0] == pytest.approx(4.5, rel=1e-12)
 
 
 def test_sinr_orthogonal_channels_no_interference():
     h = np.diag([1.0, 2.0, 3.0]).astype(complex)
     ch = _fixed(h)
-    sol = BeamformingSolution(v=beamform.mrt(ch), p=np.array([1.0, 1.0, 1.0]))
-    got = beamform.sinr(ch, sol, 2.0)
+    got = beamform.sinr(ch, beamform.mrt(ch), 2.0)
     assert np.allclose(got, np.array([1.0, 4.0, 9.0]) / 2.0, rtol=1e-12)
 
 
@@ -154,8 +192,8 @@ def test_sinr_interference_hand_case():
     # both users share the same direction: full leakage
     h = np.array([[1.0, 0.0], [1.0, 0.0]]).astype(complex)
     ch = _fixed(h)
-    sol = BeamformingSolution(v=beamform.mrt(ch), p=np.array([2.0, 3.0]))
-    got = beamform.sinr(ch, sol, 1.0)
+    b = beamform.mrt(ch) * np.sqrt([2.0, 3.0])[:, None]
+    got = beamform.sinr(ch, b, 1.0)
     assert got[0] == pytest.approx(2.0 / (3.0 + 1.0), rel=1e-12)
     assert got[1] == pytest.approx(3.0 / (2.0 + 1.0), rel=1e-12)
 
@@ -167,12 +205,11 @@ def test_sinr_interference_hand_case():
 def test_sinr_phase_invariance(trial, theta, k):
     cfg = SystemConfig(M=3, N=3)
     ch = channel.generate(cfg, 11, trial)
-    v = beamform.mrt(ch)
-    p = beamform.equal_power(3, 1e-8)
-    base = beamform.sinr(ch, BeamformingSolution(v=v, p=p), 1e-20)
-    rotated = v.copy()
+    b = beamform.mrt(ch) * math.sqrt(1e-8 / 3)
+    base = beamform.sinr(ch, b, 1e-20)
+    rotated = b.copy()
     rotated[k] = rotated[k] * np.exp(1j * theta)
-    got = beamform.sinr(ch, BeamformingSolution(v=rotated, p=p), 1e-20)
+    got = beamform.sinr(ch, rotated, 1e-20)
     assert np.allclose(got, base, rtol=1e-9)
 
 
@@ -181,8 +218,8 @@ def test_sinr_phase_invariance(trial, theta, k):
 def test_sinr_nonnegative_finite(trial):
     cfg = SystemConfig(M=2, N=4)
     ch = channel.generate(cfg, 13, trial)
-    sol = BeamformingSolution(v=beamform.mrt(ch), p=beamform.equal_power(4, 1e-9))
-    s = beamform.sinr(ch, sol, derive_power_model(cfg).n0)
+    b = beamform.mrt(ch) * math.sqrt(1e-9 / 4)
+    s = beamform.sinr(ch, b, derive_power_model(cfg).n0)
     assert np.all(s >= 0.0) and np.all(np.isfinite(s))
 
 
@@ -197,11 +234,10 @@ def test_sum_rate_examples():
 def test_instantaneous_ee_consistency(cfg3):
     ch = channel.generate(cfg3, 3, 0)
     pm = derive_power_model(cfg3)
-    p = beamform.equal_power(3, 1e-8)
-    sol = BeamformingSolution(v=beamform.mrt(ch), p=p)
-    rate = beamform.sum_rate(beamform.sinr(ch, sol, pm.n0))
+    b = beamform.mrt(ch) * math.sqrt(1e-8 / 3)
+    rate = beamform.sum_rate(beamform.sinr(ch, b, pm.n0))
     consumed = cfg3.xi * 1e-8 + pm.Pconst
-    assert beamform.instantaneous_ee(ch, sol, cfg3) == pytest.approx(
+    assert beamform.instantaneous_ee(ch, b, cfg3) == pytest.approx(
         rate / consumed, rel=1e-12)
 
 
@@ -209,14 +245,14 @@ def test_rzf_beats_mrt_when_interference_dominates(cfg3):
     """Interference suppression pays off at high power on most draws."""
     pm = derive_power_model(cfg3)
     p = 2.4e-8
-    pvec = beamform.equal_power(3, p)
+    scale = math.sqrt(p / 3)
     alpha = beamform.mmse_loading_alpha(cfg3, p)
     wins = 0
     for t in range(100):
         ch = channel.generate(cfg3, 5, t)
         r_m = beamform.sum_rate(beamform.sinr(
-            ch, BeamformingSolution(v=beamform.mrt(ch), p=pvec), pm.n0))
+            ch, beamform.mrt(ch) * scale, pm.n0))
         r_z = beamform.sum_rate(beamform.sinr(
-            ch, BeamformingSolution(v=beamform.rzf(ch, alpha), p=pvec), pm.n0))
+            ch, beamform.rzf(ch, alpha) * scale, pm.n0))
         wins += r_z >= r_m
     assert wins >= 90

@@ -1,4 +1,5 @@
 """Experiment runner: grids, row layout, determinism, CSV, CLI."""
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -144,6 +145,36 @@ def test_run_sweep_rows_and_determinism():
     parallel = dataclasses.replace(spec, workers=2)
     assert (harness.format_csv(harness.run_sweep(parallel))
             == harness.format_csv(points))
+
+
+def test_pool_gets_one_worker_per_chunk(monkeypatch):
+    """A forking pool starts all of its processes at the first submit, so
+    asking for more workers than trials must size it by the chunks that
+    hold work.  The pool here runs each chunk inline: no process starts."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
+                          pmin_dbm=30.0, pmax_dbm=32.0, trials=2, seed=5)
+    serial = harness.format_csv(harness.run_sweep(spec))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    wide = dataclasses.replace(spec, workers=64)
+    assert harness.format_csv(harness.run_sweep(wide)) == serial
+    assert sizes == [2]
 
 
 def test_sweep_proposed_flat_above_p_prop(monkeypatch):

@@ -270,10 +270,11 @@ def test_wide_configuration_range(M, N):
         assert band.p_lb <= band.p_prop <= band.p_ub, cfg
         ch = channel.generate(cfg, 9, 0)
         for budget in (band.p_prop / 10.0, band.p_prop, band.p_ub * 10.0):
-            sol = satpower.proposed_scheme(ch, cfg, budget, band)
+            b = satpower.proposed_scheme(ch, cfg, budget, band)
             cap = min(budget, band.p_prop)
-            assert float(np.sum(sol.p)) <= cap * (1.0 + 1e-10), (cfg, budget)
-            assert np.all(np.isfinite(beamform.sinr(ch, sol, n0))), cfg
+            assert float(np.sum(np.abs(b) ** 2)) <= cap * (1.0 + 1e-10), (
+                cfg, budget)
+            assert np.all(np.isfinite(beamform.sinr(ch, b, n0))), cfg
 
 
 # -------------------------------------------------------- one-shot solve
@@ -283,16 +284,16 @@ def test_proposed_clamps_at_operating_power(cfg3):
     ch = channel.generate(cfg3, 31, 0)
     a = satpower.proposed_scheme(ch, cfg3, band.p_prop * 10.0, band)
     b = satpower.proposed_scheme(ch, cfg3, band.p_prop * 100.0, band)
-    assert np.array_equal(a.v, b.v) and np.array_equal(a.p, b.p)
-    assert float(np.sum(a.p)) <= band.p_prop * (1.0 + 1e-9)
+    assert np.array_equal(a, b)
+    assert float(np.sum(np.abs(a) ** 2)) <= band.p_prop * (1.0 + 1e-9)
 
 
 def test_proposed_uses_full_budget_below_operating_power(cfg3):
     band = satpower.compute_band(cfg3)
     ch = channel.generate(cfg3, 31, 1)
     budget = band.p_prop / 10.0
-    sol = satpower.proposed_scheme(ch, cfg3, budget, band)
-    psum = float(np.sum(sol.p))
+    b = satpower.proposed_scheme(ch, cfg3, budget, band)
+    psum = float(np.sum(np.abs(b) ** 2))
     assert psum <= budget * (1.0 + 1e-9)
     assert psum >= budget * 0.99
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from saturee import cli
 from saturee.sysmodel import (SystemConfig, dbm_to_watt, derive_power_model,
-                              energy_efficiency, load_config,
-                              normalized_config, total_power,
+                              load_config, normalized_config, total_power,
                               transmit_power_from_dbm, transmit_power_to_dbm,
                               watt_to_dbm)
+
+from oracles import energy_efficiency
 
 
 def test_dbm_anchors():
@@ -18,6 +19,7 @@ def test_dbm_anchors():
     assert dbm_to_watt(0.0) == pytest.approx(1e-3, rel=1e-15)
     assert watt_to_dbm(1.0) == pytest.approx(30.0, abs=1e-12)
     assert watt_to_dbm(10.0) == pytest.approx(40.0, abs=1e-12)
+    assert dbm_to_watt(4000.0) == math.inf
 
 
 def test_watt_to_dbm_rejects_nonpositive():
@@ -64,6 +66,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(M=3, N=3, noise_figure_db=-1.0)
     assert SystemConfig(M=3, N=3).beta == 1.3
+    # Both circuit figures underflow: nothing is consumed before radiating.
+    with pytest.raises(ValueError, match="Pc_prime_dbm, Po_prime_dbm"):
+        SystemConfig(M=3, N=3, Pc_prime_dbm=-4000.0, Po_prime_dbm=-4000.0)
+    assert SystemConfig(M=3, N=3, Po_prime_dbm=-4000.0).Po_prime_dbm == -4000.0
     for bad in (0.0, -1.0, math.inf, math.nan, True, "1.3", None):
         with pytest.raises(ValueError, match="beta"):
             SystemConfig(M=3, N=3, beta=bad)
@@ -166,9 +172,12 @@ def test_load_config_rejects_toy_static_power(tmp_path, capsys):
 @pytest.mark.parametrize("entry", [
     '"xi": "2"', '"beta": "1.3"', '"beta": null', '"W": true', '"M": true',
     '"Pc_prime_dbm": [30]', '"beta": Infinity', '"beta": NaN',
-    '"beta": 0', '"beta": -1.3', '"rzf_alpha": 0.1'])
+    '"beta": 0', '"beta": -1.3', '"rzf_alpha": 0.1',
+    '"Pc_prime_dbm": 4000', '"noise_figure_db": 1e308',
+    '"noise_psd_dbm_per_hz": -4000', '"W": 1e-320'])
 def test_load_config_rejects_bad_values(tmp_path, capsys, entry):
-    # Wrong types and a non-finite or non-positive beta are config errors
+    # Wrong types, a non-finite or non-positive beta and finite figures
+    # whose power densities overflow or underflow are config errors
     # (exit 2), never a traceback or a silently clamped operating power.
     # The calibration loading has no key: it comes from the band itself.
     path = tmp_path / "cell.json"
