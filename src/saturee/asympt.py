@@ -47,16 +47,13 @@ class DetEquivParams:
     """Deterministic-equivalent constants for RZF at a fixed loading.
 
     m0 is the limiting normalized trace of the regularized resolvent,
-    gamma0 the interference coefficient, psi0 the normalization
-    coefficient, alpha the loading they were computed for, and ratio the
-    user-to-antenna ratio N / M.
+    gamma0 the interference coefficient and psi0 the normalization
+    coefficient.
     """
 
     m0: float
     gamma0: float
     psi0: float
-    alpha: float
-    ratio: float
 
 
 def _fixed_point_m(alpha: float, ratio: float) -> float:
@@ -93,8 +90,7 @@ def det_equiv_rzf(cfg: SystemConfig, alpha: float) -> DetEquivParams:
     m2 = m0 * m0 / shrink
     gamma0 = m0 - alpha * m2
     psi0 = ratio * m2 / (1.0 + m0) ** 2
-    params = DetEquivParams(m0=m0, gamma0=gamma0, psi0=psi0, alpha=alpha,
-                            ratio=ratio)
+    params = DetEquivParams(m0=m0, gamma0=gamma0, psi0=psi0)
     for name in ("m0", "gamma0", "psi0"):
         val = getattr(params, name)
         if not (math.isfinite(val) and val > 0.0):

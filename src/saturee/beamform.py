@@ -1,25 +1,25 @@
-"""Linear beamforming, per-user SINR and instantaneous efficiency.
+"""Linear beamforming, per-user SINR and sum rate.
 
-A beamformer matrix b is (N, M): row k is user k's beamformer and
-|b_k|^2 the power density in W/Hz radiated for that user.
+The channel h and a beamformer matrix b are both (N, M): row k of h is
+user k's channel, row k of b user k's beamformer and |b_k|^2 the power
+density in W/Hz radiated for that user.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization
-from .sysmodel import SystemConfig, derive_power_model, total_power
+from .sysmodel import SystemConfig, derive_power_model
 
 
-def mrt(ch: ChannelRealization) -> np.ndarray:
+def mrt(h: np.ndarray) -> np.ndarray:
     """Maximum ratio directions, v_k = h_k / ||h_k||."""
-    norms = np.linalg.norm(ch.h, axis=1)
+    norms = np.linalg.norm(h, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("degenerate channel: some user has a zero vector")
-    return ch.h / norms[:, None]
+    return h / norms[:, None]
 
 
-def rzf(ch: ChannelRealization, alpha: float) -> np.ndarray:
+def rzf(h: np.ndarray, alpha: float) -> np.ndarray:
     """Regularized zero-forcing directions, alpha > 0 the loading factor.
 
     Row k of H (N, M) is user k's channel and v_k the normalized column k
@@ -29,7 +29,6 @@ def rzf(ch: ChannelRealization, alpha: float) -> np.ndarray:
     """
     if not alpha > 0.0:
         raise ValueError(f"rzf loading must be positive, got {alpha}")
-    h = ch.h
     n, m = h.shape
     gram = h @ h.conj().T                     # [k, j] = h_k^T h_j^*, (N, N)
     dirs = np.linalg.solve(gram + (m * alpha) * np.eye(n), h)
@@ -65,9 +64,9 @@ def link_gains(h: np.ndarray, b: np.ndarray):
     return d, sig, np.sum(gains, axis=1)
 
 
-def sinr(ch: ChannelRealization, b: np.ndarray, n0: float) -> np.ndarray:
+def sinr(h: np.ndarray, b: np.ndarray, n0: float) -> np.ndarray:
     """Per-user SINR under the beamformer matrix b."""
-    _, sig, inter = link_gains(ch.h, b)
+    _, sig, inter = link_gains(h, b)
     return sig / (inter + n0)
 
 
@@ -75,11 +74,3 @@ def sum_rate(sinrs: np.ndarray) -> float:
     """Sum of log(1 + SINR_k), nat/s/Hz."""
     return float(np.sum(np.log1p(sinrs)))
 
-
-def instantaneous_ee(ch: ChannelRealization, b: np.ndarray,
-                     cfg: SystemConfig) -> float:
-    """Sum rate over total consumed power for one realization."""
-    pm = derive_power_model(cfg)
-    rate = sum_rate(sinr(ch, b, pm.n0))
-    consumed = total_power(float(np.sum(np.abs(b) ** 2)), pm, cfg.xi)
-    return rate / consumed

@@ -7,26 +7,12 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sysmodel import SystemConfig
 
 _SQRT_HALF = math.sqrt(0.5)
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of the downlink channel.
-
-    h has shape (N, M); row k is user k's channel vector, entries are
-    circularly-symmetric complex Gaussian with unit variance.
-    """
-
-    h: np.ndarray
-    seed: int
-    trial_index: int
 
 
 def _draw(M: int, N: int, seed: int, trial_index: int) -> np.ndarray:
@@ -37,10 +23,12 @@ def _draw(M: int, N: int, seed: int, trial_index: int) -> np.ndarray:
     return (re + 1j * im) * _SQRT_HALF
 
 
-def generate(cfg: SystemConfig, seed: int, trial_index: int) -> ChannelRealization:
-    """Draw the channel for one Monte Carlo trial."""
+def generate(cfg: SystemConfig, seed: int, trial_index: int) -> np.ndarray:
+    """Draw the channel h for one Monte Carlo trial.
+
+    h has shape (N, M); row k is user k's channel vector, entries are
+    circularly-symmetric complex Gaussian with unit variance.
+    """
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    return ChannelRealization(
-        h=_draw(cfg.M, cfg.N, seed, trial_index), seed=seed, trial_index=trial_index
-    )
+    return _draw(cfg.M, cfg.N, seed, trial_index)

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import NumericalError
-from .harness import KINDS, ExperimentSpec, format_csv, run, write_csv
+from .harness import KINDS, ExperimentSpec, format_csv, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,14 +48,15 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    text = format_csv(points, bits=spec.bits)
     if spec.out:
         try:
-            write_csv(points, spec.out, bits=spec.bits)
+            Path(spec.out).write_text(text)
         except OSError as exc:
             print(f"error: cannot write {spec.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(format_csv(points, bits=spec.bits))
+        sys.stdout.write(text)
     if note:
         print(note)
     return 0

@@ -11,18 +11,18 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import asympt, beamform, channel, optim, satpower
 from .satpower import SaturationBand
-from .sysmodel import (DerivedPowerModel, SystemConfig, derive_power_model,
-                       load_config, total_power, transmit_power_from_dbm,
-                       transmit_power_to_dbm)
+from .sysmodel import (DerivedPowerModel, SystemConfig, dbm_to_watt,
+                       derive_power_model, load_config, total_power,
+                       transmit_power_from_dbm, transmit_power_to_dbm)
 
 KINDS = ("sweep", "tradeoff", "saturation", "compare", "toy")
 CSV_HEADER = "scheme,P_dbm,sum_rate,total_power,ee,stderr,trials"
+MAX_BUDGETS = 10_000    # the default grid has 29
 LN2 = math.log(2.0)
 
 
@@ -54,6 +54,11 @@ class ExperimentSpec:
             raise ValueError(f"power grid values must be finite, got {grid}")
         if self.pstep_db <= 0.0 or self.pmax_dbm < self.pmin_dbm:
             raise ValueError("power grid must be increasing")
+        # Checked before dbm_grid allocates billions of budgets for a tiny step.
+        steps = (self.pmax_dbm - self.pmin_dbm) / self.pstep_db
+        if not steps + 1e-9 < MAX_BUDGETS:
+            raise ValueError(f"power grid step {self.pstep_db} dB gives more "
+                             f"than {MAX_BUDGETS} budgets")
 
 
 @dataclass(frozen=True)
@@ -117,25 +122,25 @@ def _evaluate(cell: _Cell, rate: float, p_sum: float) -> tuple[float, float, flo
 # (sum rate, radiated power): the budget itself for equal power and the
 # closed forms, the beamformers' sum power for the solvers.
 
-def _solution_point(ch, b: np.ndarray, n0: float) -> tuple[float, float]:
-    return (beamform.sum_rate(beamform.sinr(ch, b, n0)),
+def _solution_point(h, b: np.ndarray, n0: float) -> tuple[float, float]:
+    return (beamform.sum_rate(beamform.sinr(h, b, n0)),
             float(np.sum(np.abs(b) ** 2)))
 
 
-def _mrt_mc(cell: _Cell, ch):
-    dirs = beamform.mrt(ch)
+def _mrt_mc(cell: _Cell, h):
+    dirs = beamform.mrt(h)
     return lambda p: (beamform.sum_rate(beamform.sinr(
-        ch, dirs * math.sqrt(p / cell.cfg.N), cell.pm.n0)), p)
+        h, dirs * math.sqrt(p / cell.cfg.N), cell.pm.n0)), p)
 
 
-def _noiui_mc(cell: _Cell, ch):
+def _noiui_mc(cell: _Cell, h):
     """Equal power with the interference removed by a genie."""
-    norms2 = np.sum(np.abs(ch.h) ** 2, axis=1)
+    norms2 = np.sum(np.abs(h) ** 2, axis=1)
     return lambda p: (float(np.sum(np.log1p(
         norms2 * (p / cell.cfg.N) / cell.pm.n0))), p)
 
 
-def _proposed(cell: _Cell, ch):
+def _proposed(cell: _Cell, h):
     # The scheme reads the budget only through min(p_prop, budget), so all
     # budgets at or above p_prop share one solve per draw.
     solves: dict[float, tuple[float, float]] = {}
@@ -143,20 +148,20 @@ def _proposed(cell: _Cell, ch):
     def at(p):
         p_op = min(cell.band.p_prop, p)
         if p_op not in solves:
-            b = satpower.proposed_scheme(ch, cell.cfg, p_op, cell.band)
-            solves[p_op] = _solution_point(ch, b, cell.pm.n0)
+            b = satpower.proposed_scheme(h, cell.cfg, p_op, cell.band)
+            solves[p_op] = _solution_point(h, b, cell.pm.n0)
         return solves[p_op]
     return at
 
 
-def _baseline(cell: _Cell, ch):
+def _baseline(cell: _Cell, h):
     return lambda p: _solution_point(
-        ch, optim.dinkelbach_ee(ch, cell.cfg, p).b, cell.pm.n0)
+        h, optim.dinkelbach_ee(h, cell.cfg, p).b, cell.pm.n0)
 
 
-def _se_mc(cell: _Cell, ch):
+def _se_mc(cell: _Cell, h):
     def at(p):
-        res = optim.wmmse(ch, cell.cfg, p)
+        res = optim.wmmse(h, cell.cfg, p)
         return res.sum_rate, res.p_sum
     return at
 
@@ -191,9 +196,9 @@ def _trial_chunk(cell: _Cell, names: list[str], p_list, seed: int,
     trials [t0, t1), as arrays of shape (trials, budgets, 2)."""
     out = {name: np.empty((t1 - t0, len(p_list), 2)) for name in names}
     for row, trial in enumerate(range(t0, t1)):
-        ch = channel.generate(cell.cfg, seed, trial)
+        h = channel.generate(cell.cfg, seed, trial)
         for name in names:
-            at = SCHEMES[name][1](cell, ch)
+            at = SCHEMES[name][1](cell, h)
             for ip, p in enumerate(p_list):
                 rate, _, ee = _evaluate(cell, *at(p))
                 out[name][row, ip] = (rate, ee)
@@ -336,7 +341,9 @@ def run_toy(spec: ExperimentSpec) -> list[EePoint]:
     p_sat = satpower.p_ee_toy(spec.p_static)
     points: list[EePoint] = []
     for d in dbm_grid(spec):
-        p = 10.0 ** ((d - 30.0) / 10.0)
+        p = dbm_to_watt(float(d))
+        if not math.isfinite(p):
+            raise ValueError(f"a budget of {d} dB is past the float range")
         for name, q in (("full", p), ("clamped", min(p, p_sat))):
             points.append(EePoint(scheme=name, P_dbm=float(d),
                                   sum_rate=float(satpower.toy_rate(q)),
@@ -363,10 +370,6 @@ def format_csv(points: list[EePoint], bits: bool = False) -> str:
             str(pt.trials),
         )))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(points: list[EePoint], path: str | Path, bits: bool = False) -> None:
-    Path(path).write_text(format_csv(points, bits=bits))
 
 
 def describe_report(report: CompareReport) -> str:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamform import link_gains, mmse_loading_alpha, mrt, rzf
-from .channel import ChannelRealization
 from .scalar_opt import golden_section_max
 from .sysmodel import SystemConfig, derive_power_model, total_power
 
@@ -205,7 +204,7 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
                        objective_history=np.array(history))
 
 
-def wmmse(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
+def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
           tol: float = _TOL, init: np.ndarray | None = None) -> WmmseResult:
     """Sum-rate maximization by weighted-MMSE block coordinate descent.
 
@@ -219,16 +218,16 @@ def wmmse(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
         raise ValueError(f"power budget must be positive, got {p_budget}")
     pm = derive_power_model(cfg)
     if init is None:
-        b0 = mrt(ch) * math.sqrt(p_budget / cfg.N)
+        b0 = mrt(h) * math.sqrt(p_budget / cfg.N)
     else:
         b0 = np.asarray(init, dtype=complex)
-        if b0.shape != ch.h.shape:
+        if b0.shape != h.shape:
             raise ValueError(
-                f"init shape {b0.shape} does not match channel {ch.h.shape}")
-    return _iterate(ch.h, pm.n0, p_budget, 0.0, tol, b0)
+                f"init shape {b0.shape} does not match channel {h.shape}")
+    return _iterate(h, pm.n0, p_budget, 0.0, tol, b0)
 
 
-def dinkelbach_ee(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
+def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig, p_budget: float,
                   delta: float = 1e-3) -> DinkelbachResult:
     """Energy-efficiency maximization by Dinkelbach's parametric method.
 
@@ -246,14 +245,14 @@ def dinkelbach_ee(ch: ChannelRealization, cfg: SystemConfig, p_budget: float,
     if not p_budget > 0.0:
         raise ValueError(f"power budget must be positive, got {p_budget}")
     pm = derive_power_model(cfg)
-    dirs = rzf(ch, mmse_loading_alpha(cfg, p_budget))
+    dirs = rzf(h, mmse_loading_alpha(cfg, p_budget))
     b = dirs * math.sqrt(p_budget / cfg.N)
     lam = 0.0
     lam_hist: list[float] = []
     f_hist: list[float] = []
     ok = False
     for _ in range(_MAX_OUTER):
-        run = _iterate(ch.h, pm.n0, p_budget, lam * cfg.xi, _TOL, b)
+        run = _iterate(h, pm.n0, p_budget, lam * cfg.xi, _TOL, b)
         b, rate = run.b, run.sum_rate
         consumed = total_power(run.p_sum, pm, cfg.xi)
         f_val = rate - lam * consumed

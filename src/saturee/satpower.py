@@ -10,13 +10,12 @@ fractional program.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import asympt, beamform, optim
 from .asympt import DetEquivParams
-from .channel import ChannelRealization
 from .errors import NumericalError
 from .scalar_opt import bisect_root_log
 from .specfun import lambert_w0
@@ -107,8 +106,8 @@ class SaturationBand:
 
     gamma_* are the peak efficiencies of the corresponding curves;
     gamma_se_est = beta * gamma_rzf is the calibrated estimate of the
-    true optimum's efficiency; omega = gap / (1 + gap) weights the lower
-    end of the bracket.
+    true optimum's efficiency; omega weights the lower end of the bracket
+    (see :func:`interpolate`).
     """
 
     p_lb: float
@@ -121,7 +120,6 @@ class SaturationBand:
     gamma_se_est: float
     beta: float
     omega: float
-    gap: float
 
 
 def interpolate(gamma_lb: float, gamma_ub: float, gamma_rzf: float,
@@ -145,10 +143,8 @@ def interpolate(gamma_lb: float, gamma_ub: float, gamma_rzf: float,
         raise ValueError(f"beta must be positive, got {beta}")
     est = beta * gamma_rzf
     if est >= gamma_ub:
-        gap = 0.0
         omega = 0.0
     elif est <= gamma_lb:
-        gap = math.inf
         omega = 1.0
     else:
         gap = (gamma_ub - est) / (est - gamma_lb)
@@ -157,16 +153,21 @@ def interpolate(gamma_lb: float, gamma_ub: float, gamma_rzf: float,
     return SaturationBand(p_lb=p_lb, p_ub=p_ub, p_rzf=p_rzf, p_prop=p_prop,
                           gamma_lb=gamma_lb, gamma_ub=gamma_ub,
                           gamma_rzf=gamma_rzf, gamma_se_est=est, beta=beta,
-                          omega=omega, gap=gap)
+                          omega=omega)
 
 
 def compute_band(cfg: SystemConfig) -> SaturationBand:
     """Full band computation for a configuration, calibrated by cfg.beta.
 
+    The band is that of the served cell of min(N, M) users: past M users
+    the efficient solutions serve about M, while the RZF curve of all N
+    is interference-limited and peaks far below their power.
+
     The RZF deterministic equivalents need a loading: the MMSE-style value
     at the geometric midpoint of the bracket, which keeps the calibration
     curve representative of the whole band.
     """
+    cfg = replace(cfg, N=min(cfg.N, cfg.M))
     plb = p_lb(cfg)
     pub = p_ub(cfg)
     gamma_lb = float(asympt.ee_lower_bound(plb, cfg))
@@ -179,7 +180,7 @@ def compute_band(cfg: SystemConfig) -> SaturationBand:
                        p_rzf=przf)
 
 
-def proposed_scheme(ch: ChannelRealization, cfg: SystemConfig,
+def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
                     p_budget: float, band: SaturationBand) -> np.ndarray:
     """Beamformer matrix of one spectral-efficiency solve at the clamped
     power min(p_prop, budget).
@@ -193,6 +194,6 @@ def proposed_scheme(ch: ChannelRealization, cfg: SystemConfig,
     if not p_budget > 0.0:
         raise ValueError(f"power budget must be positive, got {p_budget}")
     p = min(band.p_prop, p_budget)
-    dirs = beamform.rzf(ch, beamform.mmse_loading_alpha(cfg, p))
+    dirs = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p))
     b0 = dirs * math.sqrt(p / cfg.N)
-    return optim.wmmse(ch, cfg, p, init=b0).b
+    return optim.wmmse(h, cfg, p, init=b0).b

@@ -10,6 +10,7 @@ import math
 from .errors import NumericalError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BISECT_MAX_ITER = 400
 
 
 def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-8) -> float:
@@ -38,7 +39,7 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-8) -> float:
 
 
 def bisect_root_log(f, lo: float, hi: float, rel_tol: float = 1e-8,
-                    f_tol: float | None = None, max_iter: int = 400) -> float:
+                    f_tol: float | None = None) -> float:
     """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi), geometric midpoints.
 
     Stops once the bracket is relatively tighter than rel_tol and, when
@@ -50,7 +51,7 @@ def bisect_root_log(f, lo: float, hi: float, rel_tol: float = 1e-8,
     if flo > 0.0 or fhi < 0.0:
         raise ValueError(f"root not bracketed: f({lo})={flo}, f({hi})={fhi}")
     mid = math.sqrt(lo * hi)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = math.sqrt(lo * hi)
         fm = f(mid)
         if fm < 0.0:

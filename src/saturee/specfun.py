@@ -17,7 +17,7 @@ _MAX_ITER = 50
 _RESIDUAL_RTOL = 1e-12
 
 
-def lambert_w0(x):
+def lambert_w0(x: float) -> float:
     """Principal branch W0 of w * exp(w) = x, for x >= -1/e.
 
     Strategy: a region-dependent starting guess followed by Halley
@@ -32,47 +32,32 @@ def lambert_w0(x):
       arguments to x ~ 1e12 and beyond.
 
     The result is verified against |w exp(w) - x| <= 1e-12 max(1, |x|);
-    a violation raises :class:`NumericalError`.  Scalars in, scalar out;
-    arrays in, array out.  Arguments below -1/e raise ValueError.
+    a violation raises :class:`NumericalError`.  Arguments below -1/e
+    raise ValueError.  numpy's exp and log1p are used on purpose: the
+    results are pinned to their rounding, which math's can differ from.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    shape = np.shape(x)
-    xa = np.asarray(x, dtype=float).ravel()
-    if np.any(np.isnan(xa)) or np.any(xa < _BRANCH):
-        bad = xa[np.isnan(xa) | (xa < _BRANCH)]
-        raise ValueError(f"lambert_w0 needs x >= -1/e, got {bad.flat[0]}")
+    if not x >= _BRANCH:
+        raise ValueError(f"lambert_w0 needs x >= -1/e, got {x}")
+    ex1 = max(math.e * x + 1.0, 0.0)
+    if x < -0.25:
+        p = math.sqrt(2.0 * ex1)
+        w = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
+    else:
+        L = np.log1p(x)
+        w = L * (1.0 - np.log1p(L) / (2.0 + L))
 
-    w = np.empty_like(xa)
-    ex1 = np.maximum(math.e * xa + 1.0, 0.0)
-
-    near = xa < -0.25
-    if np.any(near):
-        p = np.sqrt(2.0 * ex1[near])
-        w[near] = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
-    far = ~near
-    if np.any(far):
-        L = np.log1p(xa[far])
-        w[far] = L * (1.0 - np.log1p(L) / (2.0 + L))
-
-    # Halley refinement; frozen close to the branch point where the
+    # Halley refinement; skipped close to the branch point where the
     # series is certified and the derivative vanishes.
-    active = ex1 > 1e-8
-    for _ in range(_MAX_ITER):
-        if not np.any(active):
-            break
-        wa = w[active]
-        ew = np.exp(wa)
-        f = wa * ew - xa[active]
-        dw = f / (ew * (wa + 1.0) - (wa + 2.0) * f / (2.0 * wa + 2.0))
-        wa -= dw
-        w[active] = wa
-        still = np.abs(dw) > 1e-16 * (1.0 + np.abs(wa))
-        # scatter the "still running" flags back into the active mask
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
+    if ex1 > 1e-8:
+        for _ in range(_MAX_ITER):
+            ew = np.exp(w)
+            f = w * ew - x
+            dw = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+            w -= dw
+            if not abs(dw) > 1e-16 * (1.0 + abs(w)):
+                break
 
-    residual = np.abs(w * np.exp(w) - xa)
-    if np.any(residual > _RESIDUAL_RTOL * np.maximum(1.0, np.abs(xa))):
-        worst = float(np.max(residual / np.maximum(1.0, np.abs(xa))))
-        raise NumericalError(f"lambert_w0 residual {worst:.3e} above tolerance")
-    return float(w[0]) if scalar else w.reshape(shape)
+    residual = abs(w * np.exp(w) - x)
+    if residual > _RESIDUAL_RTOL * max(1.0, abs(x)):
+        raise NumericalError(f"lambert_w0 residual {residual:.3e} at x = {x}")
+    return float(w)

@@ -132,36 +132,17 @@ def total_power(p_sum: float, pm: DerivedPowerModel, xi: float):
 
 
 def transmit_power_from_dbm(dbm: float, cfg: SystemConfig) -> float:
-    """Map a dBm transmit budget over the whole band to a W/Hz density."""
-    return dbm_to_watt(dbm) / cfg.W
+    """Map a dBm transmit budget over the whole band to a W/Hz density;
+    as Python floats, so one past the float range raises instead of warning."""
+    density = dbm_to_watt(float(dbm)) / cfg.W
+    if not math.isfinite(density):
+        raise ValueError(f"a budget of {dbm} dBm is past the float range")
+    return density
 
 
 def transmit_power_to_dbm(p: float, cfg: SystemConfig) -> float:
     """Inverse of :func:`transmit_power_from_dbm`."""
     return watt_to_dbm(p * cfg.W)
-
-
-def normalized_config(M: int, N: int, Pconst: float, xi: float = 1.0) -> SystemConfig:
-    """Dimensionless setup: unit bandwidth, unit noise density.
-
-    Convenient for trade-off studies quoted in normalized units where the
-    static consumption is a plain number.  The per-antenna circuit density
-    is pinned at 1, so Pconst must exceed M; the remainder goes into the
-    static term.
-    """
-    if Pconst <= M:
-        raise ValueError(f"normalized Pconst must exceed M={M}, got {Pconst}")
-    return SystemConfig(
-        M=M,
-        N=N,
-        W=1.0,
-        T=1.0,
-        noise_psd_dbm_per_hz=30.0,   # 1 W/Hz
-        noise_figure_db=0.0,
-        xi=xi,
-        Pc_prime_dbm=30.0,           # 1 W over a 1 Hz band
-        Po_prime_dbm=watt_to_dbm(float(Pconst - M)),
-    )
 
 
 _CONFIG_FIELDS = {f.name for f in fields(SystemConfig)}

@@ -7,12 +7,44 @@ import numpy as np
 
 from saturee import beamform, channel
 from saturee.asympt import DetEquivParams, sinr_mrt_asymptotic
-from saturee.sysmodel import SystemConfig, derive_power_model, total_power
+from saturee.sysmodel import (SystemConfig, derive_power_model, total_power,
+                              watt_to_dbm)
 
 
 def energy_efficiency(sum_rate: float, consumed: float):
     """Rate over consumed power; nat/J for per-Hz inputs."""
     return sum_rate / consumed
+
+
+def normalized_config(M: int, N: int, Pconst: float, xi: float = 1.0) -> SystemConfig:
+    """Dimensionless setup: unit bandwidth, unit noise density.
+
+    Convenient for trade-off studies quoted in normalized units where the
+    static consumption is a plain number.  The per-antenna circuit density
+    is pinned at 1, so Pconst must exceed M; the remainder goes into the
+    static term.
+    """
+    if Pconst <= M:
+        raise ValueError(f"normalized Pconst must exceed M={M}, got {Pconst}")
+    return SystemConfig(
+        M=M,
+        N=N,
+        W=1.0,
+        T=1.0,
+        noise_psd_dbm_per_hz=30.0,   # 1 W/Hz
+        noise_figure_db=0.0,
+        xi=xi,
+        Pc_prime_dbm=30.0,           # 1 W over a 1 Hz band
+        Po_prime_dbm=watt_to_dbm(float(Pconst - M)),
+    )
+
+
+def instantaneous_ee(h: np.ndarray, b: np.ndarray, cfg: SystemConfig) -> float:
+    """Sum rate over total consumed power for one realization."""
+    pm = derive_power_model(cfg)
+    rate = beamform.sum_rate(beamform.sinr(h, b, pm.n0))
+    consumed = total_power(float(np.sum(np.abs(b) ** 2)), pm, cfg.xi)
+    return rate / consumed
 
 
 def ee_mrt_asymptotic(p, cfg: SystemConfig):
@@ -39,12 +71,11 @@ def det_equiv_rzf_empirical(cfg: SystemConfig, alpha: float, size: int = 256,
     nb = max(1, round(size * cfg.N / cfg.M))
     ratio = nb / mb
     h = channel._draw(mb, nb, seed, 0)
-    big = channel.ChannelRealization(h=h, seed=seed, trial_index=0)
 
     resolvent = np.linalg.inv(h.T @ h.conj() / mb + alpha * np.eye(mb))
     m_hat = float(np.trace(resolvent).real) / mb
 
-    dirs = beamform.rzf(big, alpha)
+    dirs = beamform.rzf(h, alpha)
     gains = np.abs(h.conj() @ dirs.T) ** 2
     sig = float(np.mean(np.diagonal(gains)))
     interf = float(np.mean(np.sum(gains, axis=1) - np.diagonal(gains)))
@@ -52,5 +83,4 @@ def det_equiv_rzf_empirical(cfg: SystemConfig, alpha: float, size: int = 256,
     m2_hat = mb * m_hat * m_hat / sig
     gamma_hat = interf * m_hat * m_hat / sig
     psi_hat = ratio * m2_hat / (1.0 + m_hat) ** 2
-    return DetEquivParams(m0=m_hat, gamma0=gamma_hat, psi0=psi_hat,
-                          alpha=alpha, ratio=ratio)
+    return DetEquivParams(m0=m_hat, gamma0=gamma_hat, psi0=psi_hat)

@@ -13,8 +13,9 @@ from saturee import asympt, beamform, channel, cli, harness, optim, satpower
 from saturee.scalar_opt import golden_section_max
 from saturee.specfun import lambert_w0
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
-                              normalized_config, transmit_power_from_dbm,
-                              transmit_power_to_dbm)
+                              transmit_power_from_dbm, transmit_power_to_dbm)
+
+from oracles import instantaneous_ee, normalized_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT_CONFIG = str(CONFIG_DIR / "default.json")
@@ -44,16 +45,16 @@ def _random_cfg(rng) -> SystemConfig:
     )
 
 
-def _mrt_equal_power_rate(ch, cfg, p, n0) -> float:
-    b = beamform.mrt(ch) * math.sqrt(p / cfg.N)
-    return beamform.sum_rate(beamform.sinr(ch, b, n0))
+def _mrt_equal_power_rate(h, cfg, p, n0) -> float:
+    b = beamform.mrt(h) * math.sqrt(p / cfg.N)
+    return beamform.sum_rate(beamform.sinr(h, b, n0))
 
 
 def test_c01_lambert_identity_certified():
     tic = time.perf_counter()
     offsets = np.logspace(-9.0, math.log10(1e12 + 1.0 / math.e), 10_000)
     x = offsets - 1.0 / math.e
-    w = lambert_w0(x)
+    w = np.array([lambert_w0(float(v)) for v in x])
     residual = np.abs(w * np.exp(w) - x) / np.maximum(1.0, np.abs(x))
     worst = float(np.max(residual))
     anchors = max(abs(lambert_w0(0.0)),
@@ -128,8 +129,8 @@ def test_c05_mrt_rate_large_system_accuracy():
         for rho in RHO_GRID:
             acc = 0.0
             for t in range(trials):
-                ch = channel.generate(cfg, 101, t)
-                acc += _mrt_equal_power_rate(ch, cfg, rho, pm.n0)
+                h = channel.generate(cfg, 101, t)
+                acc += _mrt_equal_power_rate(h, cfg, rho, pm.n0)
             mc = acc / (trials * cfg.N)
             asym = math.log1p(asympt.sinr_mrt_asymptotic(rho, cfg, pm.n0))
             worst_err = max(worst_err, abs(mc - asym) / asym)
@@ -149,10 +150,10 @@ def test_c06_rzf_deterministic_equivalent_accuracy():
     worst = 0.0
     for i, rho in enumerate(RHO_GRID):
         alpha = beamform.mmse_loading_alpha(cfg, rho)
-        ch = channel.generate(cfg, 202, i)
-        dirs = beamform.rzf(ch, alpha)
+        h = channel.generate(cfg, 202, i)
+        dirs = beamform.rzf(h, alpha)
         b = dirs * math.sqrt(rho / cfg.N)
-        empirical = float(np.mean(beamform.sinr(ch, b, pm.n0)))
+        empirical = float(np.mean(beamform.sinr(h, b, pm.n0)))
         de = asympt.det_equiv_rzf(cfg, alpha)
         asym = asympt.sinr_rzf_asymptotic(rho, de, pm.n0)
         worst = max(worst, abs(empirical - asym) / asym)
@@ -169,12 +170,12 @@ def test_c07_wmmse_ascent_and_mrt_dominance():
     worst_dip = 0.0
     dominated = 0
     for t in range(trials):
-        ch = channel.generate(cfg, 303, t)
-        res = optim.wmmse(ch, cfg, budget)
+        h = channel.generate(cfg, 303, t)
+        res = optim.wmmse(h, cfg, budget)
         hist = res.objective_history
         scale = max(1.0, float(np.max(np.abs(hist))))
         worst_dip = min(worst_dip, float(np.min(np.diff(hist))) / scale)
-        mrt_rate = _mrt_equal_power_rate(ch, cfg, budget, pm.n0)
+        mrt_rate = _mrt_equal_power_rate(h, cfg, budget, pm.n0)
         if res.sum_rate >= mrt_rate * (1.0 - 1e-9):
             dominated += 1
     ok = worst_dip >= -1e-9 and dominated >= int(0.95 * trials)
@@ -195,15 +196,15 @@ def test_c08_dinkelbach_termination_and_flat_tail():
         budget = transmit_power_from_dbm(d, cfg)
         acc = 0.0
         for t in range(trials):
-            ch = channel.generate(cfg, 404, t)
-            res = optim.dinkelbach_ee(ch, cfg, budget)
+            h = channel.generate(cfg, 404, t)
+            res = optim.dinkelbach_ee(h, cfg, budget)
             if not (res.converged and abs(res.f_history[-1]) <= 1e-3):
                 bad_term += 1
             lam = res.lambda_history
             if lam.size > 1:
                 worst_lam_dip = min(
                     worst_lam_dip, float(np.min(np.diff(lam))) / lam[-1])
-            ach = beamform.instantaneous_ee(ch, res.b, cfg)
+            ach = instantaneous_ee(h, res.b, cfg)
             worst_lam_err = max(worst_lam_err,
                                 abs(res.lambda_star - ach) / ach)
             acc += res.lambda_star
@@ -235,8 +236,8 @@ def test_c09_saturation_band_brackets_baseline_onset():
             budget = transmit_power_from_dbm(float(d), cfg)
             acc = 0.0
             for t in range(trials):
-                ch = channel.generate(cfg, 505, t)
-                acc += optim.dinkelbach_ee(ch, cfg, budget).lambda_star
+                h = channel.generate(cfg, 505, t)
+                acc += optim.dinkelbach_ee(h, cfg, budget).lambda_star
             means.append(acc / trials)
         plateau = means[-1]
         onset = next(float(d) for d, m in zip(grid, means)

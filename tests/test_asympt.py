@@ -36,9 +36,9 @@ def test_sinr_mrt_matches_monte_carlo_mid_range():
     acc = 0.0
     trials = 1000
     for t in range(trials):
-        ch = channel.generate(cfg, 3, t)
-        b = beamform.mrt(ch) * math.sqrt(1.0 / 16)
-        acc += float(np.mean(beamform.sinr(ch, b, 1.0)))
+        h = channel.generate(cfg, 3, t)
+        b = beamform.mrt(h) * math.sqrt(1.0 / 16)
+        acc += float(np.mean(beamform.sinr(h, b, 1.0)))
     det = asympt.sinr_mrt_asymptotic(1.0, cfg, 1.0)
     assert acc / trials == pytest.approx(det, rel=0.05)
 
@@ -110,9 +110,9 @@ def test_rate_upper_bound_dominates_in_expectation(cfg3):
     solver = []
     genie = []
     for t in range(100):
-        ch = channel.generate(cfg3, 21, t)
-        solver.append(optim.wmmse(ch, cfg3, p).sum_rate)
-        gains = np.sum(np.abs(ch.h) ** 2, axis=1)
+        h = channel.generate(cfg3, 21, t)
+        solver.append(optim.wmmse(h, cfg3, p).sum_rate)
+        gains = np.sum(np.abs(h) ** 2, axis=1)
         genie.append(float(np.sum(np.log1p(gains * (p / cfg3.N) / pm.n0))))
     assert float(np.mean(solver)) <= cap
     assert float(np.mean(genie)) <= cap
@@ -140,9 +140,9 @@ def test_trace_lemma_error_decays():
         tot = 0.0
         trials = 30
         for t in range(trials):
-            ch = channel.generate(cfg, 11, t)
-            dirs = beamform.mrt(ch)
-            sig = np.abs(np.sum(ch.h.conj() * dirs, axis=1)) ** 2 / mdim
+            h = channel.generate(cfg, 11, t)
+            dirs = beamform.mrt(h)
+            sig = np.abs(np.sum(h.conj() * dirs, axis=1)) ** 2 / mdim
             tot += float(np.mean(np.abs(sig - 1.0)))
         errs.append(tot / trials)
     assert errs[0] > errs[1] > errs[2]
@@ -220,5 +220,5 @@ def test_ee_rzf_tops_mrt_at_high_power(cfg3):
 def test_det_equiv_positive_and_certified(m, n, alpha):
     de = asympt.det_equiv_rzf(SystemConfig(M=m, N=n), alpha)
     assert de.m0 > 0.0 and de.gamma0 > 0.0 and de.psi0 > 0.0
-    g = 1.0 / (alpha + de.ratio / (1.0 + de.m0))
+    g = 1.0 / (alpha + n / m / (1.0 + de.m0))
     assert abs(de.m0 - g) <= 1e-9 * max(1.0, de.m0)

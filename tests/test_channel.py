@@ -9,28 +9,28 @@ from saturee.sysmodel import SystemConfig
 
 
 def test_shape_and_dtype(cfg3):
-    ch = channel.generate(cfg3, seed=1, trial_index=0)
-    assert ch.h.shape == (3, 3)
-    assert np.iscomplexobj(ch.h)
-    assert np.all(np.isfinite(ch.h))
+    h = channel.generate(cfg3, seed=1, trial_index=0)
+    assert h.shape == (3, 3)
+    assert np.iscomplexobj(h)
+    assert np.all(np.isfinite(h))
 
 
 def test_smallest_case():
     cfg = SystemConfig(M=1, N=1)
-    ch = channel.generate(cfg, seed=0, trial_index=0)
-    assert ch.h.shape == (1, 1)
+    h = channel.generate(cfg, seed=0, trial_index=0)
+    assert h.shape == (1, 1)
 
 
 def test_determinism(cfg3):
     a = channel.generate(cfg3, seed=1, trial_index=0)
     b = channel.generate(cfg3, seed=1, trial_index=0)
-    assert np.array_equal(a.h, b.h)
+    assert np.array_equal(a, b)
 
 
 def test_distinct_trials_and_seeds_differ(cfg3):
     base = channel.generate(cfg3, seed=1, trial_index=0)
-    assert not np.array_equal(base.h, channel.generate(cfg3, 1, 1).h)
-    assert not np.array_equal(base.h, channel.generate(cfg3, 2, 0).h)
+    assert not np.array_equal(base, channel.generate(cfg3, 1, 1))
+    assert not np.array_equal(base, channel.generate(cfg3, 2, 0))
 
 
 def test_order_independence(cfg3):
@@ -39,7 +39,7 @@ def test_order_independence(cfg3):
     for t in (3, 1, 4):
         channel.generate(cfg3, seed=9, trial_index=t)
     again = channel.generate(cfg3, seed=9, trial_index=5)
-    assert np.array_equal(direct.h, again.h)
+    assert np.array_equal(direct, again)
 
 
 def test_negative_trial_rejected(cfg3):
@@ -53,15 +53,15 @@ def test_mean_squared_norm():
     acc = 0.0
     trials = 10_000
     for t in range(trials):
-        ch = channel.generate(cfg, seed=2, trial_index=t)
-        acc += float(np.sum(np.abs(ch.h) ** 2))
+        h = channel.generate(cfg, seed=2, trial_index=t)
+        acc += float(np.sum(np.abs(h) ** 2))
     assert acc / trials == pytest.approx(3.0, rel=0.03)
 
 
 def test_per_entry_variance_split():
     """Real and imaginary parts each carry variance 1/2."""
     cfg = SystemConfig(M=8, N=8)
-    h = np.concatenate([channel.generate(cfg, 3, t).h.ravel()
+    h = np.concatenate([channel.generate(cfg, 3, t).ravel()
                         for t in range(200)])
     assert float(np.var(h.real)) == pytest.approx(0.5, rel=0.05)
     assert float(np.var(h.imag)) == pytest.approx(0.5, rel=0.05)
@@ -74,7 +74,7 @@ def test_cross_user_decorrelation():
     trials = 2000
     acc = np.zeros((3, 3), dtype=complex)
     for t in range(trials):
-        h = channel.generate(cfg, 7, t).h
+        h = channel.generate(cfg, 7, t)
         acc += h @ h.conj().T
     corr = np.abs(acc / trials)
     off = corr[~np.eye(3, dtype=bool)]
@@ -89,7 +89,7 @@ def test_cross_user_decorrelation():
        st.integers(min_value=1, max_value=8))
 def test_generate_properties(seed, trial, m, n):
     cfg = SystemConfig(M=m, N=n)
-    ch = channel.generate(cfg, seed, trial)
-    assert ch.h.shape == (n, m)
-    assert np.all(np.isfinite(ch.h))
-    assert np.array_equal(ch.h, channel.generate(cfg, seed, trial).h)
+    h = channel.generate(cfg, seed, trial)
+    assert h.shape == (n, m)
+    assert np.all(np.isfinite(h))
+    assert np.array_equal(h, channel.generate(cfg, seed, trial))

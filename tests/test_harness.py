@@ -1,13 +1,16 @@
 """Experiment runner: grids, row layout, determinism, CSV, CLI."""
+import ast
 import concurrent.futures
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import saturee
 from saturee import cli, harness, satpower
 from saturee.harness import CSV_HEADER, EePoint, ExperimentSpec
 from saturee.sysmodel import load_config, transmit_power_from_dbm
@@ -186,9 +189,9 @@ def test_sweep_proposed_flat_above_p_prop(monkeypatch):
     solve = satpower.proposed_scheme
     solved_at = []
 
-    def counted(ch, cfg, p, band):
+    def counted(h, cfg, p, band):
         solved_at.append(p)
-        return solve(ch, cfg, p, band)
+        return solve(h, cfg, p, band)
 
     monkeypatch.setattr(satpower, "proposed_scheme", counted)
     spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
@@ -235,14 +238,6 @@ def test_format_csv_units_and_roundtrip():
     assert float(bits[3]) == 4.0          # power is unit-independent
     assert float(bits[4]) == 0.5 / ln2
     assert float(bits[5]) == 0.25 / ln2
-
-
-def test_write_csv(tmp_path):
-    pts = [EePoint(scheme="x", P_dbm=0.0, sum_rate=1.0, total_power=2.0,
-                   ee=0.5, stderr=0.0, trials=1)]
-    out = tmp_path / "rows.csv"
-    harness.write_csv(pts, out)
-    assert out.read_text() == harness.format_csv(pts)
 
 
 def test_cli_toy_stdout_and_file(tmp_path, capsys):
@@ -293,3 +288,69 @@ def test_cli_rejects_non_finite_power_grid(option, value, capsys):
     crash in building the grid."""
     assert cli.main(["toy", f"{option}={value}"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_spec_caps_grid_size(monkeypatch, capsys):
+    """A step so fine that the grid would hold billions of budgets is a
+    usage error (exit 2), raised before any grid is built."""
+    def no_grid(spec):
+        raise AssertionError("the grid was built")
+    monkeypatch.setattr(harness, "dbm_grid", no_grid)
+    assert cli.main(["toy", "--pmin-dbm", "0", "--pmax-dbm", "1",
+                     "--pstep-db", "1e-9"]) == 2
+    assert "more than 10000 budgets" in capsys.readouterr().err
+    monkeypatch.undo()
+    top = ExperimentSpec(kind="toy", pmin_dbm=0.0, pmax_dbm=9999.0,
+                         pstep_db=1.0)
+    assert harness.dbm_grid(top).shape == (harness.MAX_BUDGETS,)
+    for pmin, pmax in ((0.0, 10_000.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="budgets"):
+            ExperimentSpec(kind="toy", pmin_dbm=pmin, pmax_dbm=pmax,
+                           pstep_db=1.0)
+
+
+@pytest.mark.parametrize("kind", ["sweep", "tradeoff", "compare", "toy"])
+def test_cli_rejects_budget_past_float_range(kind, capsys):
+    """A finite dBm budget whose power overflows is a usage error (exit 2)
+    that names the budget, not a warning followed by inf or nan rows."""
+    args = [kind, "--pmin-dbm", "0", "--pmax-dbm", "4000",
+            "--pstep-db", "2000", "--trials", "1"]
+    if kind != "toy":
+        args += ["--config", DEFAULT_CONFIG]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "4000" in captured.err and captured.out == ""
+
+
+def test_cli_reaches_every_function(capsys):
+    """Each def in the package is entered by one of the five subcommands:
+    code that only the tests call belongs beside them, in tests/oracles.py."""
+    package = Path(saturee.__file__).resolve().parent
+    defs = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno]
+                            + [d.lineno for d in node.decorator_list])
+                defs.add((path.name, first, node.name))
+    calls = set()
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        calls.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    grid = ["--pmin-dbm", "20", "--pmax-dbm", "46", "--pstep-db", "13",
+            "--trials", "2"]
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        codes = [cli.main([kind] + grid
+                          + ([] if kind == "toy" else ["--config", DEFAULT_CONFIG]))
+                 for kind in harness.KINDS]
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(harness.KINDS)
+    entered = {(Path(f).name, line, name) for f, line, name in calls
+               if Path(f).resolve().parent == package}
+    assert sorted(defs - entered) == []

@@ -5,15 +5,11 @@ import numpy as np
 import pytest
 
 from saturee import beamform, channel, optim, satpower
-from saturee.channel import ChannelRealization
 from saturee.specfun import lambert_w0
 from saturee.sysmodel import (SystemConfig, derive_power_model,
-                              normalized_config, transmit_power_from_dbm)
+                              transmit_power_from_dbm)
 
-
-def _fixed(h):
-    return ChannelRealization(h=np.asarray(h, dtype=complex), seed=0,
-                              trial_index=0)
+from oracles import instantaneous_ee, normalized_config
 
 
 # ----------------------------------------------------------------- wmmse
@@ -24,16 +20,16 @@ def test_wmmse_single_user_closed_form():
     pm = derive_power_model(cfg)
     p = 1e-8
     for trial in range(5):
-        ch = channel.generate(cfg, 13, trial)
-        res = optim.wmmse(ch, cfg, p)
-        g = float(np.linalg.norm(ch.h[0]) ** 2)
+        h = channel.generate(cfg, 13, trial)
+        res = optim.wmmse(h, cfg, p)
+        g = float(np.linalg.norm(h[0]) ** 2)
         assert res.converged
         assert res.state.iteration <= 3
         assert res.p_sum == pytest.approx(p, rel=1e-9)
         assert res.sum_rate == pytest.approx(math.log1p(g * p / pm.n0),
                                              rel=1e-9)
-        align = abs(np.vdot(res.b[0], ch.h[0])) / np.linalg.norm(res.b[0])
-        assert align == pytest.approx(np.linalg.norm(ch.h[0]), rel=1e-9)
+        align = abs(np.vdot(res.b[0], h[0])) / np.linalg.norm(res.b[0])
+        assert align == pytest.approx(np.linalg.norm(h[0]), rel=1e-9)
 
 
 def test_beam_step_keeps_mu_zero_at_a_rounding_excess():
@@ -44,8 +40,8 @@ def test_beam_step_keeps_mu_zero_at_a_rounding_excess():
     pm = derive_power_model(cfg)
     budget = transmit_power_from_dbm(46.0, cfg)
     for trial in range(5):
-        h = channel.generate(cfg, 1, trial).h
-        b0 = beamform.rzf(_fixed(h), beamform.mmse_loading_alpha(cfg, budget))
+        h = channel.generate(cfg, 1, trial)
+        b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, budget))
         d, sig, inter = beamform.link_gains(h, b0 * math.sqrt(budget / cfg.N))
         u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
         free = optim._beam_step(h, u, w, math.inf, 0.0)
@@ -136,8 +132,8 @@ def test_beam_step_matches_bisection_reference(monkeypatch):
         cfg = SystemConfig(M=m, N=n)
         pm = derive_power_model(cfg)
         budget = transmit_power_from_dbm(30.0, cfg)
-        h = channel.generate(cfg, 7, 0).h
-        b0 = beamform.mrt(_fixed(h)) * math.sqrt(budget / cfg.N)
+        h = channel.generate(cfg, 7, 0)
+        b0 = beamform.mrt(h) * math.sqrt(budget / cfg.N)
         d, sig, inter = beamform.link_gains(h, b0)
         u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
         for ridge in (0.0, 1e-3 / budget):
@@ -157,8 +153,8 @@ def test_rescale_accepts_a_rounding_excess_over_the_budget():
     power when the regularized objective peaks well below it."""
     cfg = SystemConfig(M=3, N=3)
     pm = derive_power_model(cfg)
-    h = channel.generate(cfg, 3, 0).h
-    b = beamform.rzf(_fixed(h), 1e-3) * math.sqrt(1e-6)
+    h = channel.generate(cfg, 3, 0)
+    b = beamform.rzf(h, 1e-3) * math.sqrt(1e-6)
     psum = float(np.sum(np.abs(b) ** 2))
     ridge = 10.0 / psum                       # peak far below psum
     for budget in (psum, psum * (1.0 - 1e-13)):
@@ -170,9 +166,9 @@ def test_wmmse_orthogonal_matches_power_filling():
     """Orthogonal users decouple into a scalar power split; compare the
     achieved sum rate against a dense scan of that split."""
     cfg = normalized_config(2, 2, 13.0)
-    ch = _fixed([[2.0, 0.0], [0.0, 1.0]])
+    h = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
     budget = 2.0
-    res = optim.wmmse(ch, cfg, budget, tol=1e-10)
+    res = optim.wmmse(h, cfg, budget, tol=1e-10)
     p1 = np.linspace(0.0, budget, 100001)
     grid_best = float(np.max(np.log1p(4.0 * p1) + np.log1p(budget - p1)))
     assert res.sum_rate >= grid_best - 1e-6
@@ -188,8 +184,8 @@ def test_wmmse_monotone_feasible_and_beats_its_start(cfg3):
     budget = 2.4e-8
     wins = 0
     for trial in range(50):
-        ch = channel.generate(cfg3, 19, trial)
-        res = optim.wmmse(ch, cfg3, budget)
+        h = channel.generate(cfg3, 19, trial)
+        res = optim.wmmse(h, cfg3, budget)
         assert res.converged
         hist = res.objective_history
         slack = 1e-9 * max(1.0, float(np.max(np.abs(hist))))
@@ -198,19 +194,19 @@ def test_wmmse_monotone_feasible_and_beats_its_start(cfg3):
         assert res.p_sum <= budget * (1.0 + 1e-10)
         assert res.p_sum == pytest.approx(float(np.sum(np.abs(res.b) ** 2)),
                                           rel=1e-12)
-        assert beamform.sum_rate(beamform.sinr(ch, res.b, pm.n0)) == (
+        assert beamform.sum_rate(beamform.sinr(h, res.b, pm.n0)) == (
             pytest.approx(res.sum_rate, rel=1e-12))
 
         scale = math.sqrt(budget / cfg3.N)
         mrt_rate = beamform.sum_rate(beamform.sinr(
-            ch, beamform.mrt(ch) * scale, pm.n0))
+            h, beamform.mrt(h) * scale, pm.n0))
         assert hist[0] == pytest.approx(mrt_rate, rel=1e-9)
         assert res.sum_rate >= mrt_rate * (1.0 - 1e-9)
 
-        rzf_dirs = beamform.rzf(ch, beamform.mmse_loading_alpha(cfg3, budget))
+        rzf_dirs = beamform.rzf(h, beamform.mmse_loading_alpha(cfg3, budget))
         rzf_rate = beamform.sum_rate(beamform.sinr(
-            ch, rzf_dirs * scale, pm.n0))
-        warm = optim.wmmse(ch, cfg3, budget, init=rzf_dirs * scale)
+            h, rzf_dirs * scale, pm.n0))
+        warm = optim.wmmse(h, cfg3, budget, init=rzf_dirs * scale)
         assert warm.sum_rate >= rzf_rate * (1.0 - 1e-9)
         if warm.sum_rate >= max(mrt_rate, rzf_rate) * (1.0 - 1e-9):
             wins += 1
@@ -218,13 +214,13 @@ def test_wmmse_monotone_feasible_and_beats_its_start(cfg3):
 
 
 def test_wmmse_rejects_bad_inputs(cfg3):
-    ch = channel.generate(cfg3, 1, 0)
+    h = channel.generate(cfg3, 1, 0)
     with pytest.raises(ValueError):
-        optim.wmmse(ch, cfg3, 0.0)
+        optim.wmmse(h, cfg3, 0.0)
     with pytest.raises(ValueError):
-        optim.wmmse(ch, cfg3, -1e-9)
+        optim.wmmse(h, cfg3, -1e-9)
     with pytest.raises(ValueError):
-        optim.wmmse(ch, cfg3, 1e-8, init=np.ones((2, 5), dtype=complex))
+        optim.wmmse(h, cfg3, 1e-8, init=np.ones((2, 5), dtype=complex))
 
 
 # ------------------------------------------------------------ dinkelbach
@@ -232,8 +228,8 @@ def test_wmmse_rejects_bad_inputs(cfg3):
 def test_dinkelbach_structure(cfg3):
     budget = transmit_power_from_dbm(46.0, cfg3)
     for trial in range(10):
-        ch = channel.generate(cfg3, 29, trial)
-        res = optim.dinkelbach_ee(ch, cfg3, budget)
+        h = channel.generate(cfg3, 29, trial)
+        res = optim.dinkelbach_ee(h, cfg3, budget)
         assert res.converged
         assert abs(res.f_history[-1]) <= 1e-3
         lam = res.lambda_history
@@ -242,7 +238,7 @@ def test_dinkelbach_structure(cfg3):
         f = res.f_history
         assert f[0] > 0.0
         assert np.all(np.diff(f) <= 1e-9 * f[0])
-        ach = beamform.instantaneous_ee(ch, res.b, cfg3)
+        ach = instantaneous_ee(h, res.b, cfg3)
         assert res.lambda_star == pytest.approx(ach, rel=1e-9)
         assert float(np.sum(np.abs(res.b) ** 2)) <= budget * (1.0 + 1e-10)
 
@@ -253,14 +249,14 @@ def test_dinkelbach_single_user_closed_form():
     cfg = SystemConfig(M=4, N=1)
     pm = derive_power_model(cfg)
     for trial in range(12):
-        ch = channel.generate(cfg, 17, trial)
-        g = float(np.linalg.norm(ch.h[0]) ** 2)
+        h = channel.generate(cfg, 17, trial)
+        g = float(np.linalg.norm(h[0]) ** 2)
         t = g * pm.Pconst / (pm.n0 * cfg.xi)
         p_star = pm.n0 / g * (math.exp(
             1.0 + lambert_w0((t - 1.0) / math.e)) - 1.0)
         ee_star = math.log1p(g * p_star / pm.n0) / (
             cfg.xi * p_star + pm.Pconst)
-        res = optim.dinkelbach_ee(ch, cfg, 100.0 * p_star, delta=1e-6)
+        res = optim.dinkelbach_ee(h, cfg, 100.0 * p_star, delta=1e-6)
         assert res.converged
         assert float(np.sum(np.abs(res.b) ** 2)) == pytest.approx(p_star,
                                                                   rel=1e-4)
@@ -268,9 +264,9 @@ def test_dinkelbach_single_user_closed_form():
 
 
 def test_dinkelbach_rejects_bad_budget(cfg3):
-    ch = channel.generate(cfg3, 1, 0)
+    h = channel.generate(cfg3, 1, 0)
     with pytest.raises(ValueError):
-        optim.dinkelbach_ee(ch, cfg3, 0.0)
+        optim.dinkelbach_ee(h, cfg3, 0.0)
 
 
 def test_dinkelbach_upper_bounds_one_shot_scheme(cfg3):
@@ -282,10 +278,10 @@ def test_dinkelbach_upper_bounds_one_shot_scheme(cfg3):
     prop_vals = []
     base_vals = []
     for trial in range(20):
-        ch = channel.generate(cfg3, 37, trial)
-        prop = beamform.instantaneous_ee(
-            ch, satpower.proposed_scheme(ch, cfg3, budget, band), cfg3)
-        base = optim.dinkelbach_ee(ch, cfg3, budget).lambda_star
+        h = channel.generate(cfg3, 37, trial)
+        prop = instantaneous_ee(
+            h, satpower.proposed_scheme(h, cfg3, budget, band), cfg3)
+        base = optim.dinkelbach_ee(h, cfg3, budget).lambda_star
         assert base >= prop * (1.0 - 1e-6)
         prop_vals.append(prop)
         base_vals.append(base)

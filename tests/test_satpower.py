@@ -2,15 +2,20 @@
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saturee import asympt, beamform, channel, satpower
+from saturee import asympt, beamform, channel, harness, satpower
 from saturee.scalar_opt import golden_section_max
-from saturee.sysmodel import SystemConfig, derive_power_model
+from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
+                              transmit_power_from_dbm)
+
+DEFAULT_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
+                  / "default.json")
 
 # Reference-cell values evaluated independently with mpmath at 50-digit
 # precision from the defining stationarity conditions, rounded once.
@@ -216,7 +221,8 @@ def test_interpolate_invariants(g_lb, spread, frac, p_low, p_ratio):
     band = satpower.interpolate(g_lb, g_ub, est, 1.0, p_low, p_low * p_ratio)
     assert 0.0 <= band.omega <= 1.0
     assert band.p_lb <= band.p_prop <= band.p_ub
-    assert band.omega == pytest.approx(band.gap / (1.0 + band.gap), rel=1e-12)
+    gap = (g_ub - band.gamma_se_est) / (band.gamma_se_est - g_lb)
+    assert band.omega == pytest.approx(gap / (1.0 + gap), rel=1e-12)
     assert band.gamma_lb <= band.gamma_se_est <= band.gamma_ub
 
 
@@ -268,31 +274,48 @@ def test_wide_configuration_range(M, N):
         n0 = derive_power_model(cfg).n0
         band = satpower.compute_band(cfg)
         assert band.p_lb <= band.p_prop <= band.p_ub, cfg
-        ch = channel.generate(cfg, 9, 0)
+        h = channel.generate(cfg, 9, 0)
         for budget in (band.p_prop / 10.0, band.p_prop, band.p_ub * 10.0):
-            b = satpower.proposed_scheme(ch, cfg, budget, band)
+            b = satpower.proposed_scheme(h, cfg, budget, band)
             cap = min(budget, band.p_prop)
             assert float(np.sum(np.abs(b) ** 2)) <= cap * (1.0 + 1e-10), (
                 cfg, budget)
-            assert np.all(np.isfinite(beamform.sinr(ch, b, n0))), cfg
+            assert np.all(np.isfinite(beamform.sinr(h, b, n0))), cfg
+
+
+@pytest.mark.parametrize("M, N", [(4, 8), (2, 8)])
+def test_overloaded_cell_fidelity(M, N):
+    """With more users than antennas the band comes from the served cell
+    of min(N, M) users, and the one-shot scheme keeps 95% of the
+    baseline's mean efficiency at 46 dBm, 200 trials (c10's bound)."""
+    cfg = dataclasses.replace(load_config(DEFAULT_CONFIG), M=M, N=N)
+    budget = transmit_power_from_dbm(46.0, cfg)
+    report, _, _ = harness.compare_schemes(cfg, budget, 200, seed=1)
+    assert report.ee_ratio >= 0.95, report
+
+
+def test_band_uses_served_cell():
+    wide = SystemConfig(M=4, N=8)
+    assert (satpower.compute_band(wide)
+            == satpower.compute_band(dataclasses.replace(wide, N=4)))
 
 
 # -------------------------------------------------------- one-shot solve
 
 def test_proposed_clamps_at_operating_power(cfg3):
     band = satpower.compute_band(cfg3)
-    ch = channel.generate(cfg3, 31, 0)
-    a = satpower.proposed_scheme(ch, cfg3, band.p_prop * 10.0, band)
-    b = satpower.proposed_scheme(ch, cfg3, band.p_prop * 100.0, band)
+    h = channel.generate(cfg3, 31, 0)
+    a = satpower.proposed_scheme(h, cfg3, band.p_prop * 10.0, band)
+    b = satpower.proposed_scheme(h, cfg3, band.p_prop * 100.0, band)
     assert np.array_equal(a, b)
     assert float(np.sum(np.abs(a) ** 2)) <= band.p_prop * (1.0 + 1e-9)
 
 
 def test_proposed_uses_full_budget_below_operating_power(cfg3):
     band = satpower.compute_band(cfg3)
-    ch = channel.generate(cfg3, 31, 1)
+    h = channel.generate(cfg3, 31, 1)
     budget = band.p_prop / 10.0
-    b = satpower.proposed_scheme(ch, cfg3, budget, band)
+    b = satpower.proposed_scheme(h, cfg3, budget, band)
     psum = float(np.sum(np.abs(b) ** 2))
     assert psum <= budget * (1.0 + 1e-9)
     assert psum >= budget * 0.99
@@ -300,6 +323,6 @@ def test_proposed_uses_full_budget_below_operating_power(cfg3):
 
 def test_proposed_rejects_bad_budget(cfg3):
     band = satpower.compute_band(cfg3)
-    ch = channel.generate(cfg3, 31, 2)
+    h = channel.generate(cfg3, 31, 2)
     with pytest.raises(ValueError):
-        satpower.proposed_scheme(ch, cfg3, 0.0, band)
+        satpower.proposed_scheme(h, cfg3, 0.0, band)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from saturee import cli
 from saturee.sysmodel import (SystemConfig, dbm_to_watt, derive_power_model,
-                              load_config, normalized_config, total_power,
+                              load_config, total_power,
                               transmit_power_from_dbm, transmit_power_to_dbm,
                               watt_to_dbm)
 
-from oracles import energy_efficiency
+from oracles import energy_efficiency, normalized_config
 
 
 def test_dbm_anchors():
