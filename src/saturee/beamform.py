@@ -57,11 +57,11 @@ def link_gains(h: np.ndarray, b: np.ndarray):
     sits ten or more orders below the signal.
     """
     cross = h.conj() @ b.T                    # [k, j] = h_k^H b_j
-    d = np.diagonal(cross).copy()
+    d = cross.diagonal().copy()
     gains = np.abs(cross) ** 2
-    sig = np.diagonal(gains).copy()
+    sig = gains.diagonal().copy()
     np.fill_diagonal(gains, 0.0)
-    return d, sig, np.sum(gains, axis=1)
+    return d, sig, gains.sum(axis=1)
 
 
 def sinr(h: np.ndarray, b: np.ndarray, n0: float) -> np.ndarray:
@@ -72,5 +72,5 @@ def sinr(h: np.ndarray, b: np.ndarray, n0: float) -> np.ndarray:
 
 def sum_rate(sinrs: np.ndarray) -> float:
     """Sum of log(1 + SINR_k), nat/s/Hz."""
-    return float(np.sum(np.log1p(sinrs)))
+    return float(np.log1p(sinrs).sum())
 

@@ -303,6 +303,9 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
     Returns the report plus the per-trial (rate, ee) arrays of both
     schemes in trial order.
     """
+    # numpy imports numpy.random on its first draw (some 14 ms); make that
+    # draw, the same one the first arm starts with, before either clock.
+    channel.generate(cfg, seed, 0)
     tic = time.perf_counter()
     band = satpower.compute_band(cfg)
     cell = _Cell(cfg, derive_power_model(cfg), band)

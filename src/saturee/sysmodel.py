@@ -132,11 +132,16 @@ def total_power(p_sum: float, pm: DerivedPowerModel, xi: float):
 
 
 def transmit_power_from_dbm(dbm: float, cfg: SystemConfig) -> float:
-    """Map a dBm transmit budget over the whole band to a W/Hz density;
-    as Python floats, so one past the float range raises instead of warning."""
+    """Map a dBm transmit budget over the whole band to a W/Hz density.
+
+    As Python floats, so a budget whose transmit SNR density / n0
+    overflows or underflows raises instead of warning: the solvers
+    square and divide by it and cannot carry inf or 0 through."""
     density = dbm_to_watt(float(dbm)) / cfg.W
-    if not math.isfinite(density):
-        raise ValueError(f"a budget of {dbm} dBm is past the float range")
+    snr = density / derive_power_model(cfg).n0
+    if not (math.isfinite(snr) and snr > 0.0):
+        raise ValueError(f"a budget of {dbm} dBm is outside the float range "
+                         f"(transmit SNR {snr})")
     return density
 
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from saturee import beamform, channel
 from saturee.asympt import DetEquivParams, sinr_mrt_asymptotic
+from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, total_power,
                               watt_to_dbm)
 
@@ -45,6 +46,30 @@ def instantaneous_ee(h: np.ndarray, b: np.ndarray, cfg: SystemConfig) -> float:
     rate = beamform.sum_rate(beamform.sinr(h, b, pm.n0))
     consumed = total_power(float(np.sum(np.abs(b) ** 2)), pm, cfg.xi)
     return rate / consumed
+
+
+def rescale_objective(h: np.ndarray, b: np.ndarray, n0: float, ridge: float):
+    """The power-scale objective tau -> sum log(1 + SINR) - ridge tau psum
+    of the beamformers sqrt(tau) b, on numpy arrays."""
+    _, sig, inter = beamform.link_gains(h, b)
+    psum = float(np.sum(np.abs(b) ** 2))
+
+    def gain(tau: float) -> float:
+        rate = float(np.sum(np.log1p(tau * sig / (tau * inter + n0))))
+        return rate - ridge * tau * psum
+    return gain
+
+
+def rescale_tau(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
+                ridge: float) -> float:
+    """The power scale tau the Dinkelbach power-scale step picks: the
+    golden-section argmax of :func:`rescale_objective` over
+    [1e-20 tau_hi, tau_hi], tau_hi = budget / psum, unless tau = 1 scores
+    at least as high."""
+    gain = rescale_objective(h, b, n0, ridge)
+    tau_hi = budget / float(np.sum(np.abs(b) ** 2))
+    tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
+    return 1.0 if gain(tau) <= gain(1.0) else tau
 
 
 def ee_mrt_asymptotic(p, cfg: SystemConfig):

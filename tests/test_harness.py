@@ -322,6 +322,19 @@ def test_cli_rejects_budget_past_float_range(kind, capsys):
     assert "4000" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("dbm", ["3000", "-4000"])
+@pytest.mark.parametrize("kind", ["sweep", "tradeoff", "compare"])
+def test_cli_rejects_budget_outside_snr_range(kind, dbm, capsys):
+    """A finite budget whose transmit SNR overflows (3000 dBm) or
+    underflows to zero (-4000 dBm) is a usage error (exit 2) naming the
+    budget, not a solver crash or a message about a 0 W/Hz power."""
+    args = [kind, "--config", DEFAULT_CONFIG, "--pmin-dbm", dbm,
+            "--pmax-dbm", dbm, "--trials", "1"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert f"{dbm}.0 dBm" in captured.err and captured.out == ""
+
+
 def test_cli_reaches_every_function(capsys):
     """Each def in the package is entered by one of the five subcommands:
     code that only the tests call belongs beside them, in tests/oracles.py."""

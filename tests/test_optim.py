@@ -9,7 +9,8 @@ from saturee.specfun import lambert_w0
 from saturee.sysmodel import (SystemConfig, derive_power_model,
                               transmit_power_from_dbm)
 
-from oracles import instantaneous_ee, normalized_config
+from oracles import (instantaneous_ee, normalized_config,
+                     rescale_objective, rescale_tau)
 
 
 # ----------------------------------------------------------------- wmmse
@@ -160,6 +161,34 @@ def test_rescale_accepts_a_rounding_excess_over_the_budget():
     for budget in (psum, psum * (1.0 - 1e-13)):
         scaled = optim._rescale(h, b, pm.n0, budget, ridge)
         assert float(np.sum(np.abs(scaled) ** 2)) < 0.5 * psum
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (16, 64), (8, 2), (2, 8), (64, 64)])
+def test_rescale_matches_numpy_reference(n, m):
+    """The power-scale step scores as high on the numpy-array objective
+    as that objective's own golden-section argmax, to rounding, and never
+    below tau = 1.  The ridge is scaled to the cell, so the optimum lands
+    at the budget, near the start and far below it.
+
+    tau itself is compared only through the objective: where the rate is
+    interference-limited (8 users on 2 antennas) the objective is flat in
+    tau to rounding over a relative width of 1e-5 and more, and both
+    searches may stop anywhere in it."""
+    cfg = SystemConfig(M=m, N=n)
+    pm = derive_power_model(cfg)
+    p = transmit_power_from_dbm(30.0, cfg)
+    for trial in range(3):
+        h = channel.generate(cfg, 11, trial)
+        b = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
+            * math.sqrt(p / n)
+        for scale in (1e-3, 1.0, 1e3):
+            ridge = scale * n / p
+            gain = rescale_objective(h, b, pm.n0, ridge)
+            best = gain(rescale_tau(h, b, pm.n0, 4.0 * p, ridge))
+            out = optim._rescale(h, b, pm.n0, 4.0 * p, ridge)
+            tau = float(np.sum(np.abs(out) ** 2)) / p
+            assert gain(tau) >= best - 1e-14 * abs(best)
+            assert gain(tau) >= gain(1.0)
 
 
 def test_wmmse_orthogonal_matches_power_filling():
