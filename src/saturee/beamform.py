@@ -31,9 +31,10 @@ def rzf(h: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError(f"rzf loading must be positive, got {alpha}")
     n, m = h.shape
     gram = h @ h.conj().T                     # [k, j] = h_k^T h_j^*, (N, N)
-    dirs = np.linalg.solve(gram + (m * alpha) * np.eye(n), h)
+    gram.flat[::n + 1] += m * alpha
+    dirs = np.linalg.solve(gram, h)
     norms = np.linalg.norm(dirs, axis=1)
-    if np.any(norms == 0.0):
+    if not norms.all():
         raise ValueError("degenerate channel: regularized directions collapsed")
     return dirs / norms[:, None]
 

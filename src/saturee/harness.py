@@ -49,6 +49,12 @@ class ExperimentSpec:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
+        if self.kind == "compare":
+            # compare reads the top budget alone
+            if not math.isfinite(self.pmax_dbm):
+                raise ValueError(
+                    f"power budget must be finite, got {self.pmax_dbm}")
+            return
         grid = (self.pmin_dbm, self.pmax_dbm, self.pstep_db)
         if not all(math.isfinite(v) for v in grid):
             raise ValueError(f"power grid values must be finite, got {grid}")

@@ -69,18 +69,29 @@ def _multiplier(r: np.ndarray, base: np.ndarray, budget: float) -> float:
     sequence crosses the budget and stops on the feasible side.  A step
     that leaves the bracket or fails to shrink it is replaced by
     bisection.
+
+    P and its slope are summed on Python floats: a beam step has at most
+    as many modes as users, and for the users of a cell (up to N = 16 in
+    every shipped config) a plain loop costs a fraction of numpy's
+    per-call dispatch on tiny arrays.  The two break even near 50 modes.
     """
+    modes = list(zip(r.tolist(), base.tolist()))
+
     def power(mu: float) -> tuple[float, float]:
-        x = 1.0 / (base + mu)
-        t = r * x * x
-        return float(t.sum()), float(t @ x)    # P and -P'/2
+        p = half_slope = 0.0                   # P and -P'/2
+        for ri, bi in modes:
+            x = 1.0 / (bi + mu)
+            t = ri * x * x
+            p += t
+            half_slope += t * x
+        return p, half_slope
 
     p, slope = power(0.0)
     if p <= budget * (1.0 + _ON_BUDGET_RTOL):
         return 0.0
     target = budget * (1.0 - 0.5 * _POWER_RTOL)
     # P(mu) < sum(r) / mu^2, so this upper end is feasible.
-    lo, hi = 0.0, math.sqrt(float(r.sum()) / budget)
+    lo, hi = 0.0, math.sqrt(sum(ri for ri, _ in modes) / budget)
     mu = lo
     for _ in range(200):
         nxt = mu + p / slope * (math.sqrt(p / target) - 1.0)
@@ -114,54 +125,60 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
     of mu, P(mu) = sum_i r_i / (lam_i + ridge + mu)^2, whose root
     _multiplier finds by safeguarded Newton on scalars.
     """
-    coeff = w * np.abs(u) ** 2
+    absu = np.abs(u)
+    coeff = w * absu ** 2
     root = np.sqrt(coeff)[:, None] * h.conj()
     uu, s, vh = np.linalg.svd(root, full_matrices=False)
     # Dropped tail = rounding residue: the stack has exactly as many
     # genuine singular values as users carrying positive weight, and the
     # right-hand side lies in their span.
-    rank = min(int(np.count_nonzero(coeff > 0.0)), s.size)
+    weighted = np.count_nonzero(coeff)
+    rank = min(weighted, s.size)
     lam = s * s
     while rank > 0 and lam[rank - 1] <= 1e-150:
         # Modes of users fading to shutoff underflow when squared again
         # inside the power function; they carry no recoverable signal.
         rank -= 1
-    s = s[:rank]
-    lam = lam[:rank]
-    uu = uu[:, :rank]
-    vh = vh[:rank]
-    absu = np.abs(u)
-    amp = np.sqrt(w) * np.where(absu > 0.0, u / np.where(absu > 0.0, absu, 1.0), 0.0)
-    qt = s[:, None] * (uu.conj().T * amp[None, :])
+    if rank < s.size:
+        s, lam, uu, vh = s[:rank], lam[:rank], uu[:, :rank], vh[:rank]
+    if weighted == u.size:
+        phase = u / absu
+    else:
+        phase = np.where(absu > 0.0, u / np.where(absu > 0.0, absu, 1.0), 0.0)
+    qt = s[:, None] * (uu.conj().T * (np.sqrt(w) * phase))
     base = lam + ridge
     mu = _multiplier(lam * (w @ (np.abs(uu) ** 2)), base, budget)
-    cols = vh.conj().T @ (qt / (base + mu)[:, None])
-    return cols.T
+    return (vh.conj().T @ (qt / (base + mu)[:, None])).T
 
 
-def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
-             ridge: float) -> np.ndarray:
-    """Ascent step on a uniform power scale of all beamformers.
+def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
+             budget: float, ridge: float) -> float:
+    """Ascent step on a uniform power scale tau of all beamformers, given
+    their signal and interference powers sig, inter and sum power psum.
 
     The regularized beamformer step alone moves total power extremely
     slowly once the leakage is nulled (the ridge is buried under the
     weighted Gram spectrum), so the descent stalls far from the
     stationary power.  The objective restricted to b -> sqrt(tau) b is
     concave in tau, which makes this one-dimensional refinement exact
-    and cheap; it keeps tau = 1 unless the search beats it, so it never
-    decreases the objective.  A rounding excess over the budget is feasible.
+    and cheap; it keeps tau = 1 unless the chosen tau beats it, so it
+    never decreases the objective.  A rounding excess over the budget is feasible.
 
-    The search evaluates the objective some sixty times per call, on
-    Python floats: for the few users of a cell (up to N = 16 in every
-    shipped config) that is several times cheaper than numpy's per-call
-    dispatch on tiny arrays.  The two break even near N = 60, and in a
-    cell that large the beam step's SVDs dwarf the search, so there is
-    one path.
+    Where the closed-form slope
+    sum_k s_k n0 / ((tau q_k + n0)(tau (s_k + q_k) + n0)) - ridge psum
+    is still nonnegative at the budget's tau_hi, concavity makes tau_hi
+    the argmax and no search runs.  Otherwise the golden-section search
+    evaluates the objective some sixty times, on Python floats: for the
+    few users of a cell (up to N = 16 in every shipped config) that is
+    several times cheaper than numpy's per-call dispatch on tiny arrays.
+    The two break even near N = 60, and in a cell that large the beam
+    step's SVDs dwarf the search, so there is one path.
     """
-    _, sig, inter = link_gains(h, b)
-    psum = float((np.abs(b) ** 2).sum())
     if psum <= 0.0:
-        return b
+        return 1.0
+    tau_hi = budget / psum
+    if not tau_hi >= 1.0 - _ON_BUDGET_RTOL:
+        return 1.0
     links = list(zip(sig.tolist(), inter.tolist()))
 
     def gain(tau: float) -> float:
@@ -170,34 +187,44 @@ def _rescale(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
             rate += math.log1p(tau * s / (tau * q + n0))
         return rate - ridge * tau * psum
 
-    tau_hi = budget / psum
-    if not tau_hi >= 1.0 - _ON_BUDGET_RTOL:
-        return b
-    tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
+    slope = -ridge * psum
+    for s, q in links:
+        slope += s * n0 / ((tau_hi * q + n0) * (tau_hi * (s + q) + n0))
+    if slope >= 0.0:
+        tau = tau_hi
+    else:
+        tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
     if gain(tau) <= gain(1.0):
-        return b
-    return b * math.sqrt(tau)
+        return 1.0
+    return tau
 
 
 def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
-             tol: float, b0: np.ndarray) -> WmmseResult:
-    """Shared block descent.  ridge = lambda * xi regularizes the
-    beamformer step for the fractional inner problems; ridge = 0 gives
-    plain sum-rate maximization.
+             tol: float, b0: np.ndarray,
+             gains: tuple) -> tuple[WmmseResult, tuple]:
+    """Shared block descent from b0, whose link statistics
+    link_gains(h, b0) the caller passes as gains.  ridge = lambda * xi
+    regularizes the beamformer step for the fractional inner problems;
+    ridge = 0 gives plain sum-rate maximization.
+
+    Returns the result and the link statistics of its beamformers, so a
+    warm-started descent from them computes none again.  Each iterate
+    takes its statistics once: a power-scale step that keeps tau = 1
+    leaves them as the beam step's output had them.
 
     The objective history holds the sum rate minus ridge times sum
     power, so just the sum rate when ridge is zero.
     """
     b = b0
+    d, sig, inter = gains
+    psum = float((np.abs(b) ** 2).sum())
     history = []
     prev = None
     converged = False
     for it in range(_MAX_ITER + 1):
-        d, sig, inter = link_gains(h, b)
         e = inter + n0
         sinr_vals = sig / e
         rate = float(np.log1p(sinr_vals).sum())
-        psum = float((np.abs(b) ** 2).sum())
         obj = rate - ridge * psum
         history.append(obj)
         if prev is not None and abs(obj - prev) <= tol * max(1.0, abs(obj)):
@@ -207,11 +234,18 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
         if it == _MAX_ITER:
             break
         b = _beam_step(h, d / (e + sig), 1.0 + sinr_vals, budget, ridge)
+        d, sig, inter = link_gains(h, b)
+        psum = float((np.abs(b) ** 2).sum())
         if ridge > 0.0:
-            b = _rescale(h, b, n0, budget, ridge)
-    return WmmseResult(b=b, state=WmmseState(iteration=it),
-                       converged=converged, sum_rate=rate, p_sum=psum,
-                       objective_history=np.array(history))
+            tau = _rescale(sig, inter, psum, n0, budget, ridge)
+            if tau != 1.0:
+                b = b * math.sqrt(tau)
+                d, sig, inter = link_gains(h, b)
+                psum = float((np.abs(b) ** 2).sum())
+    result = WmmseResult(b=b, state=WmmseState(iteration=it),
+                         converged=converged, sum_rate=rate, p_sum=psum,
+                         objective_history=np.array(history))
+    return result, (d, sig, inter)
 
 
 def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
@@ -234,7 +268,7 @@ def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
         if b0.shape != h.shape:
             raise ValueError(
                 f"init shape {b0.shape} does not match channel {h.shape}")
-    return _iterate(h, pm.n0, p_budget, 0.0, tol, b0)
+    return _iterate(h, pm.n0, p_budget, 0.0, tol, b0, link_gains(h, b0))[0]
 
 
 def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig, p_budget: float,
@@ -257,12 +291,14 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig, p_budget: float,
     pm = derive_power_model(cfg)
     dirs = rzf(h, mmse_loading_alpha(cfg, p_budget))
     b = dirs * math.sqrt(p_budget / cfg.N)
+    gains = link_gains(h, b)
     lam = 0.0
     lam_hist: list[float] = []
     f_hist: list[float] = []
     ok = False
     for _ in range(_MAX_OUTER):
-        run = _iterate(h, pm.n0, p_budget, lam * cfg.xi, _TOL, b)
+        run, gains = _iterate(h, pm.n0, p_budget, lam * cfg.xi, _TOL, b,
+                              gains)
         b, rate = run.b, run.sum_rate
         consumed = total_power(run.p_sum, pm, cfg.xi)
         f_val = rate - lam * consumed

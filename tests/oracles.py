@@ -3,9 +3,11 @@
 None of these is reached by the command line, so they live beside the
 tests rather than in the package.
 """
+import math
+
 import numpy as np
 
-from saturee import beamform, channel
+from saturee import beamform, channel, optim
 from saturee.asympt import DetEquivParams, sinr_mrt_asymptotic
 from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, total_power,
@@ -70,6 +72,33 @@ def rescale_tau(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
     tau_hi = budget / float(np.sum(np.abs(b) ** 2))
     tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
     return 1.0 if gain(tau) <= gain(1.0) else tau
+
+
+def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
+                        ridge: float, tol: float, b0: np.ndarray):
+    """The WMMSE block descent of ``optim._iterate`` with the link
+    statistics taken afresh at the top of every iterate.  Returns the
+    last beamformers and the objective history."""
+    b = b0
+    history = []
+    for it in range(optim._MAX_ITER + 1):
+        d, sig, inter = beamform.link_gains(h, b)
+        e = inter + n0
+        sinr = sig / e
+        obj = (float(np.sum(np.log1p(sinr)))
+               - ridge * float(np.sum(np.abs(b) ** 2)))
+        history.append(obj)
+        if it > 0 and abs(obj - history[-2]) <= tol * max(1.0, abs(obj)):
+            break
+        if it == optim._MAX_ITER:
+            break
+        b = optim._beam_step(h, d / (e + sig), 1.0 + sinr, budget, ridge)
+        if ridge > 0.0:
+            _, sig, inter = beamform.link_gains(h, b)
+            tau = optim._rescale(sig, inter, float(np.sum(np.abs(b) ** 2)),
+                                 n0, budget, ridge)
+            b = b * math.sqrt(tau)
+    return b, history
 
 
 def ee_mrt_asymptotic(p, cfg: SystemConfig):

@@ -335,6 +335,21 @@ def test_cli_rejects_budget_outside_snr_range(kind, dbm, capsys):
     assert f"{dbm}.0 dBm" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("dbm, code", [("-20", 0), ("3000", 2), ("-4000", 2)])
+def test_cli_compare_reads_the_top_budget_alone(dbm, code, capsys):
+    """compare reads only --pmax-dbm, so a top budget below the default
+    grid floor (-10 dBm) runs; one outside the SNR range is still a
+    usage error naming the budget."""
+    args = ["compare", "--config", DEFAULT_CONFIG, "--pmax-dbm", dbm,
+            "--trials", "1"]
+    assert cli.main(args) == code
+    captured = capsys.readouterr()
+    if code:
+        assert f"{dbm}.0 dBm" in captured.err and captured.out == ""
+    else:
+        assert "budget: -20.00 dBm" in captured.out
+
+
 def test_cli_reaches_every_function(capsys):
     """Each def in the package is entered by one of the five subcommands:
     code that only the tests call belongs beside them, in tests/oracles.py."""

@@ -1,16 +1,17 @@
 """WMMSE block descent and the Dinkelbach efficiency baseline."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from saturee import beamform, channel, optim, satpower
 from saturee.specfun import lambert_w0
-from saturee.sysmodel import (SystemConfig, derive_power_model,
+from saturee.sysmodel import (SystemConfig, derive_power_model, total_power,
                               transmit_power_from_dbm)
 
-from oracles import (instantaneous_ee, normalized_config,
-                     rescale_objective, rescale_tau)
+from oracles import (instantaneous_ee, iterate_recomputing,
+                     normalized_config, rescale_objective, rescale_tau)
 
 
 # ----------------------------------------------------------------- wmmse
@@ -50,6 +51,31 @@ def test_beam_step_keeps_mu_zero_at_a_rounding_excess():
         assert abs(p_free - budget) <= 1e-12 * budget
         tight = min(budget, p_free * (1.0 - 1e-14))
         assert np.array_equal(optim._beam_step(h, u, w, tight, 0.0), free)
+
+
+def test_beam_step_shuts_off_a_user_with_zero_receive_gain():
+    """A user whose receive gain u_k is zero carries no weight: its
+    beamformer is zero, without a divide warning, and the others' are
+    those of the cell without it."""
+    cfg = SystemConfig(M=4, N=3)
+    pm = derive_power_model(cfg)
+    budget = transmit_power_from_dbm(30.0, cfg)
+    h = channel.generate(cfg, 7, 0)
+    d, sig, inter = beamform.link_gains(
+        h, beamform.mrt(h) * math.sqrt(budget / cfg.N))
+    u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
+    u[1] = 0.0
+    keep = [0, 2]
+    free = optim._beam_step(h[keep], u[keep], w[keep], math.inf, 0.0)
+    p_free = float(np.sum(np.abs(free) ** 2))
+    for cap in (math.inf, 0.1 * p_free):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = optim._beam_step(h, u, w, cap, 0.0)
+        ref = optim._beam_step(h[keep], u[keep], w[keep], cap, 0.0)
+        assert np.all(b[1] == 0.0)
+        np.testing.assert_allclose(b[keep], ref, rtol=1e-9,
+                                   atol=1e-12 * float(np.max(np.abs(ref))))
 
 
 def _bisect_multiplier(r, base, budget):
@@ -158,37 +184,95 @@ def test_rescale_accepts_a_rounding_excess_over_the_budget():
     b = beamform.rzf(h, 1e-3) * math.sqrt(1e-6)
     psum = float(np.sum(np.abs(b) ** 2))
     ridge = 10.0 / psum                       # peak far below psum
+    _, sig, inter = beamform.link_gains(h, b)
     for budget in (psum, psum * (1.0 - 1e-13)):
-        scaled = optim._rescale(h, b, pm.n0, budget, ridge)
-        assert float(np.sum(np.abs(scaled) ** 2)) < 0.5 * psum
+        assert optim._rescale(sig, inter, psum, pm.n0, budget, ridge) < 0.5
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (16, 64), (8, 2), (2, 8), (64, 64)])
-def test_rescale_matches_numpy_reference(n, m):
+def test_rescale_matches_numpy_reference(n, m, monkeypatch):
     """The power-scale step scores as high on the numpy-array objective
     as that objective's own golden-section argmax, to rounding, and never
     below tau = 1.  The ridge is scaled to the cell, so the optimum lands
-    at the budget, near the start and far below it.
+    at the budget, near the start and far below it.  With the budget at
+    the current power and a ridge below the rate's slope there (which
+    falls to 1e-12 on the interference-limited 8x2 cell) the objective
+    still rises at the budget, so the step takes it without a search;
+    both branches run.
 
     tau itself is compared only through the objective: where the rate is
     interference-limited (8 users on 2 antennas) the objective is flat in
     tau to rounding over a relative width of 1e-5 and more, and both
     searches may stop anywhere in it."""
+    searches = []
+    golden = optim.golden_section_max
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return golden(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "golden_section_max", counted)
     cfg = SystemConfig(M=m, N=n)
     pm = derive_power_model(cfg)
     p = transmit_power_from_dbm(30.0, cfg)
+    searched = {True: 0, False: 0}
     for trial in range(3):
         h = channel.generate(cfg, 11, trial)
         b = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
             * math.sqrt(p / n)
-        for scale in (1e-3, 1.0, 1e3):
-            ridge = scale * n / p
+        _, sig, inter = beamform.link_gains(h, b)
+        psum = float(np.sum(np.abs(b) ** 2))
+        cases = [(4.0 * p, scale * n / p) for scale in (1e-3, 1.0, 1e3)]
+        cases.append((psum, 1e-15 * n / p))
+        for budget, ridge in cases:
             gain = rescale_objective(h, b, pm.n0, ridge)
-            best = gain(rescale_tau(h, b, pm.n0, 4.0 * p, ridge))
-            out = optim._rescale(h, b, pm.n0, 4.0 * p, ridge)
-            tau = float(np.sum(np.abs(out) ** 2)) / p
+            best = gain(rescale_tau(h, b, pm.n0, budget, ridge))
+            before = len(searches)
+            tau = optim._rescale(sig, inter, psum, pm.n0, budget, ridge)
+            searched[len(searches) > before] += 1
+            if budget == psum:
+                assert len(searches) == before
             assert gain(tau) >= best - 1e-14 * abs(best)
             assert gain(tau) >= gain(1.0)
+    assert searched[True] > 0 and searched[False] > 0
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (16, 64), (8, 2), (2, 8)])
+def test_iterate_matches_recomputing_reference(n, m):
+    """The descent takes each iterate's link statistics once and hands
+    the last ones on to the next Dinkelbach outer step; the reference
+    descent takes them afresh at every iterate.  Both take as many steps
+    to the same objectives, at ridge zero and positive, and the
+    Dinkelbach parameters match a replay on the reference."""
+    cfg = SystemConfig(M=m, N=n)
+    pm = derive_power_model(cfg)
+    p = transmit_power_from_dbm(30.0, cfg)
+    for trial in range(2):
+        h = channel.generate(cfg, 23, trial)
+        b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
+            * math.sqrt(p / n)
+        for ridge in (0.0, 1e-3 * n / p, n / p):
+            run, gains = optim._iterate(h, pm.n0, p, ridge, optim._TOL, b0,
+                                        beamform.link_gains(h, b0))
+            b_ref, hist = iterate_recomputing(h, pm.n0, p, ridge,
+                                              optim._TOL, b0)
+            assert run.state.iteration == len(hist) - 1
+            np.testing.assert_allclose(run.objective_history, hist,
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(run.b, b_ref, rtol=1e-12, atol=0.0)
+            for got, want in zip(gains, beamform.link_gains(h, run.b)):
+                assert np.array_equal(got, want)
+
+        res = optim.dinkelbach_ee(h, cfg, p)
+        lam, b = 0.0, b0
+        for want in res.lambda_history:
+            assert lam == pytest.approx(want, rel=1e-12, abs=0.0)
+            b, _ = iterate_recomputing(h, pm.n0, p, lam * cfg.xi,
+                                       optim._TOL, b)
+            rate = beamform.sum_rate(beamform.sinr(h, b, pm.n0))
+            lam = rate / total_power(float(np.sum(np.abs(b) ** 2)), pm,
+                                     cfg.xi)
+        assert res.lambda_star == pytest.approx(lam, rel=1e-12, abs=0.0)
 
 
 def test_wmmse_orthogonal_matches_power_filling():

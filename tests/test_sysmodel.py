@@ -1,8 +1,9 @@
 """Unit conversions, derived power densities, efficiency arithmetic."""
 import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from saturee import cli
@@ -89,13 +90,17 @@ def test_total_power_examples():
 @given(st.floats(min_value=0.0, max_value=1e3),
        st.floats(min_value=0.0, max_value=1e3),
        st.floats(min_value=1.0, max_value=4.0))
+@example(pa=869.4375, pb=869.4136459992163, xi=3.0)
 def test_total_power_affine_increasing(pa, pb, xi):
     pm = derive_power_model(SystemConfig(M=2, N=2))
     lo, hi = sorted((pa, pb))
-    assert total_power(hi, pm, xi) >= total_power(lo, pm, xi)
-    # affine: the increment is exactly xi times the power increment
-    assert total_power(hi, pm, xi) - total_power(lo, pm, xi) == pytest.approx(
-        xi * (hi - lo), rel=1e-12, abs=1e-15)
+    top = total_power(hi, pm, xi)
+    assert top >= total_power(lo, pm, xi)
+    # affine: the increment is xi times the power increment, up to the
+    # rounding of the two totals it is the difference of (a few ulps of
+    # the larger one, which dwarfs a small increment)
+    assert top - total_power(lo, pm, xi) == pytest.approx(
+        xi * (hi - lo), rel=1e-12, abs=4 * sys.float_info.epsilon * top)
 
 
 def test_energy_efficiency_examples():
