@@ -50,10 +50,8 @@ class ExperimentSpec:
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
         if self.kind == "compare":
-            # compare reads the top budget alone
-            if not math.isfinite(self.pmax_dbm):
-                raise ValueError(
-                    f"power budget must be finite, got {self.pmax_dbm}")
+            # compare reads pmax_dbm alone, and transmit_power_from_dbm
+            # rejects a budget outside the float range.
             return
         grid = (self.pmin_dbm, self.pmax_dbm, self.pstep_db)
         if not all(math.isfinite(v) for v in grid):
@@ -128,11 +126,6 @@ def _evaluate(cell: _Cell, rate: float, p_sum: float) -> tuple[float, float, flo
 # (sum rate, radiated power): the budget itself for equal power and the
 # closed forms, the beamformers' sum power for the solvers.
 
-def _solution_point(h, b: np.ndarray, n0: float) -> tuple[float, float]:
-    return (beamform.sum_rate(beamform.sinr(h, b, n0)),
-            float(np.sum(np.abs(b) ** 2)))
-
-
 def _mrt_mc(cell: _Cell, h):
     dirs = beamform.mrt(h)
     return lambda p: (beamform.sum_rate(beamform.sinr(
@@ -154,15 +147,19 @@ def _proposed(cell: _Cell, h):
     def at(p):
         p_op = min(cell.band.p_prop, p)
         if p_op not in solves:
-            b = satpower.proposed_scheme(h, cell.cfg, p_op, cell.band)
-            solves[p_op] = _solution_point(h, b, cell.pm.n0)
+            res = satpower.proposed_scheme(h, cell.cfg, p_op, cell.band)
+            solves[p_op] = res.sum_rate, res.p_sum
         return solves[p_op]
     return at
 
 
 def _baseline(cell: _Cell, h):
-    return lambda p: _solution_point(
-        h, optim.dinkelbach_ee(h, cell.cfg, p).b, cell.pm.n0)
+    # A Dinkelbach result carries no sum rate or power; score its beamformers.
+    def at(p):
+        b = optim.dinkelbach_ee(h, cell.cfg, p).b
+        return (beamform.sum_rate(beamform.sinr(h, b, cell.pm.n0)),
+                float(np.sum(np.abs(b) ** 2)))
+    return at
 
 
 def _se_mc(cell: _Cell, h):

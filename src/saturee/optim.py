@@ -132,19 +132,15 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
     # Dropped tail = rounding residue: the stack has exactly as many
     # genuine singular values as users carrying positive weight, and the
     # right-hand side lies in their span.
-    weighted = np.count_nonzero(coeff)
-    rank = min(weighted, s.size)
+    rank = min(np.count_nonzero(coeff), s.size)
     lam = s * s
     while rank > 0 and lam[rank - 1] <= 1e-150:
         # Modes of users fading to shutoff underflow when squared again
         # inside the power function; they carry no recoverable signal.
         rank -= 1
-    if rank < s.size:
-        s, lam, uu, vh = s[:rank], lam[:rank], uu[:, :rank], vh[:rank]
-    if weighted == u.size:
-        phase = u / absu
-    else:
-        phase = np.where(absu > 0.0, u / np.where(absu > 0.0, absu, 1.0), 0.0)
+    s, lam, uu, vh = s[:rank], lam[:rank], uu[:, :rank], vh[:rank]
+    # u_k is exactly 0 where |u_k| is, so its phase comes out 0 there.
+    phase = u / np.where(absu > 0.0, absu, 1.0)
     qt = s[:, None] * (uu.conj().T * (np.sqrt(w) * phase))
     base = lam + ridge
     mu = _multiplier(lam * (w @ (np.abs(uu) ** 2)), base, budget)
@@ -200,23 +196,19 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
 
 
 def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
-             tol: float, b0: np.ndarray,
-             gains: tuple) -> tuple[WmmseResult, tuple]:
-    """Shared block descent from b0, whose link statistics
-    link_gains(h, b0) the caller passes as gains.  ridge = lambda * xi
-    regularizes the beamformer step for the fractional inner problems;
-    ridge = 0 gives plain sum-rate maximization.
+             tol: float, b0: np.ndarray) -> WmmseResult:
+    """Shared block descent from b0.  ridge = lambda * xi regularizes the
+    beamformer step for the fractional inner problems; ridge = 0 gives
+    plain sum-rate maximization.
 
-    Returns the result and the link statistics of its beamformers, so a
-    warm-started descent from them computes none again.  Each iterate
-    takes its statistics once: a power-scale step that keeps tau = 1
-    leaves them as the beam step's output had them.
+    Each iterate takes its link statistics once: a power-scale step that
+    keeps tau = 1 leaves them as the beam step's output had them.
 
     The objective history holds the sum rate minus ridge times sum
     power, so just the sum rate when ridge is zero.
     """
     b = b0
-    d, sig, inter = gains
+    d, sig, inter = link_gains(h, b0)
     psum = float((np.abs(b) ** 2).sum())
     history = []
     prev = None
@@ -242,10 +234,9 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
                 b = b * math.sqrt(tau)
                 d, sig, inter = link_gains(h, b)
                 psum = float((np.abs(b) ** 2).sum())
-    result = WmmseResult(b=b, state=WmmseState(iteration=it),
-                         converged=converged, sum_rate=rate, p_sum=psum,
-                         objective_history=np.array(history))
-    return result, (d, sig, inter)
+    return WmmseResult(b=b, state=WmmseState(iteration=it),
+                       converged=converged, sum_rate=rate, p_sum=psum,
+                       objective_history=np.array(history))
 
 
 def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
@@ -268,7 +259,7 @@ def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
         if b0.shape != h.shape:
             raise ValueError(
                 f"init shape {b0.shape} does not match channel {h.shape}")
-    return _iterate(h, pm.n0, p_budget, 0.0, tol, b0, link_gains(h, b0))[0]
+    return _iterate(h, pm.n0, p_budget, 0.0, tol, b0)
 
 
 def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig, p_budget: float,
@@ -291,14 +282,12 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig, p_budget: float,
     pm = derive_power_model(cfg)
     dirs = rzf(h, mmse_loading_alpha(cfg, p_budget))
     b = dirs * math.sqrt(p_budget / cfg.N)
-    gains = link_gains(h, b)
     lam = 0.0
     lam_hist: list[float] = []
     f_hist: list[float] = []
     ok = False
     for _ in range(_MAX_OUTER):
-        run, gains = _iterate(h, pm.n0, p_budget, lam * cfg.xi, _TOL, b,
-                              gains)
+        run = _iterate(h, pm.n0, p_budget, lam * cfg.xi, _TOL, b)
         b, rate = run.b, run.sum_rate
         consumed = total_power(run.p_sum, pm, cfg.xi)
         f_val = rate - lam * consumed

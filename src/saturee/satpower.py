@@ -181,9 +181,9 @@ def compute_band(cfg: SystemConfig) -> SaturationBand:
 
 
 def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
-                    p_budget: float, band: SaturationBand) -> np.ndarray:
-    """Beamformer matrix of one spectral-efficiency solve at the clamped
-    power min(p_prop, budget).
+                    p_budget: float, band: SaturationBand) -> optim.WmmseResult:
+    """One spectral-efficiency solve at the clamped power
+    min(p_prop, budget): its beamformer matrix, sum rate and sum power.
 
     The solve starts from equal-power RZF beamformers at the operating
     power.  A maximum-ratio start can abandon a user whose channel is
@@ -196,4 +196,4 @@ def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
     p = min(band.p_prop, p_budget)
     dirs = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p))
     b0 = dirs * math.sqrt(p / cfg.N)
-    return optim.wmmse(h, cfg, p, init=b0).b
+    return optim.wmmse(h, cfg, p, init=b0)

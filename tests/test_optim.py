@@ -239,11 +239,10 @@ def test_rescale_matches_numpy_reference(n, m, monkeypatch):
 
 @pytest.mark.parametrize("n, m", [(3, 3), (16, 64), (8, 2), (2, 8)])
 def test_iterate_matches_recomputing_reference(n, m):
-    """The descent takes each iterate's link statistics once and hands
-    the last ones on to the next Dinkelbach outer step; the reference
-    descent takes them afresh at every iterate.  Both take as many steps
-    to the same objectives, at ridge zero and positive, and the
-    Dinkelbach parameters match a replay on the reference."""
+    """The descent takes each iterate's link statistics once; the
+    reference descent takes them afresh at every iterate.  Both take as
+    many steps to the same objectives, at ridge zero and positive, and
+    the Dinkelbach parameters match a replay on the reference."""
     cfg = SystemConfig(M=m, N=n)
     pm = derive_power_model(cfg)
     p = transmit_power_from_dbm(30.0, cfg)
@@ -252,16 +251,13 @@ def test_iterate_matches_recomputing_reference(n, m):
         b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
             * math.sqrt(p / n)
         for ridge in (0.0, 1e-3 * n / p, n / p):
-            run, gains = optim._iterate(h, pm.n0, p, ridge, optim._TOL, b0,
-                                        beamform.link_gains(h, b0))
+            run = optim._iterate(h, pm.n0, p, ridge, optim._TOL, b0)
             b_ref, hist = iterate_recomputing(h, pm.n0, p, ridge,
                                               optim._TOL, b0)
             assert run.state.iteration == len(hist) - 1
             np.testing.assert_allclose(run.objective_history, hist,
                                        rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(run.b, b_ref, rtol=1e-12, atol=0.0)
-            for got, want in zip(gains, beamform.link_gains(h, run.b)):
-                assert np.array_equal(got, want)
 
         res = optim.dinkelbach_ee(h, cfg, p)
         lam, b = 0.0, b0
@@ -393,7 +389,7 @@ def test_dinkelbach_upper_bounds_one_shot_scheme(cfg3):
     for trial in range(20):
         h = channel.generate(cfg3, 37, trial)
         prop = instantaneous_ee(
-            h, satpower.proposed_scheme(h, cfg3, budget, band), cfg3)
+            h, satpower.proposed_scheme(h, cfg3, budget, band).b, cfg3)
         base = optim.dinkelbach_ee(h, cfg3, budget).lambda_star
         assert base >= prop * (1.0 - 1e-6)
         prop_vals.append(prop)
