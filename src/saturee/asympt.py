@@ -46,62 +46,60 @@ def ee_upper_bound(p, cfg: SystemConfig):
 class DetEquivParams:
     """Deterministic-equivalent constants for RZF at a fixed loading.
 
-    m0 is the limiting normalized trace of the regularized resolvent,
-    gamma0 the interference coefficient and psi0 the normalization
-    coefficient.
+    m0 is the limiting normalized trace of the regularized resolvent and
+    psi0 the normalization coefficient, which for uncorrelated channels
+    equals the interference coefficient too.
     """
 
     m0: float
-    gamma0: float
     psi0: float
-
-
-def _fixed_point_m(alpha: float, ratio: float) -> float:
-    """Solve m = 1 / (alpha + ratio / (1 + m)) by damped iteration.
-
-    The quadratic it implies seeds the iteration, which then certifies
-    the residual below 1e-10.
-    """
-    b = alpha + ratio - 1.0
-    m = (-b + math.sqrt(b * b + 4.0 * alpha)) / (2.0 * alpha)
-    damp = 0.7
-    for _ in range(500):
-        g = 1.0 / (alpha + ratio / (1.0 + m))
-        if abs(m - g) <= _FP_RESIDUAL * max(1.0, m):
-            return m
-        m = (1.0 - damp) * m + damp * g
-    raise NumericalError(
-        f"resolvent fixed point stalled at alpha={alpha}, ratio={ratio}")
 
 
 def det_equiv_rzf(cfg: SystemConfig, alpha: float) -> DetEquivParams:
     """Analytic deterministic equivalents for uncorrelated channels.
 
-    With c = N / M and m0 the fixed point of m = 1 / (alpha + c / (1 + m)),
-    the derivative quantity m2 = m0^2 / (1 - c m0^2 / (1 + m0)^2) yields
+    With c = N / M, m0 is the positive root of the fixed point
+    m = 1 / (alpha + c / (1 + m)), that is of the quadratic
+    alpha m^2 + b m - 1 = 0 with b = alpha + c - 1.  For r = sqrt(b^2 +
+    4 alpha) the root is (r - b) / (2 alpha) when b <= 0 and the equal
+    2 / (b + r) when b > 0, so no branch subtracts nearly equal numbers.
 
-        gamma0 = m0 - alpha m2,      psi0 = c m2 / (1 + m0)^2.
+    The derivative quantity m2 = m0^2 / (1 - c m0^2 / (1 + m0)^2) gives
+    the normalization coefficient psi0 = c m2 / (1 + m0)^2, evaluated as
+    c m0^2 / (1 + 2 m0 + (1 - c) m0^2) to avoid the cancelling shrink
+    factor.  The interference coefficient gamma0 = m0 - alpha m2 equals
+    psi0.  Put D = (1 + m0)^2 - c m0^2, so m2 = m0^2 (1 + m0)^2 / D; the
+    fixed point gives alpha = 1 / m0 - c / (1 + m0), and then
+
+        gamma0 = m0 - m2 / m0 + c m2 / (1 + m0)
+               = m0 (D - (1 + m0)^2 + c m0 (1 + m0)) / D
+               = c m0^2 / D = psi0.
+
+    Evaluated as a difference, gamma0 cancels to 0 at small loadings or
+    few users per antenna; the identity has nothing to cancel.
     """
     if not alpha > 0.0:
         raise ValueError(f"loading must be positive, got {alpha}")
     ratio = cfg.N / cfg.M
-    m0 = _fixed_point_m(alpha, ratio)
-    shrink = 1.0 - ratio * m0 * m0 / (1.0 + m0) ** 2
-    m2 = m0 * m0 / shrink
-    gamma0 = m0 - alpha * m2
-    psi0 = ratio * m2 / (1.0 + m0) ** 2
-    params = DetEquivParams(m0=m0, gamma0=gamma0, psi0=psi0)
-    for name in ("m0", "gamma0", "psi0"):
-        val = getattr(params, name)
+    # ratio - 1 is exact for ratio in [1/2, 2]; alpha + ratio would drop
+    # the digits of a loading far below 1.
+    b = alpha + (ratio - 1.0)
+    r = math.sqrt(b * b + 4.0 * alpha)
+    m0 = (r - b) / (2.0 * alpha) if b <= 0.0 else 2.0 / (b + r)
+    residual = m0 - 1.0 / (alpha + ratio / (1.0 + m0))
+    if not abs(residual) <= _FP_RESIDUAL * max(1.0, m0):
+        raise NumericalError(
+            f"resolvent root uncertified at alpha={alpha}, ratio={ratio}")
+    psi0 = ratio * m0 * m0 / (1.0 + 2.0 * m0 + (1.0 - ratio) * m0 * m0)
+    for name, val in (("m0", m0), ("psi0", psi0)):
         if not (math.isfinite(val) and val > 0.0):
             raise NumericalError(f"deterministic equivalent {name} = {val}")
-    return params
+    return DetEquivParams(m0=m0, psi0=psi0)
 
 
 def sinr_rzf_asymptotic(p, de: DetEquivParams, n0: float):
-    """Deterministic RZF SINR, m0^2 P / (gamma0 P + psi0 (1 + m0)^2 n0)."""
-    a = de.psi0 * (1.0 + de.m0) ** 2 * n0
-    return de.m0 ** 2 * p / (de.gamma0 * p + a)
+    """Deterministic RZF SINR, (m0^2 / psi0) P / (P + (1 + m0)^2 n0)."""
+    return de.m0 ** 2 / de.psi0 * p / (p + (1.0 + de.m0) ** 2 * n0)
 
 
 def ee_rzf_asymptotic(p, cfg: SystemConfig, de: DetEquivParams):

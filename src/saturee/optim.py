@@ -22,6 +22,7 @@ _POWER_RTOL = 1e-10
 # ulps off the budget.
 _ON_BUDGET_RTOL = 1e-12
 _TOL = 1e-4          # block descent stop: relative objective change
+_DELTA = 1e-3        # Dinkelbach stop: |F(lam)| at most this
 _MAX_ITER = 200      # block descent cap, WMMSE or one Dinkelbach inner
 _MAX_OUTER = 100     # Dinkelbach parametric steps
 
@@ -196,7 +197,7 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
 
 
 def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
-             tol: float, b0: np.ndarray) -> WmmseResult:
+             b0: np.ndarray) -> WmmseResult:
     """Shared block descent from b0.  ridge = lambda * xi regularizes the
     beamformer step for the fractional inner problems; ridge = 0 gives
     plain sum-rate maximization.
@@ -219,7 +220,7 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
         rate = float(np.log1p(sinr_vals).sum())
         obj = rate - ridge * psum
         history.append(obj)
-        if prev is not None and abs(obj - prev) <= tol * max(1.0, abs(obj)):
+        if prev is not None and abs(obj - prev) <= _TOL * max(1.0, abs(obj)):
             converged = True
             break
         prev = obj
@@ -240,12 +241,12 @@ def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
 
 
 def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
-          tol: float = _TOL, init: np.ndarray | None = None) -> WmmseResult:
+          init: np.ndarray | None = None) -> WmmseResult:
     """Sum-rate maximization by weighted-MMSE block coordinate descent.
 
     Starts from equal-power maximum-ratio beamformers (or the given
     beamformer matrix) and stops when the relative objective change
-    drops below tol.  The returned objective history is nondecreasing up
+    drops below _TOL.  The returned objective history is nondecreasing up
     to rounding; if the iteration cap runs out first the best iterate so
     far is returned with converged = False.
     """
@@ -259,18 +260,18 @@ def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
         if b0.shape != h.shape:
             raise ValueError(
                 f"init shape {b0.shape} does not match channel {h.shape}")
-    return _iterate(h, pm.n0, p_budget, 0.0, tol, b0)
+    return _iterate(h, pm.n0, p_budget, 0.0, b0)
 
 
-def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig, p_budget: float,
-                  delta: float = 1e-3) -> DinkelbachResult:
+def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
+                  p_budget: float) -> DinkelbachResult:
     """Energy-efficiency maximization by Dinkelbach's parametric method.
 
     Each outer step solves max sum-rate minus lam times consumed power
     (same block descent, with lam xi folded into the beamformer
     regularizer), warm-started from the previous beamformers so the lam
     sequence is nondecreasing.  Stops once the parametric value F(lam)
-    falls within delta of zero; the returned lambda_star is the achieved
+    falls within _DELTA of zero; the returned lambda_star is the achieved
     efficiency of the final solution.
 
     The very first solve starts from equal-power RZF beamformers: a
@@ -287,13 +288,13 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig, p_budget: float,
     f_hist: list[float] = []
     ok = False
     for _ in range(_MAX_OUTER):
-        run = _iterate(h, pm.n0, p_budget, lam * cfg.xi, _TOL, b)
+        run = _iterate(h, pm.n0, p_budget, lam * cfg.xi, b)
         b, rate = run.b, run.sum_rate
         consumed = total_power(run.p_sum, pm, cfg.xi)
         f_val = rate - lam * consumed
         lam_hist.append(lam)
         f_hist.append(f_val)
-        if abs(f_val) <= delta:
+        if abs(f_val) <= _DELTA:
             ok = True
             break
         lam = rate / consumed

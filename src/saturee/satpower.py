@@ -60,29 +60,29 @@ def p_ub(cfg: SystemConfig) -> float:
     return cfg.N * pm.n0 / cfg.M * (math.exp(1.0 + w) - 1.0)
 
 
-def _stationarity_rzf(p: float, de: DetEquivParams, n0: float,
+def _stationarity_rzf(p: float, g: float, a: float,
                       pconst_over_xi: float) -> float:
     """Sign function whose unique root is the RZF saturation power.
 
-    Negative below the efficiency peak of the deterministic RZF curve,
-    positive above it; tends to -m0^2 Pconst / (xi A) at 0 and to
-    log(1 + m0^2 / gamma0) at infinity.
+    The deterministic RZF curve is SINR(p) = g p / (p + a) with
+    g = m0^2 / psi0 and a = (1 + m0)^2 n0.  The function is negative
+    below its efficiency peak and positive above it; it tends to
+    -g Pconst / (xi a) at 0 and to log(1 + g) at infinity.
     """
-    m2 = de.m0 ** 2
-    a = de.psi0 * (1.0 + de.m0) ** 2 * n0
-    num = m2 * a * (p + pconst_over_xi)
-    den = ((m2 + de.gamma0) * p + a) * (de.gamma0 * p + a)
-    return math.log1p(m2 * p / (de.gamma0 * p + a)) - num / den
+    num = g * a * (p + pconst_over_xi)
+    den = (p + a) * ((1.0 + g) * p + a)
+    return math.log1p(g * p / (p + a)) - num / den
 
 
 def p_rzf(cfg: SystemConfig, de: DetEquivParams) -> float:
     """Root of the RZF stationarity condition, bracketed and bisected."""
     pm = derive_power_model(cfg)
     pconst_over_xi = pm.Pconst / cfg.xi
-    a = de.psi0 * (1.0 + de.m0) ** 2 * pm.n0
-    f = lambda p: _stationarity_rzf(p, de, pm.n0, pconst_over_xi)
+    g = de.m0 ** 2 / de.psi0
+    a = (1.0 + de.m0) ** 2 * pm.n0
+    f = lambda p: _stationarity_rzf(p, g, a, pconst_over_xi)
 
-    scale = max(a / de.m0 ** 2, pconst_over_xi)
+    scale = max(a / g, pconst_over_xi)
     lo = scale * 1e-12
     for _ in range(100):
         if f(lo) < 0.0:
@@ -124,7 +124,7 @@ class SaturationBand:
 
 def interpolate(gamma_lb: float, gamma_ub: float, gamma_rzf: float,
                 beta: float, p_lb: float, p_ub: float,
-                p_rzf: float = math.nan) -> SaturationBand:
+                p_rzf: float) -> SaturationBand:
     """Place the operating power inside [p_lb, p_ub].
 
     The estimate beta * gamma_rzf of the optimal efficiency is compared

@@ -4,11 +4,12 @@ None of these is reached by the command line, so they live beside the
 tests rather than in the package.
 """
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from saturee import beamform, channel, optim
-from saturee.asympt import DetEquivParams, sinr_mrt_asymptotic
+from saturee.asympt import sinr_mrt_asymptotic
 from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, total_power,
                               watt_to_dbm)
@@ -75,7 +76,7 @@ def rescale_tau(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
 
 
 def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
-                        ridge: float, tol: float, b0: np.ndarray):
+                        ridge: float, b0: np.ndarray):
     """The WMMSE block descent of ``optim._iterate`` with the link
     statistics taken afresh at the top of every iterate.  Returns the
     last beamformers and the objective history."""
@@ -88,7 +89,8 @@ def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
         obj = (float(np.sum(np.log1p(sinr)))
                - ridge * float(np.sum(np.abs(b) ** 2)))
         history.append(obj)
-        if it > 0 and abs(obj - history[-2]) <= tol * max(1.0, abs(obj)):
+        if (it > 0 and abs(obj - history[-2])
+                <= optim._TOL * max(1.0, abs(obj))):
             break
         if it == optim._MAX_ITER:
             break
@@ -108,16 +110,38 @@ def ee_mrt_asymptotic(p, cfg: SystemConfig):
     return rate / total_power(p, pm, cfg.xi)
 
 
+def det_equiv_rzf_decimal(m: int, n: int, alpha: float):
+    """m0, gamma0 and psi0 of the RZF deterministic equivalents in
+    50-digit decimal arithmetic, each as its defining formula reads.
+
+    m0 is the quadratic formula's root (-b + sqrt(b^2 + 4 alpha)) /
+    (2 alpha) of alpha m^2 + b m - 1 = 0, b = alpha + N / M - 1, and with
+    m2 = m0^2 / (1 - c m0^2 / (1 + m0)^2), gamma0 = m0 - alpha m2 and
+    psi0 = c m2 / (1 + m0)^2.  Those subtractions cancel up to about 35
+    digits over loadings from 1e-30 to 1e6 and up to 256 users or
+    antennas, which 50 digits absorb.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(alpha)
+        c = Decimal(n) / Decimal(m)
+        b = a + c - 1
+        m0 = (-b + (b * b + 4 * a).sqrt()) / (2 * a)
+        m2 = m0 * m0 / (1 - c * m0 * m0 / (1 + m0) ** 2)
+        return float(m0), float(m0 - a * m2), float(c * m2 / (1 + m0) ** 2)
+
+
 def det_equiv_rzf_empirical(cfg: SystemConfig, alpha: float, size: int = 256,
-                            seed: int = 0) -> DetEquivParams:
-    """Estimate the RZF deterministic-equivalent constants from one large
-    channel realization.
+                            seed: int = 0) -> tuple[float, float, float]:
+    """Estimate the RZF deterministic-equivalent constants m0, gamma0 and
+    psi0 from one large channel realization.
 
     Keeps the user-to-antenna ratio of cfg but blows the dimensions up to
     `size` antennas; measures the resolvent trace, the mean signal gain
     and the mean interference gain of actual RZF directions, then inverts
     the limiting relations.  Serves as the independent check on
-    :func:`saturee.asympt.det_equiv_rzf`.
+    :func:`saturee.asympt.det_equiv_rzf`, whose interference coefficient
+    is psi0 by an identity this estimate does not assume.
     """
     if not alpha > 0.0:
         raise ValueError(f"loading must be positive, got {alpha}")
@@ -137,4 +161,4 @@ def det_equiv_rzf_empirical(cfg: SystemConfig, alpha: float, size: int = 256,
     m2_hat = mb * m_hat * m_hat / sig
     gamma_hat = interf * m_hat * m_hat / sig
     psi_hat = ratio * m2_hat / (1.0 + m_hat) ** 2
-    return DetEquivParams(m0=m_hat, gamma0=gamma_hat, psi0=psi_hat)
+    return m_hat, gamma_hat, psi_hat

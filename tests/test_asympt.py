@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saturee import asympt, beamform, channel, optim
 from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import SystemConfig, derive_power_model
 
-from oracles import det_equiv_rzf_empirical, ee_mrt_asymptotic
+from oracles import (det_equiv_rzf_decimal, det_equiv_rzf_empirical,
+                     ee_mrt_asymptotic)
 
 
 def _norm_cfg(m, n):
@@ -164,7 +165,7 @@ def test_fixed_point_residual():
         c = n / m
         g = 1.0 / (alpha + c / (1.0 + de.m0))
         assert abs(de.m0 - g) <= 1e-9 * max(1.0, de.m0)
-        assert de.gamma0 > 0.0 and de.psi0 > 0.0
+        assert de.psi0 > 0.0
 
 
 def test_det_equiv_rejects_bad_loading(cfg3):
@@ -175,16 +176,18 @@ def test_det_equiv_rejects_bad_loading(cfg3):
 
 
 def test_analytic_matches_empirical_backend(cfg3):
-    """The fixed-point constants agree with estimates measured on one
-    256-antenna realization."""
+    """The closed-form constants agree with estimates measured on one
+    256-antenna realization; the measured interference coefficient
+    matches psi0, as the identity gamma0 = psi0 says."""
     for alpha in (0.3, 1.0, 3.0):
         da = asympt.det_equiv_rzf(cfg3, alpha)
-        dem = det_equiv_rzf_empirical(cfg3, alpha, size=256, seed=0)
-        assert dem.m0 == pytest.approx(da.m0, rel=0.02)
-        assert dem.gamma0 == pytest.approx(da.gamma0, rel=0.02)
-        assert dem.psi0 == pytest.approx(da.psi0, rel=0.02)
+        m_hat, gamma_hat, psi_hat = det_equiv_rzf_empirical(
+            cfg3, alpha, size=256, seed=0)
+        assert m_hat == pytest.approx(da.m0, rel=0.02)
+        assert gamma_hat == pytest.approx(da.psi0, rel=0.02)
+        assert psi_hat == pytest.approx(da.psi0, rel=0.02)
         s_a = asympt.sinr_rzf_asymptotic(1.0, da, 1.0)
-        s_e = asympt.sinr_rzf_asymptotic(1.0, dem, 1.0)
+        s_e = m_hat ** 2 / (gamma_hat + psi_hat * (1.0 + m_hat) ** 2)
         assert s_e == pytest.approx(s_a, rel=0.02)
 
 
@@ -214,11 +217,20 @@ def test_ee_rzf_tops_mrt_at_high_power(cfg3):
 
 
 @settings(max_examples=40)
-@given(st.integers(min_value=1, max_value=12),
-       st.integers(min_value=1, max_value=12),
-       st.floats(min_value=1e-3, max_value=1e3))
+@given(st.integers(min_value=1, max_value=256),
+       st.integers(min_value=1, max_value=256),
+       st.floats(min_value=1e-30, max_value=1e6))
+# the loadings of a 64x65 cell at 50 dBm and a 16x1 cell at 42 dBm, and
+# a square cell whose loading vanishes beside 1 in alpha + c
+@example(64, 65, 4.05e-15)
+@example(16, 1, 1.5736567647427118e-15)
+@example(64, 64, 1e-15)
 def test_det_equiv_positive_and_certified(m, n, alpha):
     de = asympt.det_equiv_rzf(SystemConfig(M=m, N=n), alpha)
-    assert de.m0 > 0.0 and de.gamma0 > 0.0 and de.psi0 > 0.0
+    assert de.m0 > 0.0 and de.psi0 > 0.0
     g = 1.0 / (alpha + n / m / (1.0 + de.m0))
     assert abs(de.m0 - g) <= 1e-9 * max(1.0, de.m0)
+    m0, gamma0, psi0 = det_equiv_rzf_decimal(m, n, alpha)
+    assert de.m0 == pytest.approx(m0, rel=1e-12)
+    assert de.psi0 == pytest.approx(psi0, rel=1e-12)
+    assert de.psi0 == pytest.approx(gamma0, rel=1e-12)

@@ -350,6 +350,16 @@ def test_cli_compare_reads_the_top_budget_alone(dbm, code, capsys):
         assert "budget: -20.00 dBm" in captured.out
 
 
+def test_cli_sweep_massive_cell(tmp_path, capsys):
+    """sweep on a 64-antenna, 4-user cell over the default grid exits 0:
+    its RZF loadings fall near 1e-15, where the deterministic
+    equivalents must stay positive and certified."""
+    cfg = tmp_path / "cell.json"
+    cfg.write_text('{"M": 64, "N": 4}')
+    assert cli.main(["sweep", "--config", str(cfg), "--trials", "1"]) == 0
+    assert capsys.readouterr().out.count("rzf_asym,") == 29
+
+
 def test_cli_reaches_every_function(capsys):
     """Each def in the package is entered by one of the five subcommands:
     code that only the tests call belongs beside them, in tests/oracles.py."""

@@ -251,9 +251,8 @@ def test_iterate_matches_recomputing_reference(n, m):
         b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
             * math.sqrt(p / n)
         for ridge in (0.0, 1e-3 * n / p, n / p):
-            run = optim._iterate(h, pm.n0, p, ridge, optim._TOL, b0)
-            b_ref, hist = iterate_recomputing(h, pm.n0, p, ridge,
-                                              optim._TOL, b0)
+            run = optim._iterate(h, pm.n0, p, ridge, b0)
+            b_ref, hist = iterate_recomputing(h, pm.n0, p, ridge, b0)
             assert run.state.iteration == len(hist) - 1
             np.testing.assert_allclose(run.objective_history, hist,
                                        rtol=1e-12, atol=0.0)
@@ -263,21 +262,21 @@ def test_iterate_matches_recomputing_reference(n, m):
         lam, b = 0.0, b0
         for want in res.lambda_history:
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0)
-            b, _ = iterate_recomputing(h, pm.n0, p, lam * cfg.xi,
-                                       optim._TOL, b)
+            b, _ = iterate_recomputing(h, pm.n0, p, lam * cfg.xi, b)
             rate = beamform.sum_rate(beamform.sinr(h, b, pm.n0))
             lam = rate / total_power(float(np.sum(np.abs(b) ** 2)), pm,
                                      cfg.xi)
         assert res.lambda_star == pytest.approx(lam, rel=1e-12, abs=0.0)
 
 
-def test_wmmse_orthogonal_matches_power_filling():
+def test_wmmse_orthogonal_matches_power_filling(monkeypatch):
     """Orthogonal users decouple into a scalar power split; compare the
     achieved sum rate against a dense scan of that split."""
+    monkeypatch.setattr(optim, "_TOL", 1e-10)
     cfg = normalized_config(2, 2, 13.0)
     h = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
     budget = 2.0
-    res = optim.wmmse(h, cfg, budget, tol=1e-10)
+    res = optim.wmmse(h, cfg, budget)
     p1 = np.linspace(0.0, budget, 100001)
     grid_best = float(np.max(np.log1p(4.0 * p1) + np.log1p(budget - p1)))
     assert res.sum_rate >= grid_best - 1e-6
@@ -352,9 +351,10 @@ def test_dinkelbach_structure(cfg3):
         assert float(np.sum(np.abs(res.b) ** 2)) <= budget * (1.0 + 1e-10)
 
 
-def test_dinkelbach_single_user_closed_form():
+def test_dinkelbach_single_user_closed_form(monkeypatch):
     """One user admits an explicit efficiency-optimal power; the
     fractional program must land on it."""
+    monkeypatch.setattr(optim, "_DELTA", 1e-6)
     cfg = SystemConfig(M=4, N=1)
     pm = derive_power_model(cfg)
     for trial in range(12):
@@ -365,7 +365,7 @@ def test_dinkelbach_single_user_closed_form():
             1.0 + lambert_w0((t - 1.0) / math.e)) - 1.0)
         ee_star = math.log1p(g * p_star / pm.n0) / (
             cfg.xi * p_star + pm.Pconst)
-        res = optim.dinkelbach_ee(h, cfg, 100.0 * p_star, delta=1e-6)
+        res = optim.dinkelbach_ee(h, cfg, 100.0 * p_star)
         assert res.converged
         assert float(np.sum(np.abs(res.b) ** 2)) == pytest.approx(p_star,
                                                                   rel=1e-4)

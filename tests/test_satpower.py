@@ -152,12 +152,13 @@ def test_closed_forms_match_direct_maximization(cfg3, cfg_high):
 
 def _stationarity(p, de, n0, pconst_over_xi):
     """The sign function whose root is the RZF saturation power,
-    restated here from the deterministic-equivalent parameters."""
+    restated here from the deterministic-equivalent parameters, on the
+    curve m0^2 P / (gamma0 P + psi0 (1 + m0)^2 n0) with gamma0 = psi0."""
     m2 = de.m0 ** 2
     a = de.psi0 * (1.0 + de.m0) ** 2 * n0
     num = m2 * a * (p + pconst_over_xi)
-    den = ((m2 + de.gamma0) * p + a) * (de.gamma0 * p + a)
-    return math.log1p(m2 * p / (de.gamma0 * p + a)) - num / den
+    den = ((m2 + de.psi0) * p + a) * (de.psi0 * p + a)
+    return math.log1p(m2 * p / (de.psi0 * p + a)) - num / den
 
 
 def test_p_rzf_root_and_monotone(cfg3):
@@ -183,31 +184,33 @@ def test_p_rzf_matches_direct_maximization(cfg3):
 # -------------------------------------------------------- interpolation
 
 def test_interpolate_endpoints():
-    band = satpower.interpolate(1.0, 3.0, 3.0 / 1.0, 1.0, 1e-13, 1e-8)
+    band = satpower.interpolate(1.0, 3.0, 3.0 / 1.0, 1.0, 1e-13, 1e-8,
+                                math.nan)
     assert band.omega == 0.0 and band.p_prop == 1e-8  # estimate at the top
-    band = satpower.interpolate(1.0, 3.0, 2.0, 1.0, 1e-13, 1e-8)
+    band = satpower.interpolate(1.0, 3.0, 2.0, 1.0, 1e-13, 1e-8, math.nan)
     assert band.omega == pytest.approx(0.5, rel=1e-12)  # midpoint estimate
     assert band.p_prop == pytest.approx(0.5e-13 + 0.5e-8, rel=1e-12)
-    band = satpower.interpolate(1.0, 3.0, 1.0, 1.0 + 1e-12, 1e-13, 1e-8)
+    band = satpower.interpolate(1.0, 3.0, 1.0, 1.0 + 1e-12, 1e-13, 1e-8,
+                                math.nan)
     assert band.omega == pytest.approx(1.0, abs=1e-9)  # estimate at the floor
 
 
 def test_interpolate_clamps():
-    band = satpower.interpolate(1.0, 3.0, 4.0, 1.3, 1e-13, 1e-8)
+    band = satpower.interpolate(1.0, 3.0, 4.0, 1.3, 1e-13, 1e-8, math.nan)
     assert band.omega == 0.0 and band.p_prop == 1e-8
-    band = satpower.interpolate(1.0, 3.0, 0.5, 1.3, 1e-13, 1e-8)
+    band = satpower.interpolate(1.0, 3.0, 0.5, 1.3, 1e-13, 1e-8, math.nan)
     assert band.omega == 1.0 and band.p_prop == 1e-13
 
 
 def test_interpolate_rejects_bad_bands():
     with pytest.raises(ValueError):
-        satpower.interpolate(3.0, 1.0, 2.0, 1.3, 1e-13, 1e-8)
+        satpower.interpolate(3.0, 1.0, 2.0, 1.3, 1e-13, 1e-8, math.nan)
     with pytest.raises(ValueError):
-        satpower.interpolate(1.0, 3.0, 2.0, 1.3, 1e-8, 1e-13)
+        satpower.interpolate(1.0, 3.0, 2.0, 1.3, 1e-8, 1e-13, math.nan)
     with pytest.raises(ValueError):
-        satpower.interpolate(1.0, 3.0, 2.0, -1.0, 1e-13, 1e-8)
+        satpower.interpolate(1.0, 3.0, 2.0, -1.0, 1e-13, 1e-8, math.nan)
     with pytest.raises(ValueError):
-        satpower.interpolate(0.0, 3.0, 2.0, 1.3, 1e-13, 1e-8)
+        satpower.interpolate(0.0, 3.0, 2.0, 1.3, 1e-13, 1e-8, math.nan)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),
@@ -218,7 +221,8 @@ def test_interpolate_rejects_bad_bands():
 def test_interpolate_invariants(g_lb, spread, frac, p_low, p_ratio):
     g_ub = g_lb * spread
     est = g_lb + frac * (g_ub - g_lb)
-    band = satpower.interpolate(g_lb, g_ub, est, 1.0, p_low, p_low * p_ratio)
+    band = satpower.interpolate(g_lb, g_ub, est, 1.0, p_low, p_low * p_ratio,
+                                math.nan)
     assert 0.0 <= band.omega <= 1.0
     assert band.p_lb <= band.p_prop <= band.p_ub
     gap = (g_ub - band.gamma_se_est) / (band.gamma_se_est - g_lb)
@@ -262,16 +266,26 @@ def test_compute_band_beta_knob(cfg3):
     assert high.p_prop > low.p_prop
 
 
-@pytest.mark.parametrize("M, N", [(2, 8), (1, 4), (3, 3), (32, 2), (64, 4)])
+@pytest.mark.parametrize("M, N", [(2, 8), (1, 4), (3, 3), (32, 2), (64, 4),
+                                  (64, 1), (64, 65)])
 def test_wide_configuration_range(M, N):
     """Overloaded (M < N) and massive (M >> N) cells, amplifier
     inefficiency up to 4 and circuit powers from 0 to 70 dBm: the band
-    stays ordered, the one-shot solve stays within its power and every
-    SINR is finite, below, at and far above the operating power."""
+    stays ordered, the deterministic RZF curve is finite and positive at
+    every budget of the default grid, the one-shot solve stays within
+    its power and every SINR is finite, below, at and far above the
+    operating power."""
+    grid = harness.dbm_grid(harness.ExperimentSpec(kind="sweep"))
+    rzf_asym = harness.SCHEMES["rzf_asym"][1]
     for xi, pc, po in itertools.product(
             (1.0, 2.5, 4.0), (0.0, 30.0, 70.0), (0.0, 40.0, 70.0)):
         cfg = SystemConfig(M=M, N=N, xi=xi, Pc_prime_dbm=pc, Po_prime_dbm=po)
-        n0 = derive_power_model(cfg).n0
+        pm = derive_power_model(cfg)
+        n0 = pm.n0
+        cell = harness._Cell(cfg=cfg, pm=pm)
+        for dbm in grid:
+            rate, _ = rzf_asym(cell, transmit_power_from_dbm(dbm, cfg))
+            assert math.isfinite(rate) and rate > 0.0, (cfg, dbm)
         band = satpower.compute_band(cfg)
         assert band.p_lb <= band.p_prop <= band.p_ub, cfg
         h = channel.generate(cfg, 9, 0)
