@@ -153,12 +153,30 @@ def _proposed(cell: _Cell, h):
     return at
 
 
+# A baseline solution whose sum power sits this far below its budget leaves
+# power unused; the solver lands binding ones within optim._POWER_RTOL.
+_SLACK_RTOL = 1e-6
+
+
 def _baseline(cell: _Cell, h):
-    # A Dinkelbach result carries no sum rate or power; score its beamformers.
+    # Past saturation the efficient beamformers stop using extra power: a
+    # solution that leaves its budget slack is a KKT point of every larger
+    # budget, so it answers for them without a solve.  Smaller budgets are
+    # still solved, whatever order the budgets come in.
+    slack: tuple[float, tuple[float, float]] | None = None
+
     def at(p):
+        nonlocal slack
+        if slack is not None and p >= slack[0]:
+            return slack[1]
+        # A Dinkelbach result carries no sum rate or power; score its
+        # beamformers.
         b = optim.dinkelbach_ee(h, cell.cfg, p).b
-        return (beamform.sum_rate(beamform.sinr(h, b, cell.pm.n0)),
-                float(np.sum(np.abs(b) ** 2)))
+        point = (beamform.sum_rate(beamform.sinr(h, b, cell.pm.n0)),
+                 float(np.sum(np.abs(b) ** 2)))
+        if point[1] < p * (1.0 - _SLACK_RTOL):
+            slack = p, point
+        return point
     return at
 
 

@@ -247,8 +247,8 @@ def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
     Starts from equal-power maximum-ratio beamformers (or the given
     beamformer matrix) and stops when the relative objective change
     drops below _TOL.  The returned objective history is nondecreasing up
-    to rounding; if the iteration cap runs out first the best iterate so
-    far is returned with converged = False.
+    to rounding; if the iteration cap runs out first the last iterate is
+    returned with converged = False.
     """
     if not p_budget > 0.0:
         raise ValueError(f"power budget must be positive, got {p_budget}")

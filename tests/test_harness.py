@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import saturee
-from saturee import cli, harness, satpower
+from saturee import beamform, channel, cli, harness, optim, satpower
 from saturee.harness import CSV_HEADER, EePoint, ExperimentSpec
-from saturee.sysmodel import load_config, transmit_power_from_dbm
+from saturee.sysmodel import (derive_power_model, load_config,
+                              transmit_power_from_dbm)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT_CONFIG = str(CONFIG_DIR / "default.json")
@@ -206,6 +207,104 @@ def test_sweep_proposed_flat_above_p_prop(monkeypatch):
             above[0].sum_rate, above[0].ee, above[0].stderr)
     below = len(rows) - len(above)
     assert len(solved_at) == spec.trials * (below + 1)
+
+
+def _slack(p_sum, budget):
+    return p_sum < budget * (1.0 - harness._SLACK_RTOL)
+
+
+def _cold_baseline(cell, h, p):
+    """One Dinkelbach solve scored as the harness scores it."""
+    b = optim.dinkelbach_ee(h, cell.cfg, p).b
+    return harness._evaluate(
+        cell, beamform.sum_rate(beamform.sinr(h, b, cell.pm.n0)),
+        float(np.sum(np.abs(b) ** 2)))
+
+
+def test_sweep_baseline_flat_past_first_slack_budget(monkeypatch):
+    """A baseline solution that leaves its budget slack answers for every
+    larger budget of its draw: each draw solves the budgets up to and
+    including its first slack one, the rows agree exactly from there on,
+    and a smaller budget asked for later still gets a fresh solve."""
+    cfg = load_config(DEFAULT_CONFIG)
+    solve = optim.dinkelbach_ee
+    solved = []
+
+    def counted(h, cfg, p):
+        res = solve(h, cfg, p)
+        solved.append((p, _slack(float(np.sum(np.abs(res.b) ** 2)), p)))
+        return res
+
+    monkeypatch.setattr(optim, "dinkelbach_ee", counted)
+    spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
+                          pmin_dbm=20.0, pmax_dbm=34.0, pstep_db=2.0,
+                          trials=2, seed=4)
+    p_list = [transmit_power_from_dbm(d, cfg) for d in harness.dbm_grid(spec)]
+    rows = [r for r in harness.run_sweep(spec) if r.scheme == "baseline"]
+    # Calls run draw by draw in increasing budget order; each draw's run
+    # ends at its first slack solution.
+    draws, run = [], []
+    for p, slack in solved:
+        run.append(p)
+        if slack:
+            draws.append(run)
+            run = []
+    assert run == [] and len(draws) == spec.trials
+    for budgets in draws:
+        assert budgets == p_list[:len(budgets)]
+    first = max(len(budgets) for budgets in draws) - 1
+    assert 1 <= first < len(rows) - 2
+    for row in rows[first + 1:]:
+        assert (row.sum_rate, row.total_power, row.ee, row.stderr) == (
+            rows[first].sum_rate, rows[first].total_power, rows[first].ee,
+            rows[first].stderr)
+
+    cell = harness._Cell(cfg, derive_power_model(cfg))
+    h = channel.generate(cfg, spec.seed, 0)
+    at = harness._baseline(cell, h)
+    solved.clear()
+    kept = at(p_list[-2])
+    assert [s for _, s in solved] == [True]
+    assert at(p_list[-1]) == kept and at(p_list[-2]) == kept
+    assert len(solved) == 1
+    low = at(p_list[0])
+    assert solved[1:] == [(p_list[0], False)]
+    assert at(p_list[-1]) == kept and len(solved) == 2
+    assert harness._evaluate(cell, *low) == _cold_baseline(cell, h, p_list[0])
+
+
+@pytest.mark.parametrize("name", ["default", "high_power"])
+def test_baseline_reuse_matches_cold_solves(name, monkeypatch):
+    """Every budget the baseline answers from a slack solution agrees
+    with a cold solve there: the efficiency to 1e-9 and the sum rate to
+    1e-5 relative (the operating point slides along a flat ridge)."""
+    cfg = load_config(str(CONFIG_DIR / f"{name}.json"))
+    cell = harness._Cell(cfg, derive_power_model(cfg))
+    p_list = [transmit_power_from_dbm(d, cfg)
+              for d in harness.dbm_grid(ExperimentSpec(kind="sweep"))]
+    solve = optim.dinkelbach_ee
+    solved = []
+
+    def counted(h, cfg, p):
+        solved.append(p)
+        return solve(h, cfg, p)
+
+    reused = 0
+    for trial in range(4):
+        h = channel.generate(cfg, 7, trial)
+        monkeypatch.setattr(optim, "dinkelbach_ee", counted)
+        at = harness._baseline(cell, h)
+        solved.clear()
+        points = [harness._evaluate(cell, *at(p)) for p in p_list]
+        monkeypatch.undo()
+        for p, (rate, _, ee) in zip(p_list, points):
+            if p in solved:
+                continue
+            reused += 1
+            cold_rate, _, cold_ee = _cold_baseline(cell, h, p)
+            assert ee == pytest.approx(cold_ee, rel=1e-9, abs=0.0)
+            assert rate == pytest.approx(cold_rate, rel=1e-5, abs=0.0)
+    assert reused > 0
 
 
 def test_run_compare_report():
