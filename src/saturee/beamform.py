@@ -2,7 +2,9 @@
 
 The channel h and a beamformer matrix b are both (N, M): row k of h is
 user k's channel, row k of b user k's beamformer and |b_k|^2 the power
-density in W/Hz radiated for that user.
+density in W/Hz radiated for that user.  Every function also takes
+stacks of them, with leading axes in front of (N, M), and treats each
+matrix of a stack exactly as it treats a single one, to the last bit.
 """
 from __future__ import annotations
 
@@ -13,35 +15,39 @@ from .sysmodel import SystemConfig, derive_power_model
 
 def mrt(h: np.ndarray) -> np.ndarray:
     """Maximum ratio directions, v_k = h_k / ||h_k||."""
-    norms = np.linalg.norm(h, axis=1)
+    norms = np.linalg.norm(h, axis=-1)
     if np.any(norms == 0.0):
         raise ValueError("degenerate channel: some user has a zero vector")
-    return h / norms[:, None]
+    return h / norms[..., None]
 
 
-def rzf(h: np.ndarray, alpha: float) -> np.ndarray:
-    """Regularized zero-forcing directions, alpha > 0 the loading factor.
+def rzf(h: np.ndarray, alpha) -> np.ndarray:
+    """Regularized zero-forcing directions, alpha > 0 the loading factor:
+    one float, or one per matrix of a stack h.
 
     Row k of H (N, M) is user k's channel and v_k the normalized column k
     of (H^T H* + M alpha I_M)^-1 H^T = H^T (H* H^T + M alpha I_N)^-1 (the
     push-through identity), so the rows of V solve the N x N user-dimension
     system (H H^H + M alpha I_N) V = H instead of an M x M one.
     """
-    if not alpha > 0.0:
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(alpha > 0.0):
         raise ValueError(f"rzf loading must be positive, got {alpha}")
-    n, m = h.shape
-    gram = h @ h.conj().T                     # [k, j] = h_k^T h_j^*, (N, N)
-    gram.flat[::n + 1] += m * alpha
+    n, m = h.shape[-2:]
+    gram = h @ np.swapaxes(h.conj(), -1, -2)  # [k, j] = h_k^T h_j^*, (N, N)
+    diag = np.arange(n)
+    gram[..., diag, diag] += (m * alpha)[..., None]
     dirs = np.linalg.solve(gram, h)
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = np.linalg.norm(dirs, axis=-1)
     if not norms.all():
         raise ValueError("degenerate channel: regularized directions collapsed")
-    return dirs / norms[:, None]
+    return dirs / norms[..., None]
 
 
-def mmse_loading_alpha(cfg: SystemConfig, p: float) -> float:
-    """MMSE-style loading N / (M rho) with rho = p / n0."""
-    if not p > 0.0:
+def mmse_loading_alpha(cfg: SystemConfig, p):
+    """MMSE-style loading N / (M rho) with rho = p / n0, for one power or
+    an array of them."""
+    if not np.all(np.greater(p, 0.0)):
         raise ValueError(f"transmit power must be positive, got {p}")
     pm = derive_power_model(cfg)
     return cfg.N * pm.n0 / (cfg.M * p)
@@ -57,12 +63,13 @@ def link_gains(h: np.ndarray, b: np.ndarray):
     cancel catastrophically near zero-forcing points, where the leakage
     sits ten or more orders below the signal.
     """
-    cross = h.conj() @ b.T                    # [k, j] = h_k^H b_j
-    d = cross.diagonal().copy()
+    cross = h.conj() @ np.swapaxes(b, -1, -2)  # [k, j] = h_k^H b_j
+    d = np.diagonal(cross, axis1=-2, axis2=-1).copy()
     gains = np.abs(cross) ** 2
-    sig = gains.diagonal().copy()
-    np.fill_diagonal(gains, 0.0)
-    return d, sig, gains.sum(axis=1)
+    sig = np.diagonal(gains, axis1=-2, axis2=-1).copy()
+    diag = np.arange(gains.shape[-1])
+    gains[..., diag, diag] = 0.0
+    return d, sig, gains.sum(axis=-1)
 
 
 def sinr(h: np.ndarray, b: np.ndarray, n0: float) -> np.ndarray:
@@ -71,7 +78,9 @@ def sinr(h: np.ndarray, b: np.ndarray, n0: float) -> np.ndarray:
     return sig / (inter + n0)
 
 
-def sum_rate(sinrs: np.ndarray) -> float:
-    """Sum of log(1 + SINR_k), nat/s/Hz."""
-    return float(np.log1p(sinrs).sum())
+def sum_rate(sinrs: np.ndarray):
+    """Sum of log(1 + SINR_k), nat/s/Hz: a float for one set of users, an
+    array over the leading axes of a stack."""
+    rate = np.log1p(sinrs).sum(axis=-1)
+    return float(rate) if rate.ndim == 0 else rate
 

@@ -3,7 +3,9 @@
 Every runner is a budget grid times a list of schemes from one table,
 scored by one evaluator.  Per-trial randomness is keyed by (seed, trial
 index), and aggregation always walks the trials in index order, so the
-emitted CSV bytes do not depend on how many workers computed them.
+emitted CSV bytes do not depend on how many workers computed them.  The
+solvers give every entry of a stacked call the bits of a single solve,
+so the bytes do not depend on how many draws one call stacks either.
 """
 from __future__ import annotations
 
@@ -115,42 +117,49 @@ class _Cell:
     band: SaturationBand | None = None
 
 
-def _evaluate(cell: _Cell, rate: float, p_sum: float) -> tuple[float, float, float]:
-    """Sum rate, consumed power and efficiency of one operating point."""
+def _evaluate(cell: _Cell, rate, p_sum):
+    """Sum rate, consumed power and efficiency of one operating point, or
+    of arrays of them."""
     consumed = total_power(p_sum, cell.pm, cell.cfg.xi)
     return rate, consumed, rate / consumed
 
 
-# A Monte Carlo scheme binds to one channel draw and returns a function of
-# the budget; a closed form is a function of the budget alone.  Both give
-# (sum rate, radiated power): the budget itself for equal power and the
-# closed forms, the beamformers' sum power for the solvers.
+# A Monte Carlo scheme takes a stack of channel draws h (T, N, M) and the
+# budgets p_list (B,) and gives (T, B) arrays of sum rate and radiated
+# power; a closed form is a function of one budget alone giving the pair.
+# The radiated power is the budget itself for equal power and the closed
+# forms, the beamformers' sum power for the solvers, which solve all
+# their (draw, budget) entries in one stacked call.
 
-def _mrt_mc(cell: _Cell, h):
-    dirs = beamform.mrt(h)
-    return lambda p: (beamform.sum_rate(beamform.sinr(
-        h, dirs * math.sqrt(p / cell.cfg.N), cell.pm.n0)), p)
+def _each_budget(h, p_list):
+    """Every (draw, budget) pair as one stack entry, draw-major."""
+    return np.repeat(h, p_list.size, axis=0), np.tile(p_list, len(h))
 
 
-def _noiui_mc(cell: _Cell, h):
+def _mrt_mc(cell: _Cell, h, p_list):
+    dirs = beamform.mrt(h)[:, None]
+    b = dirs * np.sqrt(p_list / cell.cfg.N)[:, None, None]
+    rate = beamform.sum_rate(beamform.sinr(h[:, None], b, cell.pm.n0))
+    return rate, np.broadcast_to(p_list, rate.shape)
+
+
+def _noiui_mc(cell: _Cell, h, p_list):
     """Equal power with the interference removed by a genie."""
-    norms2 = np.sum(np.abs(h) ** 2, axis=1)
-    return lambda p: (float(np.sum(np.log1p(
-        norms2 * (p / cell.cfg.N) / cell.pm.n0))), p)
+    norms2 = np.sum(np.abs(h) ** 2, axis=-1)[:, None]
+    rate = np.sum(np.log1p(
+        norms2 * (p_list / cell.cfg.N)[:, None] / cell.pm.n0), axis=-1)
+    return rate, np.broadcast_to(p_list, rate.shape)
 
 
-def _proposed(cell: _Cell, h):
+def _proposed(cell: _Cell, h, p_list):
     # The scheme reads the budget only through min(p_prop, budget), so all
     # budgets at or above p_prop share one solve per draw.
-    solves: dict[float, tuple[float, float]] = {}
-
-    def at(p):
-        p_op = min(cell.band.p_prop, p)
-        if p_op not in solves:
-            res = satpower.proposed_scheme(h, cell.cfg, p_op, cell.band)
-            solves[p_op] = res.sum_rate, res.p_sum
-        return solves[p_op]
-    return at
+    p_ops, at = np.unique(np.minimum(cell.band.p_prop, p_list),
+                          return_inverse=True)
+    hs, budgets = _each_budget(h, p_ops)
+    res = satpower.proposed_scheme(hs, cell.cfg, budgets, cell.band)
+    shape = (len(h), p_ops.size)
+    return res.sum_rate.reshape(shape)[:, at], res.p_sum.reshape(shape)[:, at]
 
 
 # A baseline solution whose sum power sits this far below its budget leaves
@@ -158,33 +167,54 @@ def _proposed(cell: _Cell, h):
 _SLACK_RTOL = 1e-6
 
 
-def _baseline(cell: _Cell, h):
+def _baseline(cell: _Cell, h, p_list):
     # Past saturation the efficient beamformers stop using extra power: a
     # solution that leaves its budget slack is a KKT point of every larger
-    # budget, so it answers for them without a solve.  Smaller budgets are
-    # still solved, whatever order the budgets come in.
-    slack: tuple[float, tuple[float, float]] | None = None
-
-    def at(p):
-        nonlocal slack
-        if slack is not None and p >= slack[0]:
-            return slack[1]
+    # budget, so each draw solves its budgets in increasing order up to
+    # the first slack one, which answers for all larger budgets.
+    #
+    # The solves run in waves.  The first takes each draw's budgets up to
+    # the first above p_ub, where slack solutions set in; each later wave
+    # takes the next budget of every draw without a slack solution yet.
+    # Solutions past a draw's first slack budget are dropped, so the rows
+    # do not depend on the waves.
+    order = np.argsort(p_list, kind="stable")
+    budgets = p_list[order]
+    rate = np.empty((len(h), budgets.size))
+    power = np.empty_like(rate)
+    first = int(np.searchsorted(budgets, cell.band.p_ub, side="right"))
+    wave = {t: list(range(min(first + 1, budgets.size)))
+            for t in range(len(h))}
+    while wave:
+        draws = [t for t, ks in wave.items() for _ in ks]
+        ks = [k for ks in wave.values() for k in ks]
+        hs = h[draws]
+        res = optim.dinkelbach_ee(hs, cell.cfg, budgets[ks])
         # A Dinkelbach result carries no sum rate or power; score its
         # beamformers.
-        b = optim.dinkelbach_ee(h, cell.cfg, p).b
-        point = (beamform.sum_rate(beamform.sinr(h, b, cell.pm.n0)),
-                 float(np.sum(np.abs(b) ** 2)))
-        if point[1] < p * (1.0 - _SLACK_RTOL):
-            slack = p, point
-        return point
-    return at
+        rate[draws, ks] = beamform.sum_rate(
+            beamform.sinr(hs, res.b, cell.pm.n0))
+        power[draws, ks] = np.sum(np.abs(res.b) ** 2, axis=(-2, -1))
+        slack = power[draws, ks] < budgets[ks] * (1.0 - _SLACK_RTOL)
+        settled, wave = set(), {}
+        for t, k, stop in zip(draws, ks, slack.tolist()):
+            if t in settled:
+                continue
+            if stop:
+                rate[t, k + 1:], power[t, k + 1:] = rate[t, k], power[t, k]
+                settled.add(t)
+                wave.pop(t, None)
+            elif k + 1 < budgets.size:
+                wave[t] = [k + 1]
+    back = np.argsort(order)
+    return rate[:, back], power[:, back]
 
 
-def _se_mc(cell: _Cell, h):
-    def at(p):
-        res = optim.wmmse(h, cell.cfg, p)
-        return res.sum_rate, res.p_sum
-    return at
+def _se_mc(cell: _Cell, h, p_list):
+    hs, budgets = _each_budget(h, p_list)
+    res = optim.wmmse(hs, cell.cfg, budgets)
+    shape = (len(h), p_list.size)
+    return res.sum_rate.reshape(shape), res.p_sum.reshape(shape)
 
 
 def _rzf_asym(cell: _Cell, p):
@@ -211,18 +241,24 @@ SWEEP_SCHEMES = ("mrt_mc", "mrt_asym", "lb", "noiui_mc", "ub", "rzf_asym",
 TRADEOFF_SCHEMES = ("lb", "se_mc", "ub")
 
 
+# Draws whose entries one stacked call solves together: enough to share
+# numpy's per-call cost, few enough to bound memory on long runs.
+_DRAW_GROUP = 10
+
+
 def _trial_chunk(cell: _Cell, names: list[str], p_list, seed: int,
                  t0: int, t1: int) -> dict[str, np.ndarray]:
     """Per-trial (rate, efficiency) of the named Monte Carlo schemes for
     trials [t0, t1), as arrays of shape (trials, budgets, 2)."""
-    out = {name: np.empty((t1 - t0, len(p_list), 2)) for name in names}
-    for row, trial in enumerate(range(t0, t1)):
-        h = channel.generate(cell.cfg, seed, trial)
+    p_list = np.asarray(p_list, dtype=float)
+    out = {name: np.empty((t1 - t0, p_list.size, 2)) for name in names}
+    for g0 in range(t0, t1, _DRAW_GROUP):
+        g1 = min(g0 + _DRAW_GROUP, t1)
+        h = np.stack([channel.generate(cell.cfg, seed, trial)
+                      for trial in range(g0, g1)])
         for name in names:
-            at = SCHEMES[name][1](cell, h)
-            for ip, p in enumerate(p_list):
-                rate, _, ee = _evaluate(cell, *at(p))
-                out[name][row, ip] = (rate, ee)
+            rate, _, ee = _evaluate(cell, *SCHEMES[name][1](cell, h, p_list))
+            out[name][g0 - t0:g1 - t0] = np.stack((rate, ee), axis=-1)
     return out
 
 

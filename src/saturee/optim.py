@@ -4,6 +4,12 @@ The WMMSE block coordinate descent maximizes the downlink sum rate under
 a sum power constraint.  The Dinkelbach routine wraps it into a
 fractional program for energy efficiency and serves as the baseline the
 one-shot scheme is judged against.
+
+Both solve one problem, a channel h (N, M) and a budget, or a stack of
+them, h (E, N, M) with one budget or E.  Each entry of a stack follows
+the single problem's algorithm to the last bit, with its own stop, cap
+and Dinkelbach parameter, and leaves the stack when it finishes; the
+stack only shares numpy's per-call cost among the entries.
 """
 from __future__ import annotations
 
@@ -14,7 +20,8 @@ import numpy as np
 
 from .beamform import link_gains, mmse_loading_alpha, mrt, rzf
 from .scalar_opt import golden_section_max
-from .sysmodel import SystemConfig, derive_power_model, total_power
+from .sysmodel import (DerivedPowerModel, SystemConfig, derive_power_model,
+                       total_power)
 
 _POWER_RTOL = 1e-10
 # A power this little above the budget is rounding, not a binding
@@ -29,7 +36,8 @@ _MAX_OUTER = 100     # Dinkelbach parametric steps
 
 @dataclass
 class WmmseState:
-    """Where the block descent stopped: the number of beam steps taken."""
+    """Where the block descent stopped: the number of beam steps taken,
+    summed over the entries of a stack."""
 
     iteration: int
 
@@ -37,23 +45,31 @@ class WmmseState:
 @dataclass
 class WmmseResult:
     """Beamformer matrix b (N, M) of the last iterate, its sum rate and
-    sum power, and the objective after every iteration."""
+    sum power, and the objective after every iteration.
+
+    For a stack, b is (E, N, M) and sum_rate and p_sum have one value
+    per entry; converged holds only if every entry converged, and the
+    entries' objective histories are concatenated in entry order."""
 
     b: np.ndarray
     state: WmmseState
     converged: bool
-    sum_rate: float
-    p_sum: float
+    sum_rate: float | np.ndarray
+    p_sum: float | np.ndarray
     objective_history: np.ndarray
 
 
 @dataclass
 class DinkelbachResult:
     """Beamformer matrix b (N, M) of the last inner solve, its efficiency
-    lambda_star, and the parameter and F(lam) of every outer step."""
+    lambda_star, and the parameter and F(lam) of every outer step.
+
+    For a stack, b is (E, N, M) and lambda_star has one value per entry;
+    converged holds only if every entry converged, and the entries'
+    histories are concatenated in entry order."""
 
     b: np.ndarray
-    lambda_star: float
+    lambda_star: float | np.ndarray
     converged: bool
     lambda_history: np.ndarray
     f_history: np.ndarray
@@ -109,11 +125,12 @@ def _multiplier(r: np.ndarray, base: np.ndarray, budget: float) -> float:
     return hi
 
 
-def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
-               ridge: float) -> np.ndarray:
+def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget,
+               ridge) -> np.ndarray:
     """Beamformer update b_k = (sum_j w_j |u_j|^2 h_j h_j^H + (ridge + mu) I)^-1
     h_k u_k w_k with mu >= 0 the smallest multiplier keeping the sum power
-    within budget.
+    within budget.  Takes one problem, h (N, M) with a budget and ridge,
+    or a stack, h (E, N, M) with E of each.
 
     The weighted Gram matrix is never formed: near zero-forcing points
     the user weights span ten-plus orders, and squaring them into a Gram
@@ -124,28 +141,55 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
     Every factor there is well scaled, so no huge column ever multiplies
     a small basis error, and the power becomes a cheap rational function
     of mu, P(mu) = sum_i r_i / (lam_i + ridge + mu)^2, whose root
-    _multiplier finds by safeguarded Newton on scalars.
+    _multiplier finds by safeguarded Newton on scalars, entry by entry.
+
+    Entries are grouped by how many modes they keep, and each group runs
+    on arrays of exactly that width: summing over dropped modes as zeros
+    would move the last bits of the kept ones.  The result is the
+    transpose of an (E, M, N) array, the layout a single problem's
+    matrix product gives.
     """
+    if h.ndim == 2:
+        return _beam_step(h[None], u[None], w[None], [budget], [ridge])[0]
     absu = np.abs(u)
     coeff = w * absu ** 2
-    root = np.sqrt(coeff)[:, None] * h.conj()
+    root = h.conj()
+    root *= np.sqrt(coeff)[..., None]
     uu, s, vh = np.linalg.svd(root, full_matrices=False)
+    del root
+    lam = s * s
     # Dropped tail = rounding residue: the stack has exactly as many
     # genuine singular values as users carrying positive weight, and the
-    # right-hand side lies in their span.
-    rank = min(np.count_nonzero(coeff), s.size)
-    lam = s * s
-    while rank > 0 and lam[rank - 1] <= 1e-150:
-        # Modes of users fading to shutoff underflow when squared again
-        # inside the power function; they carry no recoverable signal.
-        rank -= 1
-    s, lam, uu, vh = s[:rank], lam[:rank], uu[:, :rank], vh[:rank]
+    # right-hand side lies in their span.  Modes of users fading to
+    # shutoff underflow when squared again inside the power function;
+    # they carry no recoverable signal either.
+    ranks = np.minimum(np.count_nonzero(coeff, axis=-1),
+                       np.count_nonzero(lam > 1e-150, axis=-1)).tolist()
     # u_k is exactly 0 where |u_k| is, so its phase comes out 0 there.
-    phase = u / np.where(absu > 0.0, absu, 1.0)
-    qt = s[:, None] * (uu.conj().T * (np.sqrt(w) * phase))
-    base = lam + ridge
-    mu = _multiplier(lam * (w @ (np.abs(uu) ** 2)), base, budget)
-    return (vh.conj().T @ (qt / (base + mu)[:, None])).T
+    gain = np.sqrt(w) * (u / np.where(absu > 0.0, absu, 1.0))
+    ridge = np.asarray(ridge, dtype=float)
+    np.conjugate(vh, out=vh)        # in place: vh is as large as h
+    groups: dict[int, list[int]] = {}
+    for j, rank in enumerate(ranks):
+        groups.setdefault(rank, []).append(j)
+    if len(groups) > 1:
+        bt = np.empty((len(ranks),) + h.shape[:0:-1], dtype=complex)
+    for rank, rows in groups.items():
+        sel = slice(None) if len(groups) == 1 else np.array(rows)
+        ug, vg = uu[sel][..., :rank], vh[sel][..., :rank, :]
+        sg, lg = s[sel][..., :rank], lam[sel][..., :rank]
+        qt = sg[..., None] * (np.swapaxes(ug.conj(), -1, -2)
+                              * gain[sel][..., None, :])
+        base = lg + ridge[sel][:, None]
+        r = lg * (w[sel][:, None, :] @ (np.abs(ug) ** 2))[:, 0, :]
+        mu = [_multiplier(r[i], base[i], budget[j])
+              for i, j in enumerate(rows)]
+        out = np.swapaxes(vg, -1, -2) @ (
+            qt / (base + np.array(mu)[:, None])[..., None])
+        if len(groups) == 1:
+            return np.swapaxes(out, -1, -2)
+        bt[sel] = out
+    return np.swapaxes(bt, -1, -2)
 
 
 def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
@@ -196,75 +240,198 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
     return tau
 
 
-def _iterate(h: np.ndarray, n0: float, budget: float, ridge: float,
-             b0: np.ndarray) -> WmmseResult:
-    """Shared block descent from b0.  ridge = lambda * xi regularizes the
-    beamformer step for the fractional inner problems; ridge = 0 gives
-    plain sum-rate maximization.
+def _stats(h: np.ndarray, b: np.ndarray):
+    """Link statistics of each entry's beamformers (see link_gains) and
+    their sum power, summed in each matrix's memory order as
+    np.sum(np.abs(b) ** 2) sums a single matrix."""
+    return (*link_gains(h, b), (np.abs(b) ** 2).sum(axis=(-2, -1)))
 
-    Each iterate takes its link statistics once: a power-scale step that
-    keeps tau = 1 leaves them as the beam step's output had them.
 
-    The objective history holds the sum rate minus ridge times sum
-    power, so just the sum rate when ridge is zero.
+@dataclass
+class _Descent:
+    """Per-entry outcome of :func:`_descend`: the last iterate b (E, N, M),
+    its sum rate and sum power, the beam steps, convergence flag and
+    objectives of the last inner descent, and the Dinkelbach parameter
+    and F(lam) of every outer step (empty for a plain descent)."""
+
+    b: np.ndarray
+    rate: list[float]
+    p_sum: list[float]
+    steps: list[int]
+    converged: list[bool]
+    history: list[list[float]]
+    lam: list[list[float]]
+    f: list[list[float]]
+
+
+def _descend(h: np.ndarray, n0: float, budget: list[float],
+             ridge: list[float], b: np.ndarray,
+             outer: tuple[DerivedPowerModel, float] | None = None
+             ) -> _Descent:
+    """Block descent of a stack of entries, channels h (E, N, M) from the
+    beamformers b (E, N, M), each under its own budget and ridge.
+
+    ridge = lambda * xi regularizes the beamformer step for the
+    fractional inner problems, and a positive ridge adds a power-scale
+    step after each beam step; ridge = 0 gives plain sum-rate
+    maximization.  An entry's descent stops when its objective (sum
+    rate minus ridge times sum power) changes by at most _TOL relative,
+    or after _MAX_ITER beam steps.
+
+    With outer = (power model, xi) each entry runs Dinkelbach's
+    parametric method instead: when its descent stops, F(lam) = rate -
+    lam * consumed power is taken, and unless |F(lam)| <= _DELTA or
+    _MAX_OUTER outer steps are spent, the descent restarts from the
+    entry's beamformers with lam = rate / consumed power.
+
+    Each iterate takes its link statistics once: a power-scale step
+    that keeps tau = 1 leaves them as the beam step's output had them,
+    and a restarted descent starts from the statistics the last one
+    ended on.
     """
-    b = b0
-    d, sig, inter = link_gains(h, b0)
-    psum = float((np.abs(b) ** 2).sum())
-    history = []
-    prev = None
-    converged = False
-    for it in range(_MAX_ITER + 1):
+    count = len(budget)
+    ridge = list(ridge)
+    rates_out, psums_out = [0.0] * count, [0.0] * count
+    steps, conv = [0] * count, [False] * count
+    history: list[list[float]] = [[] for _ in range(count)]
+    lam_hist: list[list[float]] = [[] for _ in range(count)]
+    f_hist: list[list[float]] = [[] for _ in range(count)]
+    lam = [0.0] * count
+    prev: list[float | None] = [None] * count
+    ids = list(range(count))            # the entry at each stack position
+    parts = []                          # (entries, their last iterates)
+    shape = b.shape
+    d, sig, inter, psum = _stats(h, b)
+    while ids:
         e = inter + n0
-        sinr_vals = sig / e
-        rate = float(np.log1p(sinr_vals).sum())
-        obj = rate - ridge * psum
-        history.append(obj)
-        if prev is not None and abs(obj - prev) <= _TOL * max(1.0, abs(obj)):
-            converged = True
-            break
-        prev = obj
-        if it == _MAX_ITER:
-            break
-        b = _beam_step(h, d / (e + sig), 1.0 + sinr_vals, budget, ridge)
-        d, sig, inter = link_gains(h, b)
-        psum = float((np.abs(b) ** 2).sum())
-        if ridge > 0.0:
-            tau = _rescale(sig, inter, psum, n0, budget, ridge)
-            if tau != 1.0:
-                b = b * math.sqrt(tau)
-                d, sig, inter = link_gains(h, b)
-                psum = float((np.abs(b) ** 2).sum())
-    return WmmseResult(b=b, state=WmmseState(iteration=it),
-                       converged=converged, sum_rate=rate, p_sum=psum,
-                       objective_history=np.array(history))
+        sinr = sig / e
+        rates = np.log1p(sinr).sum(axis=-1).tolist()
+        psums = psum.tolist()
+        keep = []
+        for j, i in enumerate(ids):
+            rate, p_sum = rates[j], psums[j]
+            while True:
+                obj = rate - ridge[i] * p_sum
+                history[i].append(obj)
+                last = prev[i]
+                prev[i] = obj
+                converged = (last is not None and abs(obj - last)
+                             <= _TOL * max(1.0, abs(obj)))
+                if not converged and steps[i] < _MAX_ITER:
+                    keep.append(j)
+                    break
+                rates_out[i], psums_out[i] = rate, p_sum
+                conv[i] = converged
+                if outer is None:
+                    break
+                pm, xi = outer
+                consumed = total_power(p_sum, pm, xi)
+                f_val = rate - lam[i] * consumed
+                lam_hist[i].append(lam[i])
+                f_hist[i].append(f_val)
+                conv[i] = abs(f_val) <= _DELTA
+                lam[i] = rate / consumed
+                if conv[i] or len(f_hist[i]) == _MAX_OUTER:
+                    break
+                ridge[i] = lam[i] * xi
+                prev[i] = None
+                steps[i] = 0
+                history[i] = []
+        if len(keep) < len(ids):
+            stepping = set(keep)
+            done = [j for j in range(len(ids)) if j not in stepping]
+            parts.append(([ids[j] for j in done], b[done]))
+            if not keep:
+                break
+            pos = np.array(keep)
+            ids = [ids[j] for j in keep]
+            h, d, sig, e, sinr = h[pos], d[pos], sig[pos], e[pos], sinr[pos]
+        del b                           # before the step allocates the next
+        b = _beam_step(h, d / (e + sig), 1.0 + sinr,
+                       [budget[i] for i in ids], [ridge[i] for i in ids])
+        d, sig, inter, psum = _stats(h, b)
+        psums = psum.tolist()
+        scaled, roots = [], []
+        for j, i in enumerate(ids):
+            steps[i] += 1
+            if ridge[i] > 0.0:
+                tau = _rescale(sig[j], inter[j], psums[j], n0, budget[i],
+                               ridge[i])
+                if tau != 1.0:
+                    scaled.append(j)
+                    roots.append(math.sqrt(tau))
+        if scaled:
+            # The scaled entries keep the beam step's layout, the transpose
+            # of a C-ordered (E, M, N) array: the sums in link_gains and
+            # the power follow memory order, and a C-ordered copy would
+            # move their last bits.
+            pos = np.array(scaled)
+            bt = np.swapaxes(b, 1, 2)
+            bt[pos] *= np.array(roots)[:, None, None]
+            d[pos], sig[pos], inter[pos], psum[pos] = _stats(
+                h[pos], np.swapaxes(bt[pos], 1, 2))
+    last_b = np.swapaxes(np.empty(shape[:1] + shape[:0:-1], dtype=complex),
+                         1, 2)
+    for entries, part in parts:
+        last_b[entries] = part
+    return _Descent(b=last_b, rate=rates_out, p_sum=psums_out, steps=steps,
+                    converged=conv, history=history, lam=lam_hist, f=f_hist)
 
 
-def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget: float,
+def _stack(h: np.ndarray, p_budget) -> tuple[np.ndarray, np.ndarray]:
+    """The channels of a call as a stack (E, N, M) and its budgets as an
+    array (E,): h is one channel (N, M) with one budget, or a stack with
+    one budget or one per channel."""
+    budget = np.asarray(p_budget, dtype=float)
+    if not np.all(budget > 0.0):
+        raise ValueError(f"power budget must be positive, got {p_budget}")
+    if budget.shape not in ((), h.shape[:-2]) or h.ndim not in (2, 3):
+        raise ValueError(f"budgets of shape {budget.shape} do not match "
+                         f"channels of shape {h.shape}")
+    stack = h.reshape((-1,) + h.shape[-2:])
+    return stack, np.broadcast_to(budget, stack.shape[:1])
+
+
+def _one(h: np.ndarray, values: list):
+    """The per-entry values as an array, or the single value of an
+    unstacked call."""
+    return values[0] if h.ndim == 2 else np.array(values)
+
+
+def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget,
           init: np.ndarray | None = None) -> WmmseResult:
     """Sum-rate maximization by weighted-MMSE block coordinate descent.
 
     Starts from equal-power maximum-ratio beamformers (or the given
-    beamformer matrix) and stops when the relative objective change
-    drops below _TOL.  The returned objective history is nondecreasing up
-    to rounding; if the iteration cap runs out first the last iterate is
-    returned with converged = False.
+    beamformer matrix, of the shape of h) and stops when the relative
+    objective change drops below _TOL.  The returned objective history
+    is nondecreasing up to rounding; if the iteration cap runs out first
+    the last iterate is returned with converged = False.  h is one
+    channel (N, M) or a stack (E, N, M), p_budget one budget or E.
     """
-    if not p_budget > 0.0:
-        raise ValueError(f"power budget must be positive, got {p_budget}")
+    stack, budget = _stack(h, p_budget)
     pm = derive_power_model(cfg)
     if init is None:
-        b0 = mrt(h) * math.sqrt(p_budget / cfg.N)
+        b0 = mrt(stack) * np.sqrt(budget / cfg.N)[:, None, None]
     else:
         b0 = np.asarray(init, dtype=complex)
         if b0.shape != h.shape:
             raise ValueError(
                 f"init shape {b0.shape} does not match channel {h.shape}")
-    return _iterate(h, pm.n0, p_budget, 0.0, b0)
+        b0 = b0.reshape(stack.shape)
+    budgets = budget.tolist()
+    run = _descend(stack, pm.n0, budgets, [0.0] * len(budgets), b0)
+    return WmmseResult(
+        b=run.b[0] if h.ndim == 2 else run.b,
+        state=WmmseState(iteration=sum(run.steps)),
+        converged=all(run.converged), sum_rate=_one(h, run.rate),
+        p_sum=_one(h, run.p_sum),
+        objective_history=np.array([v for hist in run.history
+                                    for v in hist]))
 
 
 def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
-                  p_budget: float) -> DinkelbachResult:
+                  p_budget) -> DinkelbachResult:
     """Energy-efficiency maximization by Dinkelbach's parametric method.
 
     Each outer step solves max sum-rate minus lam times consumed power
@@ -272,32 +439,25 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     regularizer), warm-started from the previous beamformers so the lam
     sequence is nondecreasing.  Stops once the parametric value F(lam)
     falls within _DELTA of zero; the returned lambda_star is the achieved
-    efficiency of the final solution.
+    efficiency of the final solution.  h is one channel (N, M) or a
+    stack (E, N, M), p_budget one budget or E.
 
     The very first solve starts from equal-power RZF beamformers: a
     maximum-ratio start can strand the whole continuation in a basin
     where a strongly correlated user is abandoned.
     """
-    if not p_budget > 0.0:
-        raise ValueError(f"power budget must be positive, got {p_budget}")
+    stack, budget = _stack(h, p_budget)
     pm = derive_power_model(cfg)
-    dirs = rzf(h, mmse_loading_alpha(cfg, p_budget))
-    b = dirs * math.sqrt(p_budget / cfg.N)
-    lam = 0.0
-    lam_hist: list[float] = []
-    f_hist: list[float] = []
-    ok = False
-    for _ in range(_MAX_OUTER):
-        run = _iterate(h, pm.n0, p_budget, lam * cfg.xi, b)
-        b, rate = run.b, run.sum_rate
-        consumed = total_power(run.p_sum, pm, cfg.xi)
-        f_val = rate - lam * consumed
-        lam_hist.append(lam)
-        f_hist.append(f_val)
-        if abs(f_val) <= _DELTA:
-            ok = True
-            break
-        lam = rate / consumed
-    return DinkelbachResult(b=b, lambda_star=rate / consumed, converged=ok,
-                            lambda_history=np.array(lam_hist),
-                            f_history=np.array(f_hist))
+    scale = np.sqrt(budget / cfg.N)[:, None, None]
+    budgets = budget.tolist()
+    # The start is built inline: the descent drops it after one step.
+    run = _descend(stack, pm.n0, budgets, [0.0] * len(budgets),
+                   rzf(stack, mmse_loading_alpha(cfg, budget)) * scale,
+                   outer=(pm, cfg.xi))
+    lambda_star = [rate / total_power(p_sum, pm, cfg.xi)
+                   for rate, p_sum in zip(run.rate, run.p_sum)]
+    return DinkelbachResult(
+        b=run.b[0] if h.ndim == 2 else run.b,
+        lambda_star=_one(h, lambda_star), converged=all(run.converged),
+        lambda_history=np.array([v for lam in run.lam for v in lam]),
+        f_history=np.array([v for f in run.f for v in f]))

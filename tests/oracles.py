@@ -77,7 +77,7 @@ def rescale_tau(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
 
 def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
                         ridge: float, b0: np.ndarray):
-    """The WMMSE block descent of ``optim._iterate`` with the link
+    """The WMMSE block descent of ``optim._descend`` with the link
     statistics taken afresh at the top of every iterate.  Returns the
     last beamformers and the objective history."""
     b = b0

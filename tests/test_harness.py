@@ -184,14 +184,14 @@ def test_pool_gets_one_worker_per_chunk(monkeypatch):
 def test_sweep_proposed_flat_above_p_prop(monkeypatch):
     """The one-shot scheme reads the budget only through min(p_prop,
     budget): its rows agree exactly at every budget at or above p_prop,
-    and each draw pays for a single solve there."""
+    and each draw pays for a single solved entry there."""
     cfg = load_config(DEFAULT_CONFIG)
     band = satpower.compute_band(cfg)
     solve = satpower.proposed_scheme
     solved_at = []
 
     def counted(h, cfg, p, band):
-        solved_at.append(p)
+        solved_at.extend(np.broadcast_to(p, h.shape[:-2]).tolist())
         return solve(h, cfg, p, band)
 
     monkeypatch.setattr(satpower, "proposed_scheme", counted)
@@ -207,6 +207,9 @@ def test_sweep_proposed_flat_above_p_prop(monkeypatch):
             above[0].sum_rate, above[0].ee, above[0].stderr)
     below = len(rows) - len(above)
     assert len(solved_at) == spec.trials * (below + 1)
+    assert sorted(set(solved_at)) == sorted(
+        min(band.p_prop, transmit_power_from_dbm(r.P_dbm, cfg))
+        for r in rows[:below + 1])
 
 
 def _slack(p_sum, budget):
@@ -214,97 +217,134 @@ def _slack(p_sum, budget):
 
 
 def _cold_baseline(cell, h, p):
-    """One Dinkelbach solve scored as the harness scores it."""
+    """One Dinkelbach solve of a single draw and budget, scored as the
+    harness scores it: (sum rate, sum power, slack)."""
     b = optim.dinkelbach_ee(h, cell.cfg, p).b
-    return harness._evaluate(
-        cell, beamform.sum_rate(beamform.sinr(h, b, cell.pm.n0)),
-        float(np.sum(np.abs(b) ** 2)))
+    power = float(np.sum(np.abs(b) ** 2))
+    return (beamform.sum_rate(beamform.sinr(h, b, cell.pm.n0)), power,
+            _slack(power, p))
 
 
-def test_sweep_baseline_flat_past_first_slack_budget(monkeypatch):
-    """A baseline solution that leaves its budget slack answers for every
-    larger budget of its draw: each draw solves the budgets up to and
-    including its first slack one, the rows agree exactly from there on,
-    and a smaller budget asked for later still gets a fresh solve."""
-    cfg = load_config(DEFAULT_CONFIG)
+def _count_baseline_entries(monkeypatch, cfg, seed, trials):
+    """Record the (trial, budget) of every entry the baseline solves."""
+    draws = {channel.generate(cfg, seed, t).tobytes(): t
+             for t in range(trials)}
     solve = optim.dinkelbach_ee
     solved = []
 
     def counted(h, cfg, p):
-        res = solve(h, cfg, p)
-        solved.append((p, _slack(float(np.sum(np.abs(res.b) ** 2)), p)))
-        return res
+        solved.extend(zip((draws[g.tobytes()] for g in h),
+                          np.broadcast_to(p, h.shape[:-2]).tolist()))
+        return solve(h, cfg, p)
 
     monkeypatch.setattr(optim, "dinkelbach_ee", counted)
+    return solved
+
+
+def test_sweep_baseline_flat_past_first_slack_budget(monkeypatch):
+    """A baseline solution that leaves its budget slack answers for every
+    larger budget of its draw.  Each draw solves a prefix of the grid:
+    the budgets up to the first above p_ub in the first wave, then one
+    at a time until a solution is slack.  The rows agree exactly from
+    the first slack budget on, and the rows do not depend on the order
+    the budgets come in."""
+    cfg = load_config(DEFAULT_CONFIG)
+    band = satpower.compute_band(cfg)
     spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
                           pmin_dbm=20.0, pmax_dbm=34.0, pstep_db=2.0,
                           trials=2, seed=4)
     p_list = [transmit_power_from_dbm(d, cfg) for d in harness.dbm_grid(spec)]
+    solved = _count_baseline_entries(monkeypatch, cfg, spec.seed,
+                                     spec.trials)
     rows = [r for r in harness.run_sweep(spec) if r.scheme == "baseline"]
-    # Calls run draw by draw in increasing budget order; each draw's run
-    # ends at its first slack solution.
-    draws, run = [], []
-    for p, slack in solved:
-        run.append(p)
-        if slack:
-            draws.append(run)
-            run = []
-    assert run == [] and len(draws) == spec.trials
-    for budgets in draws:
+    monkeypatch.undo()
+    wave = next(k for k, p in enumerate(p_list) if p > band.p_ub)
+    cell = harness._Cell(cfg, derive_power_model(cfg), band)
+    firsts = []
+    for t in range(spec.trials):
+        budgets = [p for trial, p in solved if trial == t]
         assert budgets == p_list[:len(budgets)]
-    first = max(len(budgets) for budgets in draws) - 1
+        h = channel.generate(cfg, spec.seed, t)
+        slack = [_cold_baseline(cell, h, p)[2] for p in budgets]
+        assert slack[-1] or len(budgets) == wave + 1
+        firsts.append(slack.index(True))
+        assert len(budgets) == max(wave, firsts[-1]) + 1
+    first = max(firsts)
     assert 1 <= first < len(rows) - 2
     for row in rows[first + 1:]:
         assert (row.sum_rate, row.total_power, row.ee, row.stderr) == (
             rows[first].sum_rate, rows[first].total_power, rows[first].ee,
             rows[first].stderr)
 
-    cell = harness._Cell(cfg, derive_power_model(cfg))
-    h = channel.generate(cfg, spec.seed, 0)
-    at = harness._baseline(cell, h)
-    solved.clear()
-    kept = at(p_list[-2])
-    assert [s for _, s in solved] == [True]
-    assert at(p_list[-1]) == kept and at(p_list[-2]) == kept
-    assert len(solved) == 1
-    low = at(p_list[0])
-    assert solved[1:] == [(p_list[0], False)]
-    assert at(p_list[-1]) == kept and len(solved) == 2
-    assert harness._evaluate(cell, *low) == _cold_baseline(cell, h, p_list[0])
+    h = np.stack([channel.generate(cfg, spec.seed, t)
+                  for t in range(spec.trials)])
+    budgets = np.array(p_list)
+    rate, power = harness._baseline(cell, h, budgets)
+    shuffled = np.array([5, 0, 7, 2, 6, 1, 4, 3])
+    again = harness._baseline(cell, h, budgets[shuffled])
+    assert np.array_equal(again[0], rate[:, shuffled])
+    assert np.array_equal(again[1], power[:, shuffled])
 
 
 @pytest.mark.parametrize("name", ["default", "high_power"])
 def test_baseline_reuse_matches_cold_solves(name, monkeypatch):
-    """Every budget the baseline answers from a slack solution agrees
-    with a cold solve there: the efficiency to 1e-9 and the sum rate to
-    1e-5 relative (the operating point slides along a flat ridge)."""
+    """Every budget up to a draw's first slack one gets the cold solve's
+    point bit for bit; every budget past it is answered from the slack
+    solution without a solve of its own beyond the first wave, and
+    agrees with a cold solve there: the efficiency to 1e-9 and the sum
+    rate to 1e-5 relative (the operating point slides along a flat
+    ridge)."""
     cfg = load_config(str(CONFIG_DIR / f"{name}.json"))
-    cell = harness._Cell(cfg, derive_power_model(cfg))
-    p_list = [transmit_power_from_dbm(d, cfg)
-              for d in harness.dbm_grid(ExperimentSpec(kind="sweep"))]
-    solve = optim.dinkelbach_ee
-    solved = []
-
-    def counted(h, cfg, p):
-        solved.append(p)
-        return solve(h, cfg, p)
-
+    band = satpower.compute_band(cfg)
+    cell = harness._Cell(cfg, derive_power_model(cfg), band)
+    p_list = np.array([transmit_power_from_dbm(d, cfg) for d in
+                       harness.dbm_grid(ExperimentSpec(kind="sweep"))])
+    wave = int(np.argmax(p_list > band.p_ub))
+    trials, seed = 4, 7
+    solved = _count_baseline_entries(monkeypatch, cfg, seed, trials)
+    h = np.stack([channel.generate(cfg, seed, t) for t in range(trials)])
+    rate, power = harness._baseline(cell, h, p_list)
+    monkeypatch.undo()
+    _, _, ee = harness._evaluate(cell, rate, power)
     reused = 0
-    for trial in range(4):
-        h = channel.generate(cfg, 7, trial)
-        monkeypatch.setattr(optim, "dinkelbach_ee", counted)
-        at = harness._baseline(cell, h)
-        solved.clear()
-        points = [harness._evaluate(cell, *at(p)) for p in p_list]
-        monkeypatch.undo()
-        for p, (rate, _, ee) in zip(p_list, points):
-            if p in solved:
+    for t in range(trials):
+        cold = [_cold_baseline(cell, h[t], p) for p in p_list]
+        first = [slack for _, _, slack in cold].index(True)
+        assert (sorted(p for trial, p in solved if trial == t)
+                == p_list[:max(wave, first) + 1].tolist())
+        for k, (cold_rate, cold_power, _) in enumerate(cold):
+            if k <= first:
+                assert (rate[t, k], power[t, k]) == (cold_rate, cold_power)
                 continue
             reused += 1
-            cold_rate, _, cold_ee = _cold_baseline(cell, h, p)
-            assert ee == pytest.approx(cold_ee, rel=1e-9, abs=0.0)
-            assert rate == pytest.approx(cold_rate, rel=1e-5, abs=0.0)
+            _, _, cold_ee = harness._evaluate(cell, cold_rate, cold_power)
+            assert ee[t, k] == pytest.approx(cold_ee, rel=1e-9, abs=0.0)
+            assert rate[t, k] == pytest.approx(cold_rate, rel=1e-5, abs=0.0)
     assert reused > 0
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("sweep", "default"), ("sweep", "high_power"), ("compare", "default")])
+def test_csv_independent_of_draw_groups_and_waves(kind, name, monkeypatch):
+    """Each entry of a stacked solve follows the single solve to the last
+    bit, so the CSV bytes do not depend on how many draws one call
+    stacks, nor on how the baseline's budgets are split into waves: a
+    first wave of one budget, or of every budget (solving past each
+    draw's first slack budget), gives the same rows as one that reaches
+    just past p_ub."""
+    spec = ExperimentSpec(kind=kind, trials=7, seed=3,
+                          config_path=str(CONFIG_DIR / f"{name}.json"))
+    want = harness.format_csv(harness.run(spec)[0])
+    for group in (1, 3):
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_DRAW_GROUP", group)
+            assert harness.format_csv(harness.run(spec)[0]) == want
+    band = satpower.compute_band
+    for p_ub in (0.0, math.inf):
+        with monkeypatch.context() as mp:
+            mp.setattr(satpower, "compute_band", lambda cfg: (
+                dataclasses.replace(band(cfg), p_ub=p_ub)))
+            assert harness.format_csv(harness.run(spec)[0]) == want
 
 
 def test_run_compare_report():

@@ -1,14 +1,15 @@
 """WMMSE block descent and the Dinkelbach efficiency baseline."""
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from saturee import beamform, channel, optim, satpower
 from saturee.specfun import lambert_w0
-from saturee.sysmodel import (SystemConfig, derive_power_model, total_power,
-                              transmit_power_from_dbm)
+from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
+                              total_power, transmit_power_from_dbm)
 
 from oracles import (instantaneous_ee, iterate_recomputing,
                      normalized_config, rescale_objective, rescale_tau)
@@ -251,12 +252,12 @@ def test_iterate_matches_recomputing_reference(n, m):
         b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
             * math.sqrt(p / n)
         for ridge in (0.0, 1e-3 * n / p, n / p):
-            run = optim._iterate(h, pm.n0, p, ridge, b0)
+            run = optim._descend(h[None], pm.n0, [p], [ridge], b0[None])
             b_ref, hist = iterate_recomputing(h, pm.n0, p, ridge, b0)
-            assert run.state.iteration == len(hist) - 1
-            np.testing.assert_allclose(run.objective_history, hist,
+            assert run.steps == [len(hist) - 1]
+            np.testing.assert_allclose(run.history[0], hist,
                                        rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(run.b, b_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(run.b[0], b_ref, rtol=1e-12, atol=0.0)
 
         res = optim.dinkelbach_ee(h, cfg, p)
         lam, b = 0.0, b0
@@ -395,3 +396,119 @@ def test_dinkelbach_upper_bounds_one_shot_scheme(cfg3):
         prop_vals.append(prop)
         base_vals.append(base)
     assert np.mean(prop_vals) >= 0.95 * np.mean(base_vals)
+
+
+# ---------------------------------------------------------------- stacks
+
+ROOT = Path(__file__).resolve().parent.parent
+_STACK_CELLS = {
+    "default": lambda: load_config(str(ROOT / "configs" / "default.json")),
+    # More users than antennas: beam steps keep fewer modes than users.
+    "3x6": lambda: SystemConfig(M=3, N=6),
+    "cell_64x16": lambda: load_config(
+        str(ROOT / "perfbench" / "configs" / "cell_64x16.json")),
+}
+
+
+def _stack_entries(cfg, dbms):
+    """Three draws times the budgets, in a shuffled entry order.  On the
+    default cell, WMMSE from maximum-ratio starts on draw 9 shuts a user
+    off: some of its beam steps keep two modes, not three."""
+    pairs = [(t, transmit_power_from_dbm(d, cfg))
+             for t in (8, 9, 10) for d in dbms]
+    order = np.random.default_rng(5).permutation(len(pairs))
+    pairs = [pairs[k] for k in order]
+    h = np.stack([channel.generate(cfg, 1, t) for t, _ in pairs])
+    return h, np.array([p for _, p in pairs])
+
+
+def _check_stack(cfg, dbms):
+    """Entry i of a stacked wmmse, dinkelbach_ee and proposed_scheme call
+    equals the single call on entry i bit for bit, histories included;
+    returns how many single WMMSE solves converged or capped."""
+    band = satpower.compute_band(cfg)
+    h, p = _stack_entries(cfg, dbms)
+    seen = {"capped": 0, "converged": 0}
+    for solve in (lambda h, p: optim.wmmse(h, cfg, p),
+                  lambda h, p: satpower.proposed_scheme(h, cfg, p, band)):
+        stacked = solve(h, p)
+        singles = [solve(h[i], p[i]) for i in range(len(p))]
+        for i, one in enumerate(singles):
+            assert np.array_equal(stacked.b[i], one.b)
+            assert stacked.sum_rate[i] == one.sum_rate
+            assert stacked.p_sum[i] == one.p_sum
+            seen["converged" if one.converged else "capped"] += 1
+        assert np.array_equal(stacked.objective_history, np.concatenate(
+            [o.objective_history for o in singles]))
+    stacked = optim.dinkelbach_ee(h, cfg, p)
+    singles = [optim.dinkelbach_ee(h[i], cfg, p[i]) for i in range(len(p))]
+    for i, one in enumerate(singles):
+        assert np.array_equal(stacked.b[i], one.b)
+        assert stacked.lambda_star[i] == one.lambda_star
+    for key in ("lambda_history", "f_history"):
+        assert np.array_equal(getattr(stacked, key), np.concatenate(
+            [getattr(o, key) for o in singles]))
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_STACK_CELLS))
+def test_stacked_entries_match_single_solves(name, monkeypatch):
+    """A stack of draws times budgets, entries in any order, solves each
+    entry exactly as the single call does, also where the entries of one
+    beam step keep different numbers of modes (default cell)."""
+    cfg = _STACK_CELLS[name]()
+    modes = []
+    search = optim._multiplier
+
+    def record(r, base, budget):
+        modes.append(r.size)
+        return search(r, base, budget)
+
+    monkeypatch.setattr(optim, "_multiplier", record)
+    _check_stack(cfg, (0.0, 24.0, 46.0))
+    if name == "default":
+        assert min(modes) < max(modes) == 3
+
+
+@pytest.mark.parametrize("name", ["default", "3x6"])
+def test_stacked_entries_match_single_solves_when_capped(name, monkeypatch):
+    """With the descent capped at a few beam steps, entries finish at
+    different steps, some of them capped (on the 3x6 cell every WMMSE
+    entry is), and each still matches its single solve."""
+    monkeypatch.setattr(optim, "_MAX_ITER", 8)
+    seen = _check_stack(_STACK_CELLS[name](), (-10.0, 10.0, 30.0, 46.0))
+    assert seen["capped"] > 0
+    assert seen["converged"] > 0 or name == "3x6"
+
+
+def test_stacked_result_keeps_the_counter_contract(monkeypatch):
+    """A benchmark counts per solver call: it reads not converged, adds
+    state.iteration and takes len(lambda_history).  On a stacked result
+    these are a Python bool that is False once any entry capped (so a
+    capped entry is never averaged away), an int summing the entries'
+    beam steps, and the entries' outer steps concatenated."""
+    cfg = _STACK_CELLS["default"]()
+    h, p = _stack_entries(cfg, (-10.0, 30.0))
+    for cap, converged in ((optim._MAX_ITER, True), (8, False)):
+        monkeypatch.setattr(optim, "_MAX_ITER", cap)
+        stacked = optim.wmmse(h, cfg, p)
+        singles = [optim.wmmse(h[i], cfg, p[i]) for i in range(len(p))]
+        assert stacked.converged is converged
+        assert converged == all(one.converged for one in singles)
+        assert type(stacked.state.iteration) is int
+        assert stacked.state.iteration == sum(one.state.iteration
+                                              for one in singles)
+        stacked = optim.dinkelbach_ee(h, cfg, p)
+        singles = [optim.dinkelbach_ee(h[i], cfg, p[i])
+                   for i in range(len(p))]
+        assert stacked.converged is all(one.converged for one in singles)
+        assert len(stacked.lambda_history) == sum(
+            len(one.lambda_history) for one in singles)
+
+
+def test_stack_rejects_mismatched_budgets(cfg3):
+    h = np.stack([channel.generate(cfg3, 1, t) for t in range(3)])
+    with pytest.raises(ValueError):
+        optim.wmmse(h, cfg3, np.full(2, 1e-8))
+    with pytest.raises(ValueError):
+        optim.dinkelbach_ee(h, cfg3, np.array([1e-8, 0.0, 1e-8]))
