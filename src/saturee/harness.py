@@ -85,25 +85,29 @@ def dbm_grid(spec: ExperimentSpec) -> np.ndarray:
     return spec.pmin_dbm + spec.pstep_db * np.arange(count)
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error over trials, walked in index order."""
-    n = values.shape[0]
-    mean = float(np.sum(values, axis=0) / n)
-    if n < 2:
-        return mean, 0.0
-    var = float(np.sum((values - mean) ** 2, axis=0)) / (n - 1)
-    return mean, math.sqrt(var / n)
+def _mc_rows(scheme: str, grid, per_trial: np.ndarray) -> list[EePoint]:
+    """One row per budget of grid (dBm) from the per-trial (rate,
+    efficiency) array (trials, budgets, 2): the mean rate and efficiency
+    over the trials, walked in index order, and the standard error of the
+    mean efficiency.
 
-
-def _mc_point(scheme: str, p_dbm: float, rates: np.ndarray,
-              ees: np.ndarray, trials: int) -> EePoint:
-    mean_rate, _ = _mean_std(rates)
-    mean_ee, err = _mean_std(ees)
+    The trial axis is moved last and made contiguous, so every budget's
+    sum runs numpy's pairwise reduction over its trials, as the sum of a
+    single budget's slice does; a sum along axis 0 would add the trials
+    row by row and move the last bits.
+    """
+    n = per_trial.shape[0]
+    values = np.ascontiguousarray(np.moveaxis(per_trial, 0, -1))
+    means = values.sum(axis=-1) / n
+    errs = np.zeros(len(means))
+    if n > 1:
+        dev = values[:, 1] - means[:, 1:]
+        errs = np.sqrt((dev ** 2).sum(axis=-1) / (n - 1) / n)
     # Effective power keeps every row self-consistent even when the
     # consumed power varies across trials.
-    return EePoint(scheme=scheme, P_dbm=float(p_dbm), sum_rate=mean_rate,
-                   total_power=mean_rate / mean_ee, ee=mean_ee, stderr=err,
-                   trials=trials)
+    return [EePoint(scheme=scheme, P_dbm=float(d), sum_rate=rate,
+                    total_power=rate / ee, ee=ee, stderr=err, trials=n)
+            for d, (rate, ee), err in zip(grid, means.tolist(), errs.tolist())]
 
 
 # --------------------------------------------------------------- schemes
@@ -285,12 +289,13 @@ def _grid_rows(spec: ExperimentSpec, cell: _Cell,
     grid = dbm_grid(spec)
     p_list = np.array([transmit_power_from_dbm(d, cell.cfg) for d in grid])
     mc = _run_trials(spec, (cell, [n for n in names if SCHEMES[n][0]], p_list))
+    rows = {name: _mc_rows(name, grid, per_trial)
+            for name, per_trial in mc.items()}
     points: list[EePoint] = []
     for ip, (d, p) in enumerate(zip(grid, p_list)):
         for name in names:
-            if name in mc:
-                points.append(_mc_point(name, d, mc[name][:, ip, 0],
-                                        mc[name][:, ip, 1], spec.trials))
+            if name in rows:
+                points.append(rows[name][ip])
                 continue
             rate, consumed, ee = _evaluate(cell, *SCHEMES[name][1](cell, p))
             points.append(EePoint(scheme=name, P_dbm=float(d),
@@ -374,10 +379,12 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
     t_base = time.perf_counter() - tic
 
     prop, base = prop["proposed"][:, 0], base["baseline"][:, 0]
-    mean_p, _ = _mean_std(prop[:, 1])
-    mean_b, _ = _mean_std(base[:, 1])
+    budget_dbm = transmit_power_to_dbm(budget, cfg)
+    mean_p, mean_b = (_mc_rows(name, [budget_dbm], per_trial[:, None])[0].ee
+                      for name, per_trial in (("proposed", prop),
+                                              ("baseline", base)))
     report = CompareReport(
-        band=band, budget_dbm=transmit_power_to_dbm(budget, cfg),
+        band=band, budget_dbm=budget_dbm,
         mean_ee_proposed=mean_p, mean_ee_baseline=mean_b,
         ee_ratio=mean_p / mean_b, seconds_proposed=t_prop,
         seconds_baseline=t_base, speedup=t_base / t_prop)
@@ -389,8 +396,7 @@ def run_compare(spec: ExperimentSpec) -> tuple[list[EePoint], CompareReport]:
     cfg = load_config(spec.config_path)
     budget = transmit_power_from_dbm(spec.pmax_dbm, cfg)
     report, prop, base = compare_schemes(cfg, budget, spec.trials, spec.seed)
-    points = [_mc_point(name, spec.pmax_dbm, per_trial[:, 0], per_trial[:, 1],
-                        spec.trials)
+    points = [_mc_rows(name, [spec.pmax_dbm], per_trial[:, None])[0]
               for name, per_trial in (("proposed", prop), ("baseline", base))]
     return points, report
 

@@ -143,11 +143,10 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget,
     of mu, P(mu) = sum_i r_i / (lam_i + ridge + mu)^2, whose root
     _multiplier finds by safeguarded Newton on scalars, entry by entry.
 
-    Entries are grouped by how many modes they keep, and each group runs
-    on arrays of exactly that width: summing over dropped modes as zeros
-    would move the last bits of the kept ones.  The result is the
-    transpose of an (E, M, N) array, the layout a single problem's
-    matrix product gives.
+    Every entry runs at the SVD's full width K = min(N, M), and a mask
+    gives the modes past its rank (the count it keeps, see below) zero
+    power, so an entry's bits do not depend on the rest of its stack.
+    The result is a C-ordered (E, N, M) array.
     """
     if h.ndim == 2:
         return _beam_step(h[None], u[None], w[None], [budget], [ridge])[0]
@@ -158,38 +157,24 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget,
     uu, s, vh = np.linalg.svd(root, full_matrices=False)
     del root
     lam = s * s
-    # Dropped tail = rounding residue: the stack has exactly as many
+    # Masked tail = rounding residue: the stack has exactly as many
     # genuine singular values as users carrying positive weight, and the
     # right-hand side lies in their span.  Modes of users fading to
     # shutoff underflow when squared again inside the power function;
     # they carry no recoverable signal either.
     ranks = np.minimum(np.count_nonzero(coeff, axis=-1),
-                       np.count_nonzero(lam > 1e-150, axis=-1)).tolist()
+                       np.count_nonzero(lam > 1e-150, axis=-1))
     # u_k is exactly 0 where |u_k| is, so its phase comes out 0 there.
     gain = np.sqrt(w) * (u / np.where(absu > 0.0, absu, 1.0))
-    ridge = np.asarray(ridge, dtype=float)
+    base = lam + np.asarray(ridge, dtype=float)[:, None]
+    r = lam * (w[:, None, :] @ (np.abs(uu) ** 2))[:, 0, :]
+    mu = [_multiplier(r[i, :k], base[i, :k], budget[i])
+          for i, k in enumerate(ranks.tolist())]
+    # The tail's infinite denominator gives it zero power without a 0/0.
+    kept = np.arange(s.shape[-1]) < ranks[:, None]
+    scale = s / np.where(kept, base + np.array(mu)[:, None], np.inf)
     np.conjugate(vh, out=vh)        # in place: vh is as large as h
-    groups: dict[int, list[int]] = {}
-    for j, rank in enumerate(ranks):
-        groups.setdefault(rank, []).append(j)
-    if len(groups) > 1:
-        bt = np.empty((len(ranks),) + h.shape[:0:-1], dtype=complex)
-    for rank, rows in groups.items():
-        sel = slice(None) if len(groups) == 1 else np.array(rows)
-        ug, vg = uu[sel][..., :rank], vh[sel][..., :rank, :]
-        sg, lg = s[sel][..., :rank], lam[sel][..., :rank]
-        qt = sg[..., None] * (np.swapaxes(ug.conj(), -1, -2)
-                              * gain[sel][..., None, :])
-        base = lg + ridge[sel][:, None]
-        r = lg * (w[sel][:, None, :] @ (np.abs(ug) ** 2))[:, 0, :]
-        mu = [_multiplier(r[i], base[i], budget[j])
-              for i, j in enumerate(rows)]
-        out = np.swapaxes(vg, -1, -2) @ (
-            qt / (base + np.array(mu)[:, None])[..., None])
-        if len(groups) == 1:
-            return np.swapaxes(out, -1, -2)
-        bt[sel] = out
-    return np.swapaxes(bt, -1, -2)
+    return (gain[..., None] * uu.conj() * scale[:, None, :]) @ vh
 
 
 def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
@@ -242,8 +227,7 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
 
 def _stats(h: np.ndarray, b: np.ndarray):
     """Link statistics of each entry's beamformers (see link_gains) and
-    their sum power, summed in each matrix's memory order as
-    np.sum(np.abs(b) ** 2) sums a single matrix."""
+    their sum power."""
     return (*link_gains(h, b), (np.abs(b) ** 2).sum(axis=(-2, -1)))
 
 
@@ -287,7 +271,10 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
     Each iterate takes its link statistics once: a power-scale step
     that keeps tau = 1 leaves them as the beam step's output had them,
     and a restarted descent starts from the statistics the last one
-    ended on.
+    ended on.  Every iterate is a C-ordered (E, N, M) array, the start
+    included, and each beam step runs every entry at full width with a
+    masked tail (see _beam_step), so an entry's bits do not depend on
+    the stack it shares.
     """
     count = len(budget)
     ridge = list(ridge)
@@ -299,8 +286,7 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
     lam = [0.0] * count
     prev: list[float | None] = [None] * count
     ids = list(range(count))            # the entry at each stack position
-    parts = []                          # (entries, their last iterates)
-    shape = b.shape
+    last_b = np.empty(b.shape, dtype=complex)
     d, sig, inter, psum = _stats(h, b)
     while ids:
         e = inter + n0
@@ -340,7 +326,7 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
         if len(keep) < len(ids):
             stepping = set(keep)
             done = [j for j in range(len(ids)) if j not in stepping]
-            parts.append(([ids[j] for j in done], b[done]))
+            last_b[[ids[j] for j in done]] = b[done]
             if not keep:
                 break
             pos = np.array(keep)
@@ -361,19 +347,9 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
                     scaled.append(j)
                     roots.append(math.sqrt(tau))
         if scaled:
-            # The scaled entries keep the beam step's layout, the transpose
-            # of a C-ordered (E, M, N) array: the sums in link_gains and
-            # the power follow memory order, and a C-ordered copy would
-            # move their last bits.
             pos = np.array(scaled)
-            bt = np.swapaxes(b, 1, 2)
-            bt[pos] *= np.array(roots)[:, None, None]
-            d[pos], sig[pos], inter[pos], psum[pos] = _stats(
-                h[pos], np.swapaxes(bt[pos], 1, 2))
-    last_b = np.swapaxes(np.empty(shape[:1] + shape[:0:-1], dtype=complex),
-                         1, 2)
-    for entries, part in parts:
-        last_b[entries] = part
+            b[pos] *= np.array(roots)[:, None, None]
+            d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos], b[pos])
     return _Descent(b=last_b, rate=rates_out, p_sum=psums_out, steps=steps,
                     converged=conv, history=history, lam=lam_hist, f=f_hist)
 
@@ -414,7 +390,7 @@ def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget,
     if init is None:
         b0 = mrt(stack) * np.sqrt(budget / cfg.N)[:, None, None]
     else:
-        b0 = np.asarray(init, dtype=complex)
+        b0 = np.ascontiguousarray(init, dtype=complex)
         if b0.shape != h.shape:
             raise ValueError(
                 f"init shape {b0.shape} does not match channel {h.shape}")

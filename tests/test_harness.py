@@ -347,6 +347,34 @@ def test_csv_independent_of_draw_groups_and_waves(kind, name, monkeypatch):
             assert harness.format_csv(harness.run(spec)[0]) == want
 
 
+@pytest.mark.parametrize("trials", [1, 2, 9, 200])
+def test_mc_rows_match_exact_sums(trials):
+    """Each budget's row holds the mean rate and efficiency over the trials
+    and the standard error of the mean efficiency, here against sums by
+    math.fsum; the trial counts cover numpy's 8-wide and 128-block
+    pairwise sums.  One trial has no spread, and every row's total power
+    is its sum rate over its efficiency."""
+    rng = np.random.default_rng(trials)
+    per_trial = rng.lognormal(size=(trials, 3, 2)) * [40.0, 3e6]
+    grid = [-10.0, 18.0, 46.0]
+    rows = harness._mc_rows("baseline", grid, per_trial)
+    assert [(r.scheme, r.P_dbm, r.trials) for r in rows] == [
+        ("baseline", d, trials) for d in grid]
+    for row, values in zip(rows, np.moveaxis(per_trial, 1, 0)):
+        rates, ees = values[:, 0].tolist(), values[:, 1].tolist()
+        mean_ee = math.fsum(ees) / trials
+        assert row.sum_rate == pytest.approx(math.fsum(rates) / trials,
+                                             rel=1e-13)
+        assert row.ee == pytest.approx(mean_ee, rel=1e-13)
+        if trials == 1:
+            assert row.stderr == 0.0
+        else:
+            var = math.fsum((x - mean_ee) ** 2 for x in ees) / (trials - 1)
+            assert row.stderr == pytest.approx(math.sqrt(var / trials),
+                                               rel=1e-13)
+        assert row.total_power == row.sum_rate / row.ee
+
+
 def test_run_compare_report():
     spec = ExperimentSpec(kind="compare", config_path=DEFAULT_CONFIG,
                           pmax_dbm=40.0, trials=5, seed=7)

@@ -405,6 +405,8 @@ _STACK_CELLS = {
     "default": lambda: load_config(str(ROOT / "configs" / "default.json")),
     # More users than antennas: beam steps keep fewer modes than users.
     "3x6": lambda: SystemConfig(M=3, N=6),
+    # Two modes for eight users, the widest gap of modes below users.
+    "2x8": lambda: SystemConfig(M=2, N=8),
     "cell_64x16": lambda: load_config(
         str(ROOT / "perfbench" / "configs" / "cell_64x16.json")),
 }
