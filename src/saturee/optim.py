@@ -129,8 +129,8 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget,
                ridge) -> np.ndarray:
     """Beamformer update b_k = (sum_j w_j |u_j|^2 h_j h_j^H + (ridge + mu) I)^-1
     h_k u_k w_k with mu >= 0 the smallest multiplier keeping the sum power
-    within budget.  Takes one problem, h (N, M) with a budget and ridge,
-    or a stack, h (E, N, M) with E of each.
+    within budget, for a stack of channels h (E, N, M) with E budgets and
+    ridges.
 
     The weighted Gram matrix is never formed: near zero-forcing points
     the user weights span ten-plus orders, and squaring them into a Gram
@@ -148,8 +148,6 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget,
     power, so an entry's bits do not depend on the rest of its stack.
     The result is a C-ordered (E, N, M) array.
     """
-    if h.ndim == 2:
-        return _beam_step(h[None], u[None], w[None], [budget], [ridge])[0]
     absu = np.abs(u)
     coeff = w * absu ** 2
     root = h.conj()
@@ -197,8 +195,10 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
     evaluates the objective some sixty times, on Python floats: for the
     few users of a cell (up to N = 16 in every shipped config) that is
     several times cheaper than numpy's per-call dispatch on tiny arrays.
-    The two break even near N = 60, and in a cell that large the beam
-    step's SVDs dwarf the search, so there is one path.
+    The two break even near N = 60, so there is one path.  With wide
+    cells solved in their row space (see _descend) a beam step costs
+    about what a search does: per entry on a 2-core VM, about 1 ms
+    against 0.4 ms at 240x60, and 0.1 ms against 0.13-0.16 ms at 64x16.
     """
     if psum <= 0.0:
         return 1.0
@@ -268,14 +268,28 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
     _MAX_OUTER outer steps are spent, the descent restarts from the
     entry's beamformers with lam = rate / consumed power.
 
+    A wide cell (M > N) descends in its channels' row space: with the QR
+    factorization h^T = q r, coefficients c on the N x N effective
+    channels r^T see the link gains and spend the power of the
+    beamformers c q^T.  A component no channel sees changes no link gain
+    and only spends power, so the start is projected, b conj(q), which
+    drops only that part, and the finished beamformers are lifted back
+    with q^T.  A cell with N >= M has nothing to drop and descends as
+    given.
+
     Each iterate takes its link statistics once: a power-scale step
     that keeps tau = 1 leaves them as the beam step's output had them,
     and a restarted descent starts from the statistics the last one
-    ended on.  Every iterate is a C-ordered (E, N, M) array, the start
-    included, and each beam step runs every entry at full width with a
-    masked tail (see _beam_step), so an entry's bits do not depend on
-    the stack it shares.
+    ended on.  Every iterate is a C-ordered array, the start included,
+    and each beam step runs every entry at full width with a masked tail
+    (see _beam_step), so an entry's bits do not depend on the stack it
+    shares.
     """
+    basis = None
+    if h.shape[-1] > h.shape[-2]:
+        basis, r = np.linalg.qr(np.swapaxes(h, -1, -2))
+        h = np.ascontiguousarray(np.swapaxes(r, -1, -2))
+        b = b @ basis.conj()
     count = len(budget)
     ridge = list(ridge)
     rates_out, psums_out = [0.0] * count, [0.0] * count
@@ -350,6 +364,8 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
             pos = np.array(scaled)
             b[pos] *= np.array(roots)[:, None, None]
             d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos], b[pos])
+    if basis is not None:
+        last_b = last_b @ np.swapaxes(basis, -1, -2)
     return _Descent(b=last_b, rate=rates_out, p_sum=psums_out, steps=steps,
                     converged=conv, history=history, lam=lam_hist, f=f_hist)
 

@@ -75,6 +75,13 @@ def rescale_tau(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
     return 1.0 if gain(tau) <= gain(1.0) else tau
 
 
+def beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
+              ridge: float) -> np.ndarray:
+    """``optim._beam_step`` on one problem h (N, M), as a one-entry
+    stack."""
+    return optim._beam_step(h[None], u[None], w[None], [budget], [ridge])[0]
+
+
 def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
                         ridge: float, b0: np.ndarray):
     """The WMMSE block descent of ``optim._descend`` with the link
@@ -94,7 +101,7 @@ def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
             break
         if it == optim._MAX_ITER:
             break
-        b = optim._beam_step(h, d / (e + sig), 1.0 + sinr, budget, ridge)
+        b = beam_step(h, d / (e + sig), 1.0 + sinr, budget, ridge)
         if ridge > 0.0:
             _, sig, inter = beamform.link_gains(h, b)
             tau = optim._rescale(sig, inter, float(np.sum(np.abs(b) ** 2)),

@@ -11,7 +11,7 @@ from saturee.specfun import lambert_w0
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               total_power, transmit_power_from_dbm)
 
-from oracles import (instantaneous_ee, iterate_recomputing,
+from oracles import (beam_step, instantaneous_ee, iterate_recomputing,
                      normalized_config, rescale_objective, rescale_tau)
 
 
@@ -47,11 +47,11 @@ def test_beam_step_keeps_mu_zero_at_a_rounding_excess():
         b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, budget))
         d, sig, inter = beamform.link_gains(h, b0 * math.sqrt(budget / cfg.N))
         u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
-        free = optim._beam_step(h, u, w, math.inf, 0.0)
+        free = beam_step(h, u, w, math.inf, 0.0)
         p_free = float(np.sum(np.abs(free) ** 2))
         assert abs(p_free - budget) <= 1e-12 * budget
         tight = min(budget, p_free * (1.0 - 1e-14))
-        assert np.array_equal(optim._beam_step(h, u, w, tight, 0.0), free)
+        assert np.array_equal(beam_step(h, u, w, tight, 0.0), free)
 
 
 def test_beam_step_shuts_off_a_user_with_zero_receive_gain():
@@ -67,13 +67,13 @@ def test_beam_step_shuts_off_a_user_with_zero_receive_gain():
     u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
     u[1] = 0.0
     keep = [0, 2]
-    free = optim._beam_step(h[keep], u[keep], w[keep], math.inf, 0.0)
+    free = beam_step(h[keep], u[keep], w[keep], math.inf, 0.0)
     p_free = float(np.sum(np.abs(free) ** 2))
     for cap in (math.inf, 0.1 * p_free):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            b = optim._beam_step(h, u, w, cap, 0.0)
-        ref = optim._beam_step(h[keep], u[keep], w[keep], cap, 0.0)
+            b = beam_step(h, u, w, cap, 0.0)
+        ref = beam_step(h[keep], u[keep], w[keep], cap, 0.0)
         assert np.all(b[1] == 0.0)
         np.testing.assert_allclose(b[keep], ref, rtol=1e-9,
                                    atol=1e-12 * float(np.max(np.abs(ref))))
@@ -165,13 +165,13 @@ def test_beam_step_matches_bisection_reference(monkeypatch):
         d, sig, inter = beamform.link_gains(h, b0)
         u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
         for ridge in (0.0, 1e-3 / budget):
-            free = optim._beam_step(h, u, w, math.inf, ridge)
+            free = beam_step(h, u, w, math.inf, ridge)
             p_free = float(np.sum(np.abs(free) ** 2))
             for frac in (1e-3, 0.1, 0.5):
-                new = optim._beam_step(h, u, w, frac * p_free, ridge)
+                new = beam_step(h, u, w, frac * p_free, ridge)
                 with monkeypatch.context() as mp:
                     mp.setattr(optim, "_multiplier", _bisect_multiplier)
-                    ref = optim._beam_step(h, u, w, frac * p_free, ridge)
+                    ref = beam_step(h, u, w, frac * p_free, ridge)
                 np.testing.assert_allclose(new, ref, rtol=1e-8, atol=0.0)
 
 
@@ -238,12 +238,27 @@ def test_rescale_matches_numpy_reference(n, m, monkeypatch):
     assert searched[True] > 0 and searched[False] > 0
 
 
+def _descent_coordinates(h: np.ndarray, b0: np.ndarray):
+    """The channel and start the descent of ``optim._descend`` runs on,
+    and its lift of a result back: for a wide cell the factor r^T of
+    h^T = q r, the start projected by conj(q) and the lift by q^T, as
+    the descent takes them; any other cell as it is."""
+    n, m = h.shape
+    if m <= n:
+        return h, b0, lambda c: c
+    q, r = np.linalg.qr(h.T)
+    return r.T, b0 @ q.conj(), lambda c: c @ q.T
+
+
 @pytest.mark.parametrize("n, m", [(3, 3), (16, 64), (8, 2), (2, 8)])
 def test_iterate_matches_recomputing_reference(n, m):
     """The descent takes each iterate's link statistics once; the
     reference descent takes them afresh at every iterate.  Both take as
     many steps to the same objectives, at ridge zero and positive, and
-    the Dinkelbach parameters match a replay on the reference."""
+    the Dinkelbach parameters match a replay on the reference.  The
+    reference runs in the descent's own coordinates, so a wide cell's
+    replay runs in its rows' span too (the agreement in full space is
+    test_wide_cells_solve_in_row_space's)."""
     cfg = SystemConfig(M=m, N=n)
     pm = derive_power_model(cfg)
     p = transmit_power_from_dbm(30.0, cfg)
@@ -251,23 +266,89 @@ def test_iterate_matches_recomputing_reference(n, m):
         h = channel.generate(cfg, 23, trial)
         b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
             * math.sqrt(p / n)
+        hr, c0, lift = _descent_coordinates(h, b0)
         for ridge in (0.0, 1e-3 * n / p, n / p):
             run = optim._descend(h[None], pm.n0, [p], [ridge], b0[None])
-            b_ref, hist = iterate_recomputing(h, pm.n0, p, ridge, b0)
+            c_ref, hist = iterate_recomputing(hr, pm.n0, p, ridge, c0)
             assert run.steps == [len(hist) - 1]
             np.testing.assert_allclose(run.history[0], hist,
                                        rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(run.b[0], b_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(run.b[0], lift(c_ref), rtol=1e-12,
+                                       atol=0.0)
 
         res = optim.dinkelbach_ee(h, cfg, p)
-        lam, b = 0.0, b0
+        lam, c = 0.0, c0
         for want in res.lambda_history:
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0)
-            b, _ = iterate_recomputing(h, pm.n0, p, lam * cfg.xi, b)
-            rate = beamform.sum_rate(beamform.sinr(h, b, pm.n0))
-            lam = rate / total_power(float(np.sum(np.abs(b) ** 2)), pm,
+            c, _ = iterate_recomputing(hr, pm.n0, p, lam * cfg.xi, c)
+            rate = beamform.sum_rate(beamform.sinr(hr, c, pm.n0))
+            lam = rate / total_power(float(np.sum(np.abs(c) ** 2)), pm,
                                      cfg.xi)
         assert res.lambda_star == pytest.approx(lam, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, m", [(2, 8), (16, 64), (4, 64)])
+def test_wide_cells_solve_in_row_space(n, m):
+    """A wide cell's descent runs in its rows' span and lifts its result
+    back: the beamformers lie in the span of the channel rows, rescoring
+    them in full space gives the returned rate, power and efficiency, and
+    they land where the reference descent on the full channel does.  Over
+    these cases the worst relative gaps are 1.4e-15 of the norm off the
+    span, 1.8e-13 on rescoring, and 4.0e-12 (a WMMSE rate) and 1.8e-14
+    (an efficiency) to the full-space reference.
+
+    From the MMSE-loaded RZF start at 46 dBm on the 64x16 cell, the first
+    beam step in the span meets the budget to within the rounding excess
+    the multiplier search ignores (at worst 1.1e-14 relative over these
+    50 draws), so mu stays 0 there as in full space."""
+    cfg = SystemConfig(M=m, N=n)
+    pm = derive_power_model(cfg)
+    for dbm in (30.0, 46.0):
+        p = transmit_power_from_dbm(dbm, cfg)
+        for trial in range(2):
+            h = channel.generate(cfg, 31, trial)
+            span = np.linalg.svd(h, full_matrices=False)[2]
+            b_mrt = beamform.mrt(h) * math.sqrt(p / n)
+            b_rzf = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
+                * math.sqrt(p / n)
+            runs = [(optim.wmmse(h, cfg, p), b_mrt),
+                    (optim.wmmse(h, cfg, p, init=b_rzf), b_rzf),
+                    (optim.dinkelbach_ee(h, cfg, p), b_rzf)]
+            for res, b0 in runs:
+                b = res.b
+                off = b - (b @ span.conj().T) @ span
+                assert np.linalg.norm(off) <= 1e-13 * np.linalg.norm(b)
+                rate = beamform.sum_rate(beamform.sinr(h, b, pm.n0))
+                p_sum = float(np.sum(np.abs(b) ** 2))
+                if isinstance(res, optim.WmmseResult):
+                    assert rate == pytest.approx(res.sum_rate, rel=1e-12)
+                    assert p_sum == pytest.approx(res.p_sum, rel=1e-12)
+                    _, hist = iterate_recomputing(h, pm.n0, p, 0.0, b0)
+                    assert res.sum_rate == pytest.approx(hist[-1], rel=1e-9)
+                    continue
+                assert rate / total_power(p_sum, pm, cfg.xi) == (
+                    pytest.approx(res.lambda_star, rel=1e-12))
+                lam, b_ref = 0.0, b0
+                for _ in res.lambda_history:
+                    b_ref, _ = iterate_recomputing(h, pm.n0, p, lam * cfg.xi,
+                                                   b_ref)
+                    lam = instantaneous_ee(h, b_ref, cfg)
+                assert res.lambda_star == pytest.approx(lam, rel=1e-9)
+
+    cfg = SystemConfig(M=64, N=16)
+    pm = derive_power_model(cfg)
+    budget = transmit_power_from_dbm(46.0, cfg)
+    for trial in range(50):
+        h = channel.generate(cfg, 1, trial)
+        b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, budget)) \
+            * math.sqrt(budget / cfg.N)
+        hr, c0, _ = _descent_coordinates(h, b0)
+        d, sig, inter = beamform.link_gains(hr, c0)
+        u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
+        free = beam_step(hr, u, w, math.inf, 0.0)
+        p_free = float(np.sum(np.abs(free) ** 2))
+        assert abs(p_free - budget) <= optim._ON_BUDGET_RTOL * budget
+        assert np.array_equal(beam_step(hr, u, w, budget, 0.0), free)
 
 
 def test_wmmse_orthogonal_matches_power_filling(monkeypatch):
