@@ -75,9 +75,20 @@ class DinkelbachResult:
     f_history: np.ndarray
 
 
-def _multiplier(r: np.ndarray, base: np.ndarray, budget: float) -> float:
-    """Smallest mu >= 0 with P(mu) = sum_i r_i / (base_i + mu)^2 <= budget,
-    to within _POWER_RTOL below the budget.
+def _lead_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, row by row in index order, as a float
+    loop adds its terms.  np.sum along axis 0 does that too, except on a
+    one-column stack, which numpy reduces as a flat vector, pairwise from
+    8 rows on; an accumulation is row by row for every shape."""
+    return np.add.accumulate(a)[-1]
+
+
+def _multiplier(r: np.ndarray, base: np.ndarray,
+                budget: np.ndarray) -> np.ndarray:
+    """For each column e of the spectra r, base (K, E), the smallest
+    mu >= 0 with P(mu) = sum_i r_ie / (base_ie + mu)^2 <= budget_e, to
+    within _POWER_RTOL below the budget.  A mode a column does not keep
+    has r = 0 and a positive base, so it adds nothing.
 
     Newton runs on the secular form P(mu)^-1/2 - target^-1/2, which is
     exactly linear in mu for one mode and concave otherwise, so from
@@ -87,42 +98,53 @@ def _multiplier(r: np.ndarray, base: np.ndarray, budget: float) -> float:
     that leaves the bracket or fails to shrink it is replaced by
     bisection.
 
-    P and its slope are summed on Python floats: a beam step has at most
-    as many modes as users, and for the users of a cell (up to N = 16 in
-    every shipped config) a plain loop costs a fraction of numpy's
-    per-call dispatch on tiny arrays.  The two break even near 50 modes.
+    One pass serves the whole stack: the columns still searching step
+    together and leave as they finish, and every column takes the steps
+    and sums (over the leading axis, see _lead_sum) of a float loop over
+    its modes alone.  On a 2-core VM a search over 50 entries takes
+    about 0.3 ms and one over a single entry about 0.2 ms, against
+    0.01 ms (3 modes) to 0.03 ms (16 modes) per entry for that float
+    loop, so a stack breaks even near 30 entries of 3 modes and 8 of 16.
+    The first beam steps of a sweep stack 100-200 entries: 20 trials of
+    the default 3x3 sweep spend 1.0 ms in this search against 11.4 ms
+    entry by entry.
     """
-    modes = list(zip(r.tolist(), base.tolist()))
+    def power(r, base, mu):
+        x = 1.0 / (base + mu)
+        t = r * x * x
+        return _lead_sum(t), _lead_sum(t * x)      # P and -P'/2
 
-    def power(mu: float) -> tuple[float, float]:
-        p = half_slope = 0.0                   # P and -P'/2
-        for ri, bi in modes:
-            x = 1.0 / (bi + mu)
-            t = ri * x * x
-            p += t
-            half_slope += t * x
-        return p, half_slope
-
-    p, slope = power(0.0)
-    if p <= budget * (1.0 + _ON_BUDGET_RTOL):
-        return 0.0
+    mu = np.zeros(budget.shape)
+    p, slope = power(r, base, 0.0)
+    act = np.flatnonzero(p > budget * (1.0 + _ON_BUDGET_RTOL))
+    if not act.size:
+        return mu
+    r, base, budget = r[:, act], base[:, act], budget[act]
+    p, slope = p[act], slope[act]
     target = budget * (1.0 - 0.5 * _POWER_RTOL)
+    tol = _POWER_RTOL * budget
     # P(mu) < sum(r) / mu^2, so this upper end is feasible.
-    lo, hi = 0.0, math.sqrt(sum(ri for ri, _ in modes) / budget)
-    mu = lo
+    lo, hi = np.zeros(act.size), np.sqrt(_lead_sum(r) / budget)
+    m = lo
     for _ in range(200):
-        nxt = mu + p / slope * (math.sqrt(p / target) - 1.0)
-        mu = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        p, slope = power(mu)
-        if p > budget:
-            lo = mu
-        elif budget - p <= _POWER_RTOL * budget:
-            return mu
-        else:
-            hi = mu
-        if hi - lo <= 1e-15 * hi:
+        if not act.size:
             break
-    return hi
+        nxt = m + p / slope * (np.sqrt(p / target) - 1.0)
+        m = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        p, slope = power(r, base, m)
+        over = p > budget
+        # A column on the budget within tolerance takes mu = m = hi.
+        lo, hi = np.where(over, m, lo), np.where(over, hi, m)
+        done = ~over & (budget - p <= tol) | (hi - lo <= 1e-15 * hi)
+        if done.any():
+            mu[act[done]] = hi[done]
+            go = ~done
+            act, r, base, budget, target, tol = (
+                act[go], r[:, go], base[:, go], budget[go], target[go],
+                tol[go])
+            p, slope, lo, hi, m = p[go], slope[go], lo[go], hi[go], m[go]
+    mu[act] = hi
+    return mu
 
 
 def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget,
@@ -140,8 +162,8 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget,
     exact identity qt[i, k] = s_i conj(U[k, i]) sqrt(w_k) phase(u_k).
     Every factor there is well scaled, so no huge column ever multiplies
     a small basis error, and the power becomes a cheap rational function
-    of mu, P(mu) = sum_i r_i / (lam_i + ridge + mu)^2, whose root
-    _multiplier finds by safeguarded Newton on scalars, entry by entry.
+    of mu, P(mu) = sum_i r_i / (lam_i + ridge + mu)^2, whose roots
+    _multiplier finds by one safeguarded Newton over the whole stack.
 
     Every entry runs at the SVD's full width K = min(N, M), and a mask
     gives the modes past its rank (the count it keeps, see below) zero
@@ -166,19 +188,21 @@ def _beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget,
     gain = np.sqrt(w) * (u / np.where(absu > 0.0, absu, 1.0))
     base = lam + np.asarray(ridge, dtype=float)[:, None]
     r = lam * (w[:, None, :] @ (np.abs(uu) ** 2))[:, 0, :]
-    mu = [_multiplier(r[i, :k], base[i, :k], budget[i])
-          for i, k in enumerate(ranks.tolist())]
-    # The tail's infinite denominator gives it zero power without a 0/0.
     kept = np.arange(s.shape[-1]) < ranks[:, None]
-    scale = s / np.where(kept, base + np.array(mu)[:, None], np.inf)
+    mu = _multiplier(np.where(kept, r, 0.0).T, np.where(kept, base, 1.0).T,
+                     np.asarray(budget, dtype=float))
+    # The tail's infinite denominator gives it zero power without a 0/0.
+    scale = s / np.where(kept, base + mu[:, None], np.inf)
     np.conjugate(vh, out=vh)        # in place: vh is as large as h
     return (gain[..., None] * uu.conj() * scale[:, None, :]) @ vh
 
 
-def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
-             budget: float, ridge: float) -> float:
-    """Ascent step on a uniform power scale tau of all beamformers, given
-    their signal and interference powers sig, inter and sum power psum.
+def _rescale(sig: np.ndarray, inter: np.ndarray, psum: np.ndarray,
+             n0: float, budget: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+    """Ascent step on a uniform power scale tau of each entry's
+    beamformers, given the signal and interference powers sig, inter
+    (N, E) of its users and its sum power psum (E,), under budget and
+    ridge (E,).
 
     The regularized beamformer step alone moves total power extremely
     slowly once the leakage is nulled (the ridge is buried under the
@@ -191,37 +215,57 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
     Where the closed-form slope
     sum_k s_k n0 / ((tau q_k + n0)(tau (s_k + q_k) + n0)) - ridge psum
     is still nonnegative at the budget's tau_hi, concavity makes tau_hi
-    the argmax and no search runs.  Otherwise the golden-section search
-    evaluates the objective some sixty times, on Python floats: for the
-    few users of a cell (up to N = 16 in every shipped config) that is
-    several times cheaper than numpy's per-call dispatch on tiny arrays.
-    The two break even near N = 60, so there is one path.  With wide
-    cells solved in their row space (see _descend) a beam step costs
-    about what a search does: per entry on a 2-core VM, about 1 ms
-    against 0.4 ms at 240x60, and 0.1 ms against 0.13-0.16 ms at 64x16.
+    the argmax and no search runs.  Otherwise a golden-section search
+    evaluates the objective some sixty times, entry by entry on Python
+    floats.  tau_hi, the slope and the test against tau = 1 run once
+    over the stack, summed over the users' axis as a float loop adds
+    them (see _lead_sum).  numpy's log1p may differ from math.log1p, the
+    search's, in the last bit, so a test that lands within that rounding
+    of a tie is redone on the entry's Python floats: every entry gets
+    the tau a float loop over its users alone would give.  On a 2-core
+    VM the power-scale steps of 20 default 3x3 sweep trials take 4.8 ms
+    against 8.6 ms entry by entry; on the 64x16 cell every entry
+    searches, and the searches are nearly all of its 21 ms per 20
+    compare trials.
     """
-    if psum <= 0.0:
-        return 1.0
-    tau_hi = budget / psum
-    if not tau_hi >= 1.0 - _ON_BUDGET_RTOL:
-        return 1.0
-    links = list(zip(sig.tolist(), inter.tolist()))
+    tau = np.ones(psum.shape)
+    live = np.flatnonzero(psum > 0.0)
+    tau_hi = budget[live] / psum[live]
+    on = tau_hi >= 1.0 - _ON_BUDGET_RTOL
+    live, tau_hi = live[on], tau_hi[on]
+    s, q, p, rg = sig[:, live], inter[:, live], psum[live], ridge[live]
+    slope = _lead_sum(np.concatenate((
+        (-rg * p)[None],
+        s * n0 / ((tau_hi * q + n0) * (tau_hi * (s + q) + n0)))))
 
-    def gain(tau: float) -> float:
-        rate = 0.0
-        for s, q in links:
-            rate += math.log1p(tau * s / (tau * q + n0))
-        return rate - ridge * tau * psum
+    def objective(j: int):
+        """Entry j's objective tau -> sum log1p(SINR) - ridge tau psum."""
+        links = list(zip(s[:, j].tolist(), q[:, j].tolist()))
+        ridge_j, psum_j = float(rg[j]), float(p[j])
 
-    slope = -ridge * psum
-    for s, q in links:
-        slope += s * n0 / ((tau_hi * q + n0) * (tau_hi * (s + q) + n0))
-    if slope >= 0.0:
-        tau = tau_hi
-    else:
-        tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
-    if gain(tau) <= gain(1.0):
-        return 1.0
+        def gain(t: float) -> float:
+            rate = 0.0
+            for sk, qk in links:
+                rate += math.log1p(t * sk / (t * qk + n0))
+            return rate - ridge_j * t * psum_j
+        return gain
+
+    best = tau_hi.copy()
+    for j in np.flatnonzero(~(slope >= 0.0)).tolist():
+        best[j] = golden_section_max(objective(j), 1e-20 * tau_hi[j],
+                                     tau_hi[j], rel_tol=1e-10)
+    rate_t = _lead_sum(np.log1p(best * s / (best * q + n0)))
+    rate_1 = _lead_sum(np.log1p(s / (q + n0)))
+    cost_t, cost_1 = rg * best * p, rg * p
+    diff = (rate_t - cost_t) - (rate_1 - cost_1)
+    # Each log1p is within an ulp of the other's, and each sum and
+    # difference rounds once per user: twice their bound.
+    slack = 1e-15 * (s.shape[0] + 2) * (rate_t + cost_t + rate_1 + cost_1)
+    beats = diff > slack
+    for j in np.flatnonzero(~(np.abs(diff) > slack)).tolist():
+        gain = objective(j)
+        beats[j] = not gain(best[j]) <= gain(1.0)
+    tau[live[beats]] = best[beats]
     return tau
 
 
@@ -350,20 +394,19 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
         b = _beam_step(h, d / (e + sig), 1.0 + sinr,
                        [budget[i] for i in ids], [ridge[i] for i in ids])
         d, sig, inter, psum = _stats(h, b)
-        psums = psum.tolist()
-        scaled, roots = [], []
-        for j, i in enumerate(ids):
+        for i in ids:
             steps[i] += 1
-            if ridge[i] > 0.0:
-                tau = _rescale(sig[j], inter[j], psums[j], n0, budget[i],
-                               ridge[i])
-                if tau != 1.0:
-                    scaled.append(j)
-                    roots.append(math.sqrt(tau))
-        if scaled:
-            pos = np.array(scaled)
-            b[pos] *= np.array(roots)[:, None, None]
-            d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos], b[pos])
+        pos = [j for j, i in enumerate(ids) if ridge[i] > 0.0]
+        if pos:
+            tau = _rescale(sig[pos].T, inter[pos].T, psum[pos], n0,
+                           np.array([budget[ids[j]] for j in pos]),
+                           np.array([ridge[ids[j]] for j in pos]))
+            moved = tau != 1.0
+            pos = np.array(pos)[moved]
+            if pos.size:
+                b[pos] *= np.sqrt(tau[moved])[:, None, None]
+                d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos],
+                                                                 b[pos])
     if basis is not None:
         last_b = last_b @ np.swapaxes(basis, -1, -2)
     return _Descent(b=last_b, rate=rates_out, p_sum=psums_out, steps=steps,

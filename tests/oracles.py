@@ -75,11 +75,86 @@ def rescale_tau(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
     return 1.0 if gain(tau) <= gain(1.0) else tau
 
 
+def multiplier(r: np.ndarray, base: np.ndarray, budget: float) -> float:
+    """The multiplier search of ``optim._multiplier`` for one entry's
+    kept modes r, base (K,), as a float loop over the modes: the
+    per-entry form the stacked search must match bit for bit."""
+    modes = list(zip(r.tolist(), base.tolist()))
+
+    def power(mu: float) -> tuple[float, float]:
+        p = half_slope = 0.0                   # P and -P'/2
+        for ri, bi in modes:
+            x = 1.0 / (bi + mu)
+            t = ri * x * x
+            p += t
+            half_slope += t * x
+        return p, half_slope
+
+    p, slope = power(0.0)
+    if p <= budget * (1.0 + optim._ON_BUDGET_RTOL):
+        return 0.0
+    target = budget * (1.0 - 0.5 * optim._POWER_RTOL)
+    lo, hi = 0.0, math.sqrt(sum(ri for ri, _ in modes) / budget)
+    mu = lo
+    for _ in range(200):
+        nxt = mu + p / slope * (math.sqrt(p / target) - 1.0)
+        mu = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        p, slope = power(mu)
+        if p > budget:
+            lo = mu
+        elif budget - p <= optim._POWER_RTOL * budget:
+            return mu
+        else:
+            hi = mu
+        if hi - lo <= 1e-15 * hi:
+            break
+    return hi
+
+
+def rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
+            budget: float, ridge: float) -> float:
+    """The power scale tau of ``optim._rescale`` for one entry's signal
+    and interference powers sig, inter (N,), as a float loop over the
+    users: the per-entry form the stacked step must match bit for bit."""
+    if psum <= 0.0:
+        return 1.0
+    tau_hi = budget / psum
+    if not tau_hi >= 1.0 - optim._ON_BUDGET_RTOL:
+        return 1.0
+    links = list(zip(sig.tolist(), inter.tolist()))
+
+    def gain(tau: float) -> float:
+        rate = 0.0
+        for s, q in links:
+            rate += math.log1p(tau * s / (tau * q + n0))
+        return rate - ridge * tau * psum
+
+    slope = -ridge * psum
+    for s, q in links:
+        slope += s * n0 / ((tau_hi * q + n0) * (tau_hi * (s + q) + n0))
+    if slope >= 0.0:
+        tau = tau_hi
+    else:
+        tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
+    if gain(tau) <= gain(1.0):
+        return 1.0
+    return tau
+
+
 def beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,
               ridge: float) -> np.ndarray:
     """``optim._beam_step`` on one problem h (N, M), as a one-entry
     stack."""
     return optim._beam_step(h[None], u[None], w[None], [budget], [ridge])[0]
+
+
+def rescale_step(sig: np.ndarray, inter: np.ndarray, psum: float,
+                 n0: float, budget: float, ridge: float) -> float:
+    """``optim._rescale`` on one problem's link statistics sig, inter
+    (N,), as a one-entry stack."""
+    return float(optim._rescale(sig[:, None], inter[:, None],
+                                np.array([psum]), n0, np.array([budget]),
+                                np.array([ridge]))[0])
 
 
 def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
@@ -104,8 +179,8 @@ def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
         b = beam_step(h, d / (e + sig), 1.0 + sinr, budget, ridge)
         if ridge > 0.0:
             _, sig, inter = beamform.link_gains(h, b)
-            tau = optim._rescale(sig, inter, float(np.sum(np.abs(b) ** 2)),
-                                 n0, budget, ridge)
+            tau = rescale_step(sig, inter, float(np.sum(np.abs(b) ** 2)),
+                               n0, budget, ridge)
             b = b * math.sqrt(tau)
     return b, history
 

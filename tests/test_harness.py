@@ -375,6 +375,34 @@ def test_mc_rows_match_exact_sums(trials):
         assert row.total_power == row.sum_rate / row.ee
 
 
+def test_compare_draws_each_trial_once(monkeypatch):
+    """compare_schemes draws each trial's channel once for both schemes,
+    outside their clocks, and its per-trial arrays are those of one
+    _trial_chunk call per scheme."""
+    cfg = load_config(str(CONFIG_DIR.parent / "perfbench" / "configs"
+                          / "cell_64x16.json"))
+    budget = transmit_power_from_dbm(46.0, cfg)
+    draws = []
+    generate = channel.generate
+
+    def counted(*args):
+        draws.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(channel, "generate", counted)
+    trials = 23
+    report, prop, base = harness.compare_schemes(cfg, budget, trials, 3)
+    assert len(draws) == trials
+    assert report.seconds_proposed > 0.0 and report.seconds_baseline > 0.0
+    cell = harness._Cell(cfg, derive_power_model(cfg),
+                         satpower.compute_band(cfg))
+    for name, got in (("proposed", prop), ("baseline", base)):
+        per_trial, seconds = harness._trial_chunk(cell, [name], (budget,),
+                                                  3, 0, trials)
+        assert list(seconds) == [name]
+        assert np.array_equal(got, per_trial[name][:, 0])
+
+
 def test_run_compare_report():
     spec = ExperimentSpec(kind="compare", config_path=DEFAULT_CONFIG,
                           pmax_dbm=40.0, trials=5, seed=7)

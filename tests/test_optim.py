@@ -1,5 +1,6 @@
 """WMMSE block descent and the Dinkelbach efficiency baseline."""
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               total_power, transmit_power_from_dbm)
 
 from oracles import (beam_step, instantaneous_ee, iterate_recomputing,
-                     normalized_config, rescale_objective, rescale_tau)
+                     multiplier, normalized_config, rescale, rescale_objective,
+                     rescale_step, rescale_tau)
 
 
 # ----------------------------------------------------------------- wmmse
@@ -107,11 +109,24 @@ def _bisect_multiplier(r, base, budget):
 _CELLS = ((3, 3), (2, 8), (64, 16))
 
 
+def _one_multiplier(r, base, budget):
+    """``optim._multiplier`` on one entry's modes, as a one-entry stack."""
+    return optim._multiplier(r[:, None], base[:, None],
+                             np.array([budget]))[0]
+
+
+def _stacked_bisection(r, base, budget):
+    """:func:`_bisect_multiplier` column by column, in the stacked
+    signature of ``optim._multiplier``."""
+    return np.array([_bisect_multiplier(r[:, e], base[:, e], budget[e])
+                     for e in range(r.shape[1])])
+
+
 def _check_multiplier(r, base):
     p0 = float(np.sum(r / base ** 2))
     for frac in np.geomspace(1e-3, 0.5, 5):
         budget = frac * p0
-        mu = optim._multiplier(r, base, budget)
+        mu = _one_multiplier(r, base, budget)
         p = float(np.sum(r / (base + mu) ** 2))
         assert p <= budget
         assert budget - p <= 1e-10 * budget
@@ -122,12 +137,15 @@ def _check_multiplier(r, base):
 def test_multiplier_matches_bisection_on_beam_steps(monkeypatch):
     """The Newton multiplier lands where the bisection did, on the feasible
     side within the power tolerance, for the beam steps of Dinkelbach
-    solves (ridge zero on the first outer step, positive after)."""
+    solves (ridge zero on the first outer step, positive after).  Each
+    entry of a recorded stack is checked on its own, masked tail
+    included."""
     seen = []
     search = optim._multiplier
 
     def record(r, base, budget):
-        seen.append((r.copy(), base.copy()))
+        seen.extend((r[:, e].copy(), base[:, e].copy())
+                    for e in range(r.shape[1]))
         return search(r, base, budget)
 
     with monkeypatch.context() as mp:
@@ -153,6 +171,49 @@ def test_multiplier_matches_bisection_on_synthetic_spectra():
     _check_multiplier(rng.uniform(0.5, 2.0, base.size), base)
 
 
+def _check_stack_permutes(search, args, want):
+    """A stacked search gives each entry the float loop's value (want)
+    bit for bit, alone as well as in the stack, and permuting the
+    stack's columns permutes its output exactly."""
+    got = search(*args)
+    assert np.array_equal(got, want)
+    for e in range(len(want)):
+        alone = search(*(a[..., e:e + 1] if np.ndim(a) else a
+                         for a in args))
+        assert np.array_equal(alone, want[e:e + 1])
+    order = np.random.default_rng(9).permutation(len(want))
+    shuffled = search(*(a[..., order] if np.ndim(a) else a for a in args))
+    assert np.array_equal(shuffled, want[order])
+
+
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_stacked_multiplier_matches_float_loop(k):
+    """The stacked multiplier search equals the per-entry float loop of
+    tests/oracles.py bit for bit on stacks mixing ranks 0..K (the tail
+    masked as the beam step masks it), entries the budget leaves at
+    mu = 0 and budgets from a rounding excess to 1e-9 of the power.  At
+    K >= 8 a one-entry stack is where a plain sum over the modes would
+    go pairwise."""
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        ranks = np.resize(np.arange(k + 1), 3 * (k + 1))
+        size = ranks.size
+        base = np.exp(rng.uniform(-30.0, 30.0, (k, size)))
+        r = rng.uniform(0.5, 2.0, (k, size)) * base ** rng.uniform(
+            0.0, 2.0, size)
+        kept = np.arange(k)[:, None] < ranks
+        r, base = np.where(kept, r, 0.0), np.where(kept, base, 1.0)
+        p0 = np.sum(r / base ** 2, axis=0)
+        frac = np.exp(rng.uniform(-21.0, 0.0, size))
+        frac[::4] = 2.0                                   # mu = 0
+        frac[1::7] = 1.0 + 0.5 * optim._ON_BUDGET_RTOL    # rounding excess
+        budget = np.where(p0 > 0.0, frac * p0, 1.0)
+        want = np.array([multiplier(r[:n, e], base[:n, e], budget[e])
+                         for e, n in enumerate(ranks)])
+        assert np.any(want == 0.0) and np.any(want > 0.0)
+        _check_stack_permutes(optim._multiplier, (r, base, budget), want)
+
+
 def test_beam_step_matches_bisection_reference(monkeypatch):
     """Swapping the bisection back in moves the beamformers by no more
     than the power tolerance allows."""
@@ -170,7 +231,7 @@ def test_beam_step_matches_bisection_reference(monkeypatch):
             for frac in (1e-3, 0.1, 0.5):
                 new = beam_step(h, u, w, frac * p_free, ridge)
                 with monkeypatch.context() as mp:
-                    mp.setattr(optim, "_multiplier", _bisect_multiplier)
+                    mp.setattr(optim, "_multiplier", _stacked_bisection)
                     ref = beam_step(h, u, w, frac * p_free, ridge)
                 np.testing.assert_allclose(new, ref, rtol=1e-8, atol=0.0)
 
@@ -187,7 +248,7 @@ def test_rescale_accepts_a_rounding_excess_over_the_budget():
     ridge = 10.0 / psum                       # peak far below psum
     _, sig, inter = beamform.link_gains(h, b)
     for budget in (psum, psum * (1.0 - 1e-13)):
-        assert optim._rescale(sig, inter, psum, pm.n0, budget, ridge) < 0.5
+        assert rescale_step(sig, inter, psum, pm.n0, budget, ridge) < 0.5
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (16, 64), (8, 2), (2, 8), (64, 64)])
@@ -229,13 +290,84 @@ def test_rescale_matches_numpy_reference(n, m, monkeypatch):
             gain = rescale_objective(h, b, pm.n0, ridge)
             best = gain(rescale_tau(h, b, pm.n0, budget, ridge))
             before = len(searches)
-            tau = optim._rescale(sig, inter, psum, pm.n0, budget, ridge)
+            tau = rescale_step(sig, inter, psum, pm.n0, budget, ridge)
             searched[len(searches) > before] += 1
             if budget == psum:
                 assert len(searches) == before
             assert gain(tau) >= best - 1e-14 * abs(best)
             assert gain(tau) >= gain(1.0)
     assert searched[True] > 0 and searched[False] > 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_stacked_rescale_matches_float_loop(n, monkeypatch):
+    """The stacked power-scale step equals the per-entry float loop of
+    tests/oracles.py bit for bit, alone, in a stack and permuted, on
+    entries with no power, budgets below the power, budgets at the power
+    to within an ulp (where numpy's log1p and the float loop's may
+    disagree on whether tau beats 1), and slopes at the budget of both
+    signs, so the golden-section search runs on some entries and not on
+    others."""
+    searches = []
+    golden = optim.golden_section_max
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return golden(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "golden_section_max", counted)
+    rng = np.random.default_rng(n)
+    n0 = 1e-12
+    size = 60
+    for _ in range(10):
+        sig = n0 * np.exp(rng.uniform(-5.0, 12.0, (n, size)))
+        inter = n0 * np.exp(rng.uniform(-8.0, 8.0, (n, size)))
+        inter[rng.uniform(size=(n, size)) < 0.2] = 0.0
+        psum = np.exp(rng.uniform(-25.0, -15.0, size))
+        psum[::10] = 0.0
+        budget = psum * np.exp(rng.uniform(-1.0, 3.0, size))
+        budget[1::10] *= 1e-3
+        nudge = np.array([0.0, 1e-16, -1e-16, 2e-16, -1e-13, 1e-10])
+        budget[2::3] = psum[2::3] * (1.0 + rng.choice(nudge, size // 3))
+        budget[::10] = 1e-20
+        ridge = (np.exp(rng.uniform(-3.0, 3.0, size)) * 10.0 ** rng.uniform(
+            -3.0, 1.0, size) / np.where(psum > 0.0, psum, 1.0))
+        want = np.array([rescale(sig[:, e], inter[:, e], psum[e], n0,
+                                 budget[e], ridge[e]) for e in range(size)])
+        before = len(searches)
+        _check_stack_permutes(
+            lambda *args: optim._rescale(args[0], args[1], args[2], n0,
+                                         *args[3:]),
+            (sig, inter, psum, budget, ridge), want)
+        assert len(searches) > before
+        assert np.any(want == 1.0) and np.any(want != 1.0)
+
+
+def test_beam_step_searches_once_per_step(monkeypatch):
+    """A stacked Dinkelbach solve runs one multiplier search per beam
+    step and at most one power-scale step after it, each over the whole
+    stack; a WMMSE solve, with no ridge, runs no power-scale step."""
+    events = []
+
+    def spy(name):
+        inner = getattr(optim, name)
+
+        def call(*args, **kwargs):
+            events.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(optim, name, call)
+
+    for name in ("_beam_step", "_multiplier", "_rescale"):
+        spy(name)
+    cfg = _STACK_CELLS["default"]()
+    h, p = _stack_entries(cfg, (0.0, 24.0, 46.0))
+    optim.dinkelbach_ee(h, cfg, p)
+    # One letter per call: b(eam step), m(ultiplier), r(escale).
+    calls = "".join(name[1] for name in events)
+    assert re.fullmatch("(bmr?)+", calls) and calls.count("r") > 1
+    events.clear()
+    optim.wmmse(h, cfg, p)
+    assert re.fullmatch("(bm)+", "".join(name[1] for name in events))
 
 
 def _descent_coordinates(h: np.ndarray, b0: np.ndarray):
@@ -544,7 +676,7 @@ def test_stacked_entries_match_single_solves(name, monkeypatch):
     search = optim._multiplier
 
     def record(r, base, budget):
-        modes.append(r.size)
+        modes.extend(np.count_nonzero(r, axis=0).tolist())
         return search(r, base, budget)
 
     monkeypatch.setattr(optim, "_multiplier", record)
