@@ -78,9 +78,7 @@ def sinr(h: np.ndarray, b: np.ndarray, n0: float) -> np.ndarray:
     return sig / (inter + n0)
 
 
-def sum_rate(sinrs: np.ndarray):
-    """Sum of log(1 + SINR_k), nat/s/Hz: a float for one set of users, an
-    array over the leading axes of a stack."""
-    rate = np.log1p(sinrs).sum(axis=-1)
-    return float(rate) if rate.ndim == 0 else rate
+def sum_rate(sinrs: np.ndarray) -> np.ndarray:
+    """Sum of log(1 + SINR_k) over the users' (last) axis, nat/s/Hz."""
+    return np.log1p(sinrs).sum(axis=-1)
 

@@ -427,10 +427,15 @@ def run_toy(spec: ExperimentSpec) -> list[EePoint]:
 
 # ------------------------------------------------------------------- io
 
+def _unit_scale(bits: bool) -> float:
+    """Factor taking nats to the reported unit, bits when bits is set."""
+    return 1.0 / LN2 if bits else 1.0
+
+
 def format_csv(points: list[EePoint], bits: bool = False) -> str:
     """Render rows; rates and efficiencies switch to base-2 units when
     bits is set.  Full float precision so rows re-parse exactly."""
-    scale = 1.0 / LN2 if bits else 1.0
+    scale = _unit_scale(bits)
     lines = [CSV_HEADER]
     for pt in points:
         lines.append("%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
@@ -439,15 +444,19 @@ def format_csv(points: list[EePoint], bits: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def describe_report(report: CompareReport) -> str:
+def describe_report(report: CompareReport, bits: bool = False) -> str:
+    """The compare report as text; mean efficiencies in bit/J when bits
+    is set, scaled as :func:`format_csv` scales the CSV's."""
     band = report.band
+    scale = _unit_scale(bits)
     return "\n".join([
         f"budget: {report.budget_dbm:.2f} dBm",
         (f"band [W/Hz]: p_lb={band.p_lb:.6e} p_rzf={band.p_rzf:.6e} "
          f"p_prop={band.p_prop:.6e} p_ub={band.p_ub:.6e}"),
         f"omega={band.omega:.6f} beta={band.beta}",
-        (f"mean EE: proposed={report.mean_ee_proposed:.6e} "
-         f"baseline={report.mean_ee_baseline:.6e} "
+        (f"mean EE [{'bit' if bits else 'nat'}/J]: "
+         f"proposed={report.mean_ee_proposed * scale:.6e} "
+         f"baseline={report.mean_ee_baseline * scale:.6e} "
          f"ratio={report.ee_ratio:.4f}"),
         (f"wall clock [s], channel draws excluded: "
          f"proposed={report.seconds_proposed:.3f} "
@@ -460,7 +469,7 @@ def run(spec: ExperimentSpec) -> tuple[list[EePoint], str | None]:
     """Dispatch one experiment; returns rows plus an optional stdout note."""
     if spec.kind == "compare":
         points, report = run_compare(spec)
-        return points, describe_report(report)
+        return points, describe_report(report, spec.bits)
     runner = {"sweep": run_sweep, "tradeoff": run_tradeoff,
               "saturation": run_saturation, "toy": run_toy}[spec.kind]
     return runner(spec), None

@@ -5,11 +5,12 @@ a sum power constraint.  The Dinkelbach routine wraps it into a
 fractional program for energy efficiency and serves as the baseline the
 one-shot scheme is judged against.
 
-Both solve one problem, a channel h (N, M) and a budget, or a stack of
-them, h (E, N, M) with one budget or E.  Each entry of a stack follows
-the single problem's algorithm to the last bit, with its own stop, cap
-and Dinkelbach parameter, and leaves the stack when it finishes; the
-stack only shares numpy's per-call cost among the entries.
+Both solve a stack of problems, channels h (E, N, M) with budgets (E,);
+one problem is a one-entry stack.  Each entry has its own stop, cap and
+Dinkelbach parameter, kept with the rest of the descent's state in (E,)
+arrays, and leaves the stack when it finishes.  Its arithmetic does not
+depend on the other entries, so the stack only shares numpy's per-call
+cost among them.
 """
 from __future__ import annotations
 
@@ -44,32 +45,28 @@ class WmmseState:
 
 @dataclass
 class WmmseResult:
-    """Beamformer matrix b (N, M) of the last iterate, its sum rate and
-    sum power, and the objective after every iteration.
-
-    For a stack, b is (E, N, M) and sum_rate and p_sum have one value
-    per entry; converged holds only if every entry converged, and the
-    entries' objective histories are concatenated in entry order."""
+    """Beamformers b (E, N, M) of each entry's last iterate, their sum
+    rates and sum powers (E,), and the objective after every iteration,
+    the entries' histories concatenated in entry order.  converged holds
+    only if every entry converged."""
 
     b: np.ndarray
     state: WmmseState
     converged: bool
-    sum_rate: float | np.ndarray
-    p_sum: float | np.ndarray
+    sum_rate: np.ndarray
+    p_sum: np.ndarray
     objective_history: np.ndarray
 
 
 @dataclass
 class DinkelbachResult:
-    """Beamformer matrix b (N, M) of the last inner solve, its efficiency
-    lambda_star, and the parameter and F(lam) of every outer step.
-
-    For a stack, b is (E, N, M) and lambda_star has one value per entry;
-    converged holds only if every entry converged, and the entries'
-    histories are concatenated in entry order."""
+    """Beamformers b (E, N, M) of each entry's last inner solve, their
+    efficiencies lambda_star (E,), and the parameter and F(lam) of every
+    outer step, the entries' histories concatenated in entry order.
+    converged holds only if every entry converged."""
 
     b: np.ndarray
-    lambda_star: float | np.ndarray
+    lambda_star: np.ndarray
     converged: bool
     lambda_history: np.ndarray
     f_history: np.ndarray
@@ -277,27 +274,38 @@ def _stats(h: np.ndarray, b: np.ndarray):
 
 @dataclass
 class _Descent:
-    """Per-entry outcome of :func:`_descend`: the last iterate b (E, N, M),
-    its sum rate and sum power, the beam steps, convergence flag and
-    objectives of the last inner descent, and the Dinkelbach parameter
-    and F(lam) of every outer step (empty for a plain descent)."""
+    """Outcome of :func:`_descend`, one array over the entries per field:
+    the last iterate b (E, N, M), its sum rate and sum power, and the
+    beam steps and convergence flag of the last inner descent; then the
+    objective after every iteration of a plain descent (empty with a
+    Dinkelbach loop) and the parameter and F(lam) of every outer step
+    (empty without one), each concatenated in entry order."""
 
     b: np.ndarray
-    rate: list[float]
-    p_sum: list[float]
-    steps: list[int]
-    converged: list[bool]
-    history: list[list[float]]
-    lam: list[list[float]]
-    f: list[list[float]]
+    rate: np.ndarray
+    p_sum: np.ndarray
+    steps: np.ndarray
+    converged: np.ndarray
+    history: np.ndarray
+    lam: np.ndarray
+    f: np.ndarray
 
 
-def _descend(h: np.ndarray, n0: float, budget: list[float],
-             ridge: list[float], b: np.ndarray,
+def _by_entry(log: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The values of a log of (entries, values) pairs, entry by entry,
+    each entry's in the order they were logged."""
+    if not log:
+        return np.empty(0)
+    at, values = (np.concatenate(part) for part in zip(*log))
+    return values[np.argsort(at, kind="stable")]
+
+
+def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
+             ridge: np.ndarray, b: np.ndarray,
              outer: tuple[DerivedPowerModel, float] | None = None
              ) -> _Descent:
     """Block descent of a stack of entries, channels h (E, N, M) from the
-    beamformers b (E, N, M), each under its own budget and ridge.
+    beamformers b (E, N, M), each under its own budget and ridge (E,).
 
     ridge = lambda * xi regularizes the beamformer step for the
     fractional inner problems, and a positive ridge adds a power-scale
@@ -311,6 +319,15 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
     lam * consumed power is taken, and unless |F(lam)| <= _DELTA or
     _MAX_OUTER outer steps are spent, the descent restarts from the
     entry's beamformers with lam = rate / consumed power.
+
+    The state of the entries still stepping (objective, ridge, lam,
+    step and outer-step counts) is kept in arrays, and each beam step
+    does its bookkeeping in array passes over them: the stop test, F(lam)
+    and the restart of the entries that stopped, and the removal of the
+    finished ones from the stack, state and all.  Each pass applies the
+    float operations a scalar loop over the entries would, so an entry
+    gets the same bits.  A missing previous objective is NaN, which no
+    stop test passes.
 
     A wide cell (M > N) descends in its channels' row space: with the QR
     factorization h^T = q r, coefficients c on the N x N effective
@@ -335,164 +352,134 @@ def _descend(h: np.ndarray, n0: float, budget: list[float],
         h = np.ascontiguousarray(np.swapaxes(r, -1, -2))
         b = b @ basis.conj()
     count = len(budget)
-    ridge = list(ridge)
-    rates_out, psums_out = [0.0] * count, [0.0] * count
-    steps, conv = [0] * count, [False] * count
-    history: list[list[float]] = [[] for _ in range(count)]
-    lam_hist: list[list[float]] = [[] for _ in range(count)]
-    f_hist: list[list[float]] = [[] for _ in range(count)]
-    lam = [0.0] * count
-    prev: list[float | None] = [None] * count
-    ids = list(range(count))            # the entry at each stack position
+    at = np.arange(count)               # the entry at each stack position
+    prev = np.full(count, np.nan)
+    lam = np.zeros(count)
+    steps = np.zeros(count, dtype=int)
+    outer_steps = np.zeros(count, dtype=int)
+    rate_out, psum_out = np.empty(count), np.empty(count)
+    steps_out, conv_out = np.empty(count, dtype=int), np.empty(count, bool)
+    history, lam_log, f_log = [], [], []
     last_b = np.empty(b.shape, dtype=complex)
     d, sig, inter, psum = _stats(h, b)
-    while ids:
+    while at.size:
         e = inter + n0
         sinr = sig / e
-        rates = np.log1p(sinr).sum(axis=-1).tolist()
-        psums = psum.tolist()
-        keep = []
-        for j, i in enumerate(ids):
-            rate, p_sum = rates[j], psums[j]
-            while True:
-                obj = rate - ridge[i] * p_sum
-                history[i].append(obj)
-                last = prev[i]
-                prev[i] = obj
-                converged = (last is not None and abs(obj - last)
-                             <= _TOL * max(1.0, abs(obj)))
-                if not converged and steps[i] < _MAX_ITER:
-                    keep.append(j)
-                    break
-                rates_out[i], psums_out[i] = rate, p_sum
-                conv[i] = converged
-                if outer is None:
-                    break
-                pm, xi = outer
-                consumed = total_power(p_sum, pm, xi)
-                f_val = rate - lam[i] * consumed
-                lam_hist[i].append(lam[i])
-                f_hist[i].append(f_val)
-                conv[i] = abs(f_val) <= _DELTA
-                lam[i] = rate / consumed
-                if conv[i] or len(f_hist[i]) == _MAX_OUTER:
-                    break
-                ridge[i] = lam[i] * xi
-                prev[i] = None
-                steps[i] = 0
-                history[i] = []
-        if len(keep) < len(ids):
-            stepping = set(keep)
-            done = [j for j in range(len(ids)) if j not in stepping]
-            last_b[[ids[j] for j in done]] = b[done]
-            if not keep:
+        rate = np.log1p(sinr).sum(axis=-1)
+        obj = rate - ridge * psum
+        converged = np.abs(obj - prev) <= _TOL * np.maximum(1.0, np.abs(obj))
+        prev = obj
+        stop = converged | ~(steps < _MAX_ITER)
+        if outer is None:
+            history.append((at, obj))
+        elif stop.any():
+            pm, xi = outer
+            consumed = total_power(psum, pm, xi)
+            f = rate - lam * consumed
+            lam_log.append((at[stop], lam[stop]))
+            f_log.append((at[stop], f[stop]))
+            converged = np.where(stop, np.abs(f) <= _DELTA, converged)
+            lam = np.where(stop, rate / consumed, lam)
+            outer_steps += stop
+            restart = stop & ~converged & (outer_steps < _MAX_OUTER)
+            ridge = np.where(restart, lam * xi, ridge)
+            prev = np.where(restart, rate - ridge * psum, prev)
+            steps[restart] = 0
+            stop &= ~restart
+        if stop.any():
+            done = at[stop]
+            last_b[done] = b[stop]
+            rate_out[done], psum_out[done] = rate[stop], psum[stop]
+            steps_out[done], conv_out[done] = steps[stop], converged[stop]
+            if stop.all():
                 break
-            pos = np.array(keep)
-            ids = [ids[j] for j in keep]
-            h, d, sig, e, sinr = h[pos], d[pos], sig[pos], e[pos], sinr[pos]
+            go = ~stop
+            (at, budget, ridge, prev, lam, steps, outer_steps, h, d, sig, e,
+             sinr) = (a[go] for a in (at, budget, ridge, prev, lam, steps,
+                                      outer_steps, h, d, sig, e, sinr))
         del b                           # before the step allocates the next
-        b = _beam_step(h, d / (e + sig), 1.0 + sinr,
-                       [budget[i] for i in ids], [ridge[i] for i in ids])
+        b = _beam_step(h, d / (e + sig), 1.0 + sinr, budget, ridge)
         d, sig, inter, psum = _stats(h, b)
-        for i in ids:
-            steps[i] += 1
-        pos = [j for j, i in enumerate(ids) if ridge[i] > 0.0]
-        if pos:
+        steps += 1
+        pos = np.flatnonzero(ridge > 0.0)
+        if pos.size:
             tau = _rescale(sig[pos].T, inter[pos].T, psum[pos], n0,
-                           np.array([budget[ids[j]] for j in pos]),
-                           np.array([ridge[ids[j]] for j in pos]))
+                           budget[pos], ridge[pos])
             moved = tau != 1.0
-            pos = np.array(pos)[moved]
+            pos = pos[moved]
             if pos.size:
                 b[pos] *= np.sqrt(tau[moved])[:, None, None]
                 d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos],
                                                                  b[pos])
     if basis is not None:
         last_b = last_b @ np.swapaxes(basis, -1, -2)
-    return _Descent(b=last_b, rate=rates_out, p_sum=psums_out, steps=steps,
-                    converged=conv, history=history, lam=lam_hist, f=f_hist)
+    return _Descent(b=last_b, rate=rate_out, p_sum=psum_out, steps=steps_out,
+                    converged=conv_out, history=_by_entry(history),
+                    lam=_by_entry(lam_log), f=_by_entry(f_log))
 
 
-def _stack(h: np.ndarray, p_budget) -> tuple[np.ndarray, np.ndarray]:
-    """The channels of a call as a stack (E, N, M) and its budgets as an
-    array (E,): h is one channel (N, M) with one budget, or a stack with
-    one budget or one per channel."""
+def _budgets(h: np.ndarray, p_budget) -> np.ndarray:
+    """The budgets of a call as an array (E,), checked against its stack
+    of channels h (E, N, M)."""
     budget = np.asarray(p_budget, dtype=float)
     if not np.all(budget > 0.0):
         raise ValueError(f"power budget must be positive, got {p_budget}")
-    if budget.shape not in ((), h.shape[:-2]) or h.ndim not in (2, 3):
-        raise ValueError(f"budgets of shape {budget.shape} do not match "
-                         f"channels of shape {h.shape}")
-    stack = h.reshape((-1,) + h.shape[-2:])
-    return stack, np.broadcast_to(budget, stack.shape[:1])
-
-
-def _one(h: np.ndarray, values: list):
-    """The per-entry values as an array, or the single value of an
-    unstacked call."""
-    return values[0] if h.ndim == 2 else np.array(values)
+    if h.ndim != 3 or budget.shape != h.shape[:1]:
+        raise ValueError(f"budgets of shape {budget.shape} do not match a "
+                         f"stack of channels (E, N, M), got {h.shape}")
+    return budget
 
 
 def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget,
           init: np.ndarray | None = None) -> WmmseResult:
-    """Sum-rate maximization by weighted-MMSE block coordinate descent.
+    """Sum-rate maximization by weighted-MMSE block coordinate descent of
+    a stack of channels h (E, N, M) under the budgets p_budget (E,).
 
     Starts from equal-power maximum-ratio beamformers (or the given
-    beamformer matrix, of the shape of h) and stops when the relative
-    objective change drops below _TOL.  The returned objective history
-    is nondecreasing up to rounding; if the iteration cap runs out first
-    the last iterate is returned with converged = False.  h is one
-    channel (N, M) or a stack (E, N, M), p_budget one budget or E.
+    beamformers init, of the shape of h) and stops each entry when its
+    relative objective change drops below _TOL.  The returned objective
+    history is nondecreasing up to rounding; an entry whose iteration
+    cap runs out first returns its last iterate, with converged = False.
     """
-    stack, budget = _stack(h, p_budget)
+    budget = _budgets(h, p_budget)
     pm = derive_power_model(cfg)
     if init is None:
-        b0 = mrt(stack) * np.sqrt(budget / cfg.N)[:, None, None]
-    else:
-        b0 = np.ascontiguousarray(init, dtype=complex)
-        if b0.shape != h.shape:
-            raise ValueError(
-                f"init shape {b0.shape} does not match channel {h.shape}")
-        b0 = b0.reshape(stack.shape)
-    budgets = budget.tolist()
-    run = _descend(stack, pm.n0, budgets, [0.0] * len(budgets), b0)
+        init = mrt(h) * np.sqrt(budget / cfg.N)[:, None, None]
+    elif np.shape(init) != h.shape:
+        raise ValueError(f"init shape {np.shape(init)} does not match "
+                         f"channels {h.shape}")
+    run = _descend(h, pm.n0, budget, np.zeros(budget.size),
+                   np.ascontiguousarray(init, dtype=complex))
     return WmmseResult(
-        b=run.b[0] if h.ndim == 2 else run.b,
-        state=WmmseState(iteration=sum(run.steps)),
-        converged=all(run.converged), sum_rate=_one(h, run.rate),
-        p_sum=_one(h, run.p_sum),
-        objective_history=np.array([v for hist in run.history
-                                    for v in hist]))
+        b=run.b, state=WmmseState(iteration=int(run.steps.sum())),
+        converged=bool(run.converged.all()), sum_rate=run.rate,
+        p_sum=run.p_sum, objective_history=run.history)
 
 
 def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
                   p_budget) -> DinkelbachResult:
-    """Energy-efficiency maximization by Dinkelbach's parametric method.
+    """Energy-efficiency maximization by Dinkelbach's parametric method,
+    for a stack of channels h (E, N, M) under the budgets p_budget (E,).
 
     Each outer step solves max sum-rate minus lam times consumed power
     (same block descent, with lam xi folded into the beamformer
     regularizer), warm-started from the previous beamformers so the lam
     sequence is nondecreasing.  Stops once the parametric value F(lam)
     falls within _DELTA of zero; the returned lambda_star is the achieved
-    efficiency of the final solution.  h is one channel (N, M) or a
-    stack (E, N, M), p_budget one budget or E.
+    efficiency of the final solution.
 
     The very first solve starts from equal-power RZF beamformers: a
     maximum-ratio start can strand the whole continuation in a basin
     where a strongly correlated user is abandoned.
     """
-    stack, budget = _stack(h, p_budget)
+    budget = _budgets(h, p_budget)
     pm = derive_power_model(cfg)
     scale = np.sqrt(budget / cfg.N)[:, None, None]
-    budgets = budget.tolist()
     # The start is built inline: the descent drops it after one step.
-    run = _descend(stack, pm.n0, budgets, [0.0] * len(budgets),
-                   rzf(stack, mmse_loading_alpha(cfg, budget)) * scale,
+    run = _descend(h, pm.n0, budget, np.zeros(budget.size),
+                   rzf(h, mmse_loading_alpha(cfg, budget)) * scale,
                    outer=(pm, cfg.xi))
-    lambda_star = [rate / total_power(p_sum, pm, cfg.xi)
-                   for rate, p_sum in zip(run.rate, run.p_sum)]
     return DinkelbachResult(
-        b=run.b[0] if h.ndim == 2 else run.b,
-        lambda_star=_one(h, lambda_star), converged=all(run.converged),
-        lambda_history=np.array([v for lam in run.lam for v in lam]),
-        f_history=np.array([v for f in run.f for v in f]))
+        b=run.b, lambda_star=run.rate / total_power(run.p_sum, pm, cfg.xi),
+        converged=bool(run.converged.all()), lambda_history=run.lam,
+        f_history=run.f)

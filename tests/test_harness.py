@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from saturee import beamform, channel, cli, harness, optim, satpower
 from saturee.harness import CSV_HEADER, EePoint, ExperimentSpec
 from saturee.sysmodel import (derive_power_model, load_config,
                               transmit_power_from_dbm)
+
+from oracles import dinkelbach_one
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT_CONFIG = str(CONFIG_DIR / "default.json")
@@ -219,7 +222,7 @@ def _slack(p_sum, budget):
 def _cold_baseline(cell, h, p):
     """One Dinkelbach solve of a single draw and budget, scored as the
     harness scores it: (sum rate, sum power, slack)."""
-    b = optim.dinkelbach_ee(h, cell.cfg, p).b
+    b = dinkelbach_one(h, cell.cfg, p).b
     power = float(np.sum(np.abs(b) ** 2))
     return (beamform.sum_rate(beamform.sinr(h, b, cell.pm.n0)), power,
             _slack(power, p))
@@ -458,6 +461,23 @@ def test_cli_bits_scaling(capsys):
     # at 30 dBm the toy transmit power is 1, so the rate is exactly
     # one bit once converted out of nats
     assert float(row[2]) == 1.0
+
+
+@pytest.mark.parametrize("bits, unit", [([], "nat/J"), (["--bits"], "bit/J")],
+                         ids=["nats", "bits"])
+def test_cli_compare_report_follows_csv_units(bits, unit, capsys):
+    """compare's printed mean EE is the CSV's ee column, in the CSV's
+    unit, to the printed digits, and the report names that unit."""
+    rc = cli.main(["compare", "--config", DEFAULT_CONFIG, "--trials", "3"]
+                  + bits)
+    assert rc == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    ee = {row.split(",")[0]: float(row.split(",")[4]) for row in out[1:3]}
+    line = next(text for text in out if text.startswith("mean EE"))
+    printed = dict(re.findall(r"(proposed|baseline)=(\S+)", line))
+    assert f"[{unit}]" in line
+    for scheme in ("proposed", "baseline"):
+        assert printed[scheme] == f"{ee[scheme]:.6e}"
 
 
 def test_cli_defaults_come_from_spec():

@@ -12,9 +12,10 @@ from saturee.specfun import lambert_w0
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               total_power, transmit_power_from_dbm)
 
-from oracles import (beam_step, instantaneous_ee, iterate_recomputing,
-                     multiplier, normalized_config, rescale, rescale_objective,
-                     rescale_step, rescale_tau)
+from oracles import (beam_step, dinkelbach_one, dinkelbach_outer_loop,
+                     instantaneous_ee, iterate_recomputing, multiplier,
+                     normalized_config, proposed_one, rescale,
+                     rescale_objective, rescale_step, rescale_tau, wmmse_one)
 
 
 # ----------------------------------------------------------------- wmmse
@@ -26,7 +27,7 @@ def test_wmmse_single_user_closed_form():
     p = 1e-8
     for trial in range(5):
         h = channel.generate(cfg, 13, trial)
-        res = optim.wmmse(h, cfg, p)
+        res = wmmse_one(h, cfg, p)
         g = float(np.linalg.norm(h[0]) ** 2)
         assert res.converged
         assert res.state.iteration <= 3
@@ -154,8 +155,7 @@ def test_multiplier_matches_bisection_on_beam_steps(monkeypatch):
             cfg = SystemConfig(M=m, N=n)
             budget = transmit_power_from_dbm(30.0, cfg)
             for trial in range(2):
-                optim.dinkelbach_ee(channel.generate(cfg, 5, trial), cfg,
-                                    budget)
+                dinkelbach_one(channel.generate(cfg, 5, trial), cfg, budget)
     assert len(seen) >= 40
     for r, base in seen:
         _check_multiplier(r, base)
@@ -400,15 +400,16 @@ def test_iterate_matches_recomputing_reference(n, m):
             * math.sqrt(p / n)
         hr, c0, lift = _descent_coordinates(h, b0)
         for ridge in (0.0, 1e-3 * n / p, n / p):
-            run = optim._descend(h[None], pm.n0, [p], [ridge], b0[None])
+            run = optim._descend(h[None], pm.n0, np.array([p]),
+                                 np.array([ridge]), b0[None])
             c_ref, hist = iterate_recomputing(hr, pm.n0, p, ridge, c0)
-            assert run.steps == [len(hist) - 1]
-            np.testing.assert_allclose(run.history[0], hist,
+            assert run.steps.tolist() == [len(hist) - 1]
+            np.testing.assert_allclose(run.history, hist,
                                        rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(run.b[0], lift(c_ref), rtol=1e-12,
                                        atol=0.0)
 
-        res = optim.dinkelbach_ee(h, cfg, p)
+        res = dinkelbach_one(h, cfg, p)
         lam, c = 0.0, c0
         for want in res.lambda_history:
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -443,9 +444,9 @@ def test_wide_cells_solve_in_row_space(n, m):
             b_mrt = beamform.mrt(h) * math.sqrt(p / n)
             b_rzf = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
                 * math.sqrt(p / n)
-            runs = [(optim.wmmse(h, cfg, p), b_mrt),
-                    (optim.wmmse(h, cfg, p, init=b_rzf), b_rzf),
-                    (optim.dinkelbach_ee(h, cfg, p), b_rzf)]
+            runs = [(wmmse_one(h, cfg, p), b_mrt),
+                    (wmmse_one(h, cfg, p, init=b_rzf), b_rzf),
+                    (dinkelbach_one(h, cfg, p), b_rzf)]
             for res, b0 in runs:
                 b = res.b
                 off = b - (b @ span.conj().T) @ span
@@ -490,7 +491,7 @@ def test_wmmse_orthogonal_matches_power_filling(monkeypatch):
     cfg = normalized_config(2, 2, 13.0)
     h = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
     budget = 2.0
-    res = optim.wmmse(h, cfg, budget)
+    res = wmmse_one(h, cfg, budget)
     p1 = np.linspace(0.0, budget, 100001)
     grid_best = float(np.max(np.log1p(4.0 * p1) + np.log1p(budget - p1)))
     assert res.sum_rate >= grid_best - 1e-6
@@ -507,7 +508,7 @@ def test_wmmse_monotone_feasible_and_beats_its_start(cfg3):
     wins = 0
     for trial in range(50):
         h = channel.generate(cfg3, 19, trial)
-        res = optim.wmmse(h, cfg3, budget)
+        res = wmmse_one(h, cfg3, budget)
         assert res.converged
         hist = res.objective_history
         slack = 1e-9 * max(1.0, float(np.max(np.abs(hist))))
@@ -528,7 +529,7 @@ def test_wmmse_monotone_feasible_and_beats_its_start(cfg3):
         rzf_dirs = beamform.rzf(h, beamform.mmse_loading_alpha(cfg3, budget))
         rzf_rate = beamform.sum_rate(beamform.sinr(
             h, rzf_dirs * scale, pm.n0))
-        warm = optim.wmmse(h, cfg3, budget, init=rzf_dirs * scale)
+        warm = wmmse_one(h, cfg3, budget, init=rzf_dirs * scale)
         assert warm.sum_rate >= rzf_rate * (1.0 - 1e-9)
         if warm.sum_rate >= max(mrt_rate, rzf_rate) * (1.0 - 1e-9):
             wins += 1
@@ -538,11 +539,11 @@ def test_wmmse_monotone_feasible_and_beats_its_start(cfg3):
 def test_wmmse_rejects_bad_inputs(cfg3):
     h = channel.generate(cfg3, 1, 0)
     with pytest.raises(ValueError):
-        optim.wmmse(h, cfg3, 0.0)
+        wmmse_one(h, cfg3, 0.0)
     with pytest.raises(ValueError):
-        optim.wmmse(h, cfg3, -1e-9)
+        wmmse_one(h, cfg3, -1e-9)
     with pytest.raises(ValueError):
-        optim.wmmse(h, cfg3, 1e-8, init=np.ones((2, 5), dtype=complex))
+        wmmse_one(h, cfg3, 1e-8, init=np.ones((2, 5), dtype=complex))
 
 
 # ------------------------------------------------------------ dinkelbach
@@ -551,7 +552,7 @@ def test_dinkelbach_structure(cfg3):
     budget = transmit_power_from_dbm(46.0, cfg3)
     for trial in range(10):
         h = channel.generate(cfg3, 29, trial)
-        res = optim.dinkelbach_ee(h, cfg3, budget)
+        res = dinkelbach_one(h, cfg3, budget)
         assert res.converged
         assert abs(res.f_history[-1]) <= 1e-3
         lam = res.lambda_history
@@ -579,7 +580,7 @@ def test_dinkelbach_single_user_closed_form(monkeypatch):
             1.0 + lambert_w0((t - 1.0) / math.e)) - 1.0)
         ee_star = math.log1p(g * p_star / pm.n0) / (
             cfg.xi * p_star + pm.Pconst)
-        res = optim.dinkelbach_ee(h, cfg, 100.0 * p_star)
+        res = dinkelbach_one(h, cfg, 100.0 * p_star)
         assert res.converged
         assert float(np.sum(np.abs(res.b) ** 2)) == pytest.approx(p_star,
                                                                   rel=1e-4)
@@ -589,7 +590,7 @@ def test_dinkelbach_single_user_closed_form(monkeypatch):
 def test_dinkelbach_rejects_bad_budget(cfg3):
     h = channel.generate(cfg3, 1, 0)
     with pytest.raises(ValueError):
-        optim.dinkelbach_ee(h, cfg3, 0.0)
+        dinkelbach_one(h, cfg3, 0.0)
 
 
 def test_dinkelbach_upper_bounds_one_shot_scheme(cfg3):
@@ -602,9 +603,9 @@ def test_dinkelbach_upper_bounds_one_shot_scheme(cfg3):
     base_vals = []
     for trial in range(20):
         h = channel.generate(cfg3, 37, trial)
-        prop = instantaneous_ee(
-            h, satpower.proposed_scheme(h, cfg3, budget, band).b, cfg3)
-        base = optim.dinkelbach_ee(h, cfg3, budget).lambda_star
+        prop = instantaneous_ee(h, proposed_one(h, cfg3, budget, band).b,
+                                cfg3)
+        base = dinkelbach_one(h, cfg3, budget).lambda_star
         assert base >= prop * (1.0 - 1e-6)
         prop_vals.append(prop)
         base_vals.append(base)
@@ -639,15 +640,18 @@ def _stack_entries(cfg, dbms):
 
 def _check_stack(cfg, dbms):
     """Entry i of a stacked wmmse, dinkelbach_ee and proposed_scheme call
-    equals the single call on entry i bit for bit, histories included;
-    returns how many single WMMSE solves converged or capped."""
+    equals the one-entry stack of entry i bit for bit, histories
+    included; returns how many one-entry WMMSE solves converged or
+    capped."""
     band = satpower.compute_band(cfg)
     h, p = _stack_entries(cfg, dbms)
     seen = {"capped": 0, "converged": 0}
-    for solve in (lambda h, p: optim.wmmse(h, cfg, p),
-                  lambda h, p: satpower.proposed_scheme(h, cfg, p, band)):
+    for solve, one_entry in (
+            (lambda h, p: optim.wmmse(h, cfg, p), wmmse_one),
+            (lambda h, p: satpower.proposed_scheme(h, cfg, p, band),
+             lambda h, cfg, p: proposed_one(h, cfg, p, band))):
         stacked = solve(h, p)
-        singles = [solve(h[i], p[i]) for i in range(len(p))]
+        singles = [one_entry(h[i], cfg, p[i]) for i in range(len(p))]
         for i, one in enumerate(singles):
             assert np.array_equal(stacked.b[i], one.b)
             assert stacked.sum_rate[i] == one.sum_rate
@@ -656,7 +660,7 @@ def _check_stack(cfg, dbms):
         assert np.array_equal(stacked.objective_history, np.concatenate(
             [o.objective_history for o in singles]))
     stacked = optim.dinkelbach_ee(h, cfg, p)
-    singles = [optim.dinkelbach_ee(h[i], cfg, p[i]) for i in range(len(p))]
+    singles = [dinkelbach_one(h[i], cfg, p[i]) for i in range(len(p))]
     for i, one in enumerate(singles):
         assert np.array_equal(stacked.b[i], one.b)
         assert stacked.lambda_star[i] == one.lambda_star
@@ -696,6 +700,37 @@ def test_stacked_entries_match_single_solves_when_capped(name, monkeypatch):
     assert seen["converged"] > 0 or name == "3x6"
 
 
+@pytest.mark.parametrize("name", ["default", "3x6", "2x8"])
+@pytest.mark.parametrize("caps", [None, (8, 3)],
+                         ids=["uncapped", "capped"])
+def test_dinkelbach_bookkeeping_matches_outer_float_loop(name, caps,
+                                                         monkeypatch):
+    """The array passes of a stacked Dinkelbach solve (the stop test,
+    F(lam), the lam update, the restart and the removal of finished
+    entries) give every entry the bits of a float loop over its outer
+    steps (tests/oracles.py).  With the descent capped at 8 beam steps
+    and 3 outer steps, entries stop on either cap or on |F(lam)|, at
+    different steps of the stack."""
+    if caps:
+        monkeypatch.setattr(optim, "_MAX_ITER", caps[0])
+        monkeypatch.setattr(optim, "_MAX_OUTER", caps[1])
+    cfg = _STACK_CELLS[name]()
+    h, p = _stack_entries(cfg, (0.0, 24.0, 46.0))
+    res = optim.dinkelbach_ee(h, cfg, p)
+    lams, fs, capped = [], [], 0
+    for i in range(len(p)):
+        b, lam, lam_i, f_i = dinkelbach_outer_loop(h[i], cfg, p[i])
+        assert np.array_equal(res.b[i], b)
+        assert res.lambda_star[i] == lam
+        lams += lam_i
+        fs += f_i
+        capped += abs(f_i[-1]) > optim._DELTA
+    assert np.array_equal(res.lambda_history, lams)
+    assert np.array_equal(res.f_history, fs)
+    assert res.converged is (capped == 0)
+    assert capped > 0 if caps else capped == 0
+
+
 def test_stacked_result_keeps_the_counter_contract(monkeypatch):
     """A benchmark counts per solver call: it reads not converged, adds
     state.iteration and takes len(lambda_history).  On a stacked result
@@ -707,23 +742,35 @@ def test_stacked_result_keeps_the_counter_contract(monkeypatch):
     for cap, converged in ((optim._MAX_ITER, True), (8, False)):
         monkeypatch.setattr(optim, "_MAX_ITER", cap)
         stacked = optim.wmmse(h, cfg, p)
-        singles = [optim.wmmse(h[i], cfg, p[i]) for i in range(len(p))]
+        singles = [wmmse_one(h[i], cfg, p[i]) for i in range(len(p))]
         assert stacked.converged is converged
         assert converged == all(one.converged for one in singles)
         assert type(stacked.state.iteration) is int
         assert stacked.state.iteration == sum(one.state.iteration
                                               for one in singles)
         stacked = optim.dinkelbach_ee(h, cfg, p)
-        singles = [optim.dinkelbach_ee(h[i], cfg, p[i])
-                   for i in range(len(p))]
+        singles = [dinkelbach_one(h[i], cfg, p[i]) for i in range(len(p))]
         assert stacked.converged is all(one.converged for one in singles)
         assert len(stacked.lambda_history) == sum(
             len(one.lambda_history) for one in singles)
 
 
 def test_stack_rejects_mismatched_budgets(cfg3):
+    """The solvers take a stack of channels (E, N, M) and E budgets: a
+    wrong count of budgets, a bad budget, a single (N, M) channel, a
+    scalar budget for a stack and a start of the wrong shape raise."""
     h = np.stack([channel.generate(cfg3, 1, t) for t in range(3)])
+    band = satpower.compute_band(cfg3)
+    solvers = (lambda h, p: optim.wmmse(h, cfg3, p),
+               lambda h, p: optim.dinkelbach_ee(h, cfg3, p),
+               lambda h, p: satpower.proposed_scheme(h, cfg3, p, band))
+    cases = ((h, np.full(2, 1e-8)), (h, np.array([1e-8, 0.0, 1e-8])),
+             (h[0], 1e-8), (h[0], np.full(1, 1e-8)), (h, 1e-8))
+    for solve in solvers:
+        for channels, budgets in cases:
+            with pytest.raises(ValueError):
+                solve(channels, budgets)
     with pytest.raises(ValueError):
-        optim.wmmse(h, cfg3, np.full(2, 1e-8))
+        optim.wmmse(h, cfg3, np.full(3, 1e-8), init=h[:2])
     with pytest.raises(ValueError):
-        optim.dinkelbach_ee(h, cfg3, np.array([1e-8, 0.0, 1e-8]))
+        optim.wmmse(h, cfg3, np.full(3, 1e-8), init=h[0])

@@ -14,6 +14,8 @@ from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               transmit_power_from_dbm)
 
+from oracles import proposed_one
+
 DEFAULT_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
                   / "default.json")
 
@@ -290,7 +292,7 @@ def test_wide_configuration_range(M, N):
         assert band.p_lb <= band.p_prop <= band.p_ub, cfg
         h = channel.generate(cfg, 9, 0)
         for budget in (band.p_prop / 10.0, band.p_prop, band.p_ub * 10.0):
-            b = satpower.proposed_scheme(h, cfg, budget, band).b
+            b = proposed_one(h, cfg, budget, band).b
             cap = min(budget, band.p_prop)
             assert float(np.sum(np.abs(b) ** 2)) <= cap * (1.0 + 1e-10), (
                 cfg, budget)
@@ -319,8 +321,8 @@ def test_band_uses_served_cell():
 def test_proposed_clamps_at_operating_power(cfg3):
     band = satpower.compute_band(cfg3)
     h = channel.generate(cfg3, 31, 0)
-    a = satpower.proposed_scheme(h, cfg3, band.p_prop * 10.0, band).b
-    b = satpower.proposed_scheme(h, cfg3, band.p_prop * 100.0, band).b
+    a = proposed_one(h, cfg3, band.p_prop * 10.0, band).b
+    b = proposed_one(h, cfg3, band.p_prop * 100.0, band).b
     assert np.array_equal(a, b)
     assert float(np.sum(np.abs(a) ** 2)) <= band.p_prop * (1.0 + 1e-9)
 
@@ -329,7 +331,7 @@ def test_proposed_uses_full_budget_below_operating_power(cfg3):
     band = satpower.compute_band(cfg3)
     h = channel.generate(cfg3, 31, 1)
     budget = band.p_prop / 10.0
-    b = satpower.proposed_scheme(h, cfg3, budget, band).b
+    b = proposed_one(h, cfg3, budget, band).b
     psum = float(np.sum(np.abs(b) ** 2))
     assert psum <= budget * (1.0 + 1e-9)
     assert psum >= budget * 0.99
@@ -338,5 +340,8 @@ def test_proposed_uses_full_budget_below_operating_power(cfg3):
 def test_proposed_rejects_bad_budget(cfg3):
     band = satpower.compute_band(cfg3)
     h = channel.generate(cfg3, 31, 2)
+    for budget in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError):
+            proposed_one(h, cfg3, budget, band)
     with pytest.raises(ValueError):
-        satpower.proposed_scheme(h, cfg3, 0.0, band)
+        satpower.proposed_scheme(h[None], cfg3, np.full(2, 1e-8), band)
