@@ -204,26 +204,23 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: np.ndarray,
     The regularized beamformer step alone moves total power extremely
     slowly once the leakage is nulled (the ridge is buried under the
     weighted Gram spectrum), so the descent stalls far from the
-    stationary power.  The objective restricted to b -> sqrt(tau) b is
-    concave in tau, which makes this one-dimensional refinement exact
-    and cheap; it keeps tau = 1 unless the chosen tau beats it, so it
-    never decreases the objective.  A rounding excess over the budget is feasible.
+    stationary power.  The objective restricted to b -> sqrt(tau) b,
+    sum_k log1p(tau s_k / (tau q_k + n0)) - ridge tau psum, is concave in
+    tau, which makes this one-dimensional refinement exact and cheap.
+    An entry with no power keeps tau = 1, and so does one whose power
+    lies above its budget by more than rounding; a rounding excess is
+    feasible.
 
-    Where the closed-form slope
-    sum_k s_k n0 / ((tau q_k + n0)(tau (s_k + q_k) + n0)) - ridge psum
-    is still nonnegative at the budget's tau_hi, concavity makes tau_hi
-    the argmax and no search runs.  Otherwise a golden-section search
-    evaluates the objective some sixty times, entry by entry on Python
-    floats.  tau_hi, the slope and the test against tau = 1 run once
-    over the stack, summed over the users' axis as a float loop adds
-    them (see _lead_sum).  numpy's log1p may differ from math.log1p, the
-    search's, in the last bit, so a test that lands within that rounding
-    of a tie is redone on the entry's Python floats: every entry gets
-    the tau a float loop over its users alone would give.  On a 2-core
-    VM the power-scale steps of 20 default 3x3 sweep trials take 4.8 ms
-    against 8.6 ms entry by entry; on the 64x16 cell every entry
-    searches, and the searches are nearly all of its 21 ms per 20
-    compare trials.
+    Each other entry is decided once, by the sign of the closed-form
+    slope at the budget's tau_hi,
+    sum_k s_k n0 / ((tau_hi q_k + n0)(tau_hi (s_k + q_k) + n0)) - ridge psum,
+    summed over the users as a float loop adds them (see _lead_sum).  A
+    nonnegative slope makes tau_hi the argmax by concavity, so the entry
+    takes tau_hi if that is above 1 and keeps tau = 1 otherwise, and
+    evaluates no objective.  On a negative slope a golden-section search
+    over [1e-20 tau_hi, tau_hi] runs entry by entry on Python floats, and
+    its argmax replaces tau = 1 only if it scores higher on the same
+    Python-float objective, so the step never lowers the objective.
     """
     tau = np.ones(psum.shape)
     live = np.flatnonzero(psum > 0.0)
@@ -234,9 +231,8 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: np.ndarray,
     slope = _lead_sum(np.concatenate((
         (-rg * p)[None],
         s * n0 / ((tau_hi * q + n0) * (tau_hi * (s + q) + n0)))))
-
-    def objective(j: int):
-        """Entry j's objective tau -> sum log1p(SINR) - ridge tau psum."""
+    tau[live] = np.where(tau_hi > 1.0, tau_hi, 1.0)
+    for j in np.flatnonzero(~(slope >= 0.0)).tolist():
         links = list(zip(s[:, j].tolist(), q[:, j].tolist()))
         ridge_j, psum_j = float(rg[j]), float(p[j])
 
@@ -245,24 +241,9 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: np.ndarray,
             for sk, qk in links:
                 rate += math.log1p(t * sk / (t * qk + n0))
             return rate - ridge_j * t * psum_j
-        return gain
-
-    best = tau_hi.copy()
-    for j in np.flatnonzero(~(slope >= 0.0)).tolist():
-        best[j] = golden_section_max(objective(j), 1e-20 * tau_hi[j],
-                                     tau_hi[j], rel_tol=1e-10)
-    rate_t = _lead_sum(np.log1p(best * s / (best * q + n0)))
-    rate_1 = _lead_sum(np.log1p(s / (q + n0)))
-    cost_t, cost_1 = rg * best * p, rg * p
-    diff = (rate_t - cost_t) - (rate_1 - cost_1)
-    # Each log1p is within an ulp of the other's, and each sum and
-    # difference rounds once per user: twice their bound.
-    slack = 1e-15 * (s.shape[0] + 2) * (rate_t + cost_t + rate_1 + cost_1)
-    beats = diff > slack
-    for j in np.flatnonzero(~(np.abs(diff) > slack)).tolist():
-        gain = objective(j)
-        beats[j] = not gain(best[j]) <= gain(1.0)
-    tau[live[beats]] = best[beats]
+        best = golden_section_max(gain, 1e-20 * tau_hi[j], tau_hi[j],
+                                  rel_tol=1e-10)
+        tau[live[j]] = 1.0 if gain(best) <= gain(1.0) else best
     return tau
 
 

@@ -193,7 +193,7 @@ def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
     with every user separated, which lands reliably in the basin where
     all of them are served.
     """
-    p = np.minimum(band.p_prop, p_budget)
+    p = np.minimum(band.p_prop, optim._budgets(h, p_budget))
     b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p))
     b0 *= np.sqrt(p / cfg.N)[..., None, None]
     return optim.wmmse(h, cfg, p, init=b0)

@@ -134,12 +134,9 @@ def rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
     for s, q in links:
         slope += s * n0 / ((tau_hi * q + n0) * (tau_hi * (s + q) + n0))
     if slope >= 0.0:
-        tau = tau_hi
-    else:
-        tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
-    if gain(tau) <= gain(1.0):
-        return 1.0
-    return tau
+        return tau_hi if tau_hi > 1.0 else 1.0
+    tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
+    return 1.0 if gain(tau) <= gain(1.0) else tau
 
 
 def _one_entry(res):

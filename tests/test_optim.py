@@ -12,6 +12,7 @@ from saturee.specfun import lambert_w0
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               total_power, transmit_power_from_dbm)
 
+import oracles
 from oracles import (beam_step, dinkelbach_one, dinkelbach_outer_loop,
                      instantaneous_ee, iterate_recomputing, multiplier,
                      normalized_config, proposed_one, rescale,
@@ -302,22 +303,35 @@ def test_rescale_matches_numpy_reference(n, m, monkeypatch):
 @pytest.mark.parametrize("n", [1, 3, 16])
 def test_stacked_rescale_matches_float_loop(n, monkeypatch):
     """The stacked power-scale step equals the per-entry float loop of
-    tests/oracles.py bit for bit, alone, in a stack and permuted, on
-    entries with no power, budgets below the power, budgets at the power
-    to within an ulp (where numpy's log1p and the float loop's may
-    disagree on whether tau beats 1), and slopes at the budget of both
-    signs, so the golden-section search runs on some entries and not on
-    others."""
-    searches = []
+    tests/oracles.py bit for bit, alone, in a stack and permuted, and
+    runs the golden-section search on exactly the entries where that
+    loop does, in stack order, with the same bracket.  The entries cover
+    no power, budgets below the power, budgets at the power to within an
+    ulp (where tau_hi may fall on either side of 1), and slopes at the
+    budget of both signs, so some entries search and others do not."""
     golden = optim.golden_section_max
 
-    def counted(*args, **kwargs):
-        searches.append(args)
-        return golden(*args, **kwargs)
+    def logged(log):
+        def search(f, lo, hi, **kwargs):
+            log.append((lo, hi))
+            return golden(f, lo, hi, **kwargs)
+        return search
 
-    monkeypatch.setattr(optim, "golden_section_max", counted)
-    rng = np.random.default_rng(n)
+    oracle_log, step_log = [], []
+    monkeypatch.setattr(oracles, "golden_section_max", logged(oracle_log))
+    monkeypatch.setattr(optim, "golden_section_max", logged(step_log))
     n0 = 1e-12
+
+    def step(sig, inter, psum, budget, ridge):
+        oracle_log.clear()
+        step_log.clear()
+        for e in range(psum.size):
+            rescale(sig[:, e], inter[:, e], psum[e], n0, budget[e], ridge[e])
+        tau = optim._rescale(sig, inter, psum, n0, budget, ridge)
+        assert step_log == oracle_log
+        return tau
+
+    rng = np.random.default_rng(n)
     size = 60
     for _ in range(10):
         sig = n0 * np.exp(rng.uniform(-5.0, 12.0, (n, size)))
@@ -332,14 +346,16 @@ def test_stacked_rescale_matches_float_loop(n, monkeypatch):
         budget[::10] = 1e-20
         ridge = (np.exp(rng.uniform(-3.0, 3.0, size)) * 10.0 ** rng.uniform(
             -3.0, 1.0, size) / np.where(psum > 0.0, psum, 1.0))
-        want = np.array([rescale(sig[:, e], inter[:, e], psum[e], n0,
-                                 budget[e], ridge[e]) for e in range(size)])
-        before = len(searches)
-        _check_stack_permutes(
-            lambda *args: optim._rescale(args[0], args[1], args[2], n0,
-                                         *args[3:]),
-            (sig, inter, psum, budget, ridge), want)
-        assert len(searches) > before
+        searched = []
+        want = []
+        for e in range(size):
+            oracle_log.clear()
+            want.append(rescale(sig[:, e], inter[:, e], psum[e], n0,
+                                budget[e], ridge[e]))
+            searched.append(bool(oracle_log))
+        want = np.array(want)
+        _check_stack_permutes(step, (sig, inter, psum, budget, ridge), want)
+        assert any(searched) and not all(searched)
         assert np.any(want == 1.0) and np.any(want != 1.0)
 
 
@@ -764,9 +780,12 @@ def test_stack_rejects_mismatched_budgets(cfg3):
     solvers = (lambda h, p: optim.wmmse(h, cfg3, p),
                lambda h, p: optim.dinkelbach_ee(h, cfg3, p),
                lambda h, p: satpower.proposed_scheme(h, cfg3, p, band))
-    cases = ((h, np.full(2, 1e-8)), (h, np.array([1e-8, 0.0, 1e-8])),
-             (h[0], 1e-8), (h[0], np.full(1, 1e-8)), (h, 1e-8))
+    cases = ((h, np.array([1e-8, 0.0, 1e-8])), (h[0], 1e-8),
+             (h[0], np.full(1, 1e-8)), (h, 1e-8))
     for solve in solvers:
+        with pytest.raises(ValueError, match=r"budgets of shape \(2,\) do "
+                           "not match a stack"):
+            solve(h, np.full(2, 1e-8))
         for channels, budgets in cases:
             with pytest.raises(ValueError):
                 solve(channels, budgets)
