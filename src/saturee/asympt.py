@@ -4,7 +4,6 @@ Everything here is a function of the configuration only, no channel draws.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +47,14 @@ class DetEquivParams:
 
     m0 is the limiting normalized trace of the regularized resolvent and
     psi0 the normalization coefficient, which for uncorrelated channels
-    equals the interference coefficient too.
+    equals the interference coefficient too; one per loading of an array.
     """
 
-    m0: float
-    psi0: float
+    m0: float | np.ndarray
+    psi0: float | np.ndarray
 
 
-def det_equiv_rzf(cfg: SystemConfig, alpha: float) -> DetEquivParams:
+def det_equiv_rzf(cfg: SystemConfig, alpha) -> DetEquivParams:
     """Analytic deterministic equivalents for uncorrelated channels.
 
     With c = N / M, m0 is the positive root of the fixed point
@@ -63,6 +62,8 @@ def det_equiv_rzf(cfg: SystemConfig, alpha: float) -> DetEquivParams:
     alpha m^2 + b m - 1 = 0 with b = alpha + c - 1.  For r = sqrt(b^2 +
     4 alpha) the root is (r - b) / (2 alpha) when b <= 0 and the equal
     2 / (b + r) when b > 0, so no branch subtracts nearly equal numbers.
+    A float loading gives float fields; each entry of an array of loadings
+    divides in its own branch alone, as 2 / (b + r) can be 2 / 0 at b <= 0.
 
     The derivative quantity m2 = m0^2 / (1 - c m0^2 / (1 + m0)^2) gives
     the normalization coefficient psi0 = c m2 / (1 + m0)^2, evaluated as
@@ -78,22 +79,26 @@ def det_equiv_rzf(cfg: SystemConfig, alpha: float) -> DetEquivParams:
     Evaluated as a difference, gamma0 cancels to 0 at small loadings or
     few users per antenna; the identity has nothing to cancel.
     """
-    if not alpha > 0.0:
+    a = np.asarray(alpha, dtype=float)
+    if not np.all(a > 0.0):
         raise ValueError(f"loading must be positive, got {alpha}")
     ratio = cfg.N / cfg.M
     # ratio - 1 is exact for ratio in [1/2, 2]; alpha + ratio would drop
     # the digits of a loading far below 1.
-    b = alpha + (ratio - 1.0)
-    r = math.sqrt(b * b + 4.0 * alpha)
-    m0 = (r - b) / (2.0 * alpha) if b <= 0.0 else 2.0 / (b + r)
-    residual = m0 - 1.0 / (alpha + ratio / (1.0 + m0))
-    if not abs(residual) <= _FP_RESIDUAL * max(1.0, m0):
-        raise NumericalError(
-            f"resolvent root uncertified at alpha={alpha}, ratio={ratio}")
+    b = a + (ratio - 1.0)
+    r = np.sqrt(b * b + 4.0 * a)
+    m0 = np.divide(r - b, 2.0 * a, where=b <= 0.0, out=np.empty_like(b))
+    m0 = np.divide(2.0, b + r, where=b > 0.0, out=m0)
+    residual = m0 - 1.0 / (a + ratio / (1.0 + m0))
     psi0 = ratio * m0 * m0 / (1.0 + 2.0 * m0 + (1.0 - ratio) * m0 * m0)
-    for name, val in (("m0", m0), ("psi0", psi0)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise NumericalError(f"deterministic equivalent {name} = {val}")
+    bad = ~((np.abs(residual) <= _FP_RESIDUAL * np.maximum(1.0, m0))
+            & (m0 > 0.0) & np.isfinite(psi0) & (psi0 > 0.0))
+    if bad.any():
+        raise NumericalError(f"deterministic equivalents uncertified at "
+                             f"alpha={a[bad][0]}, ratio={ratio}: "
+                             f"m0={m0[bad][0]}, psi0={psi0[bad][0]}")
+    if a.ndim == 0:
+        return DetEquivParams(m0=float(m0), psi0=float(psi0))
     return DetEquivParams(m0=m0, psi0=psi0)
 
 

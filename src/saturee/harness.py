@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import asympt, beamform, channel, optim, satpower
+from .errors import NumericalError
 from .satpower import SaturationBand
 from .sysmodel import (DerivedPowerModel, SystemConfig, dbm_to_watt,
                        derive_power_model, load_config, total_power,
@@ -67,8 +68,7 @@ class ExperimentSpec:
                              f"than {MAX_BUDGETS} budgets")
 
 
-@dataclass(frozen=True)
-class EePoint:
+class EePoint(NamedTuple):
     """One CSV row: a scheme evaluated at one budget."""
 
     scheme: str
@@ -89,7 +89,8 @@ def _mc_rows(scheme: str, grid, per_trial: np.ndarray) -> list[EePoint]:
     """One row per budget of grid (dBm) from the per-trial (rate,
     efficiency) array (trials, budgets, 2): the mean rate and efficiency
     over the trials, walked in index order, and the standard error of the
-    mean efficiency.
+    mean efficiency.  A mean efficiency that is not positive and finite
+    has no effective power and raises :class:`NumericalError`.
 
     The trial axis is moved last and made contiguous, so every budget's
     sum runs numpy's pairwise reduction over its trials, as the sum of a
@@ -103,11 +104,15 @@ def _mc_rows(scheme: str, grid, per_trial: np.ndarray) -> list[EePoint]:
     if n > 1:
         dev = values[:, 1] - means[:, 1:]
         errs = np.sqrt((dev ** 2).sum(axis=-1) / (n - 1) / n)
+    rate, ee = means.T
+    for d, e in zip(grid, ee.tolist()):
+        if not (math.isfinite(e) and e > 0.0):
+            raise NumericalError(f"{scheme} has a mean efficiency of {e} at {d} dBm")
     # Effective power keeps every row self-consistent even when the
     # consumed power varies across trials.
-    return [EePoint(scheme=scheme, P_dbm=float(d), sum_rate=rate,
-                    total_power=rate / ee, ee=ee, stderr=err, trials=n)
-            for d, (rate, ee), err in zip(grid, means.tolist(), errs.tolist())]
+    return list(map(EePoint, [scheme] * len(ee), np.asarray(grid).tolist(),
+                    rate.tolist(), (rate / ee).tolist(), ee.tolist(),
+                    errs.tolist(), [n] * len(ee)))
 
 
 # --------------------------------------------------------------- schemes
@@ -130,7 +135,7 @@ def _evaluate(cell: _Cell, rate, p_sum):
 
 # A Monte Carlo scheme takes a stack of channel draws h (T, N, M) and the
 # budgets p_list (B,) and gives (T, B) arrays of sum rate and radiated
-# power; a closed form is a function of one budget alone giving the pair.
+# power; a closed form takes the budgets alone and gives (B,) arrays.
 # The radiated power is the budget itself for equal power and the closed
 # forms, the beamformers' sum power for the solvers, which solve all
 # their (draw, budget) entries in one stacked call.
@@ -221,17 +226,21 @@ def _se_mc(cell: _Cell, h, p_list):
     return res.sum_rate.reshape(shape), res.p_sum.reshape(shape)
 
 
+def _log1p_rate(cell: _Cell, sinrs, p):
+    """N log(1 + SINR) by libm's log1p, which numpy's misses by an ulp at times."""
+    return cell.cfg.N * np.array(list(map(math.log1p, sinrs.tolist()))), p
+
+
 def _rzf_asym(cell: _Cell, p):
     de = asympt.det_equiv_rzf(cell.cfg, beamform.mmse_loading_alpha(cell.cfg, p))
-    return cell.cfg.N * math.log1p(
-        asympt.sinr_rzf_asymptotic(p, de, cell.pm.n0)), p
+    return _log1p_rate(cell, asympt.sinr_rzf_asymptotic(p, de, cell.pm.n0), p)
 
 
 # CSV scheme name -> (Monte Carlo over channel draws, scheme).
 SCHEMES = {
     "mrt_mc": (True, _mrt_mc),
-    "mrt_asym": (False, lambda cell, p: (cell.cfg.N * math.log1p(
-        asympt.sinr_mrt_asymptotic(p, cell.cfg, cell.pm.n0)), p)),
+    "mrt_asym": (False, lambda cell, p: _log1p_rate(
+        cell, asympt.sinr_mrt_asymptotic(p, cell.cfg, cell.pm.n0), p)),
     "lb": (False, lambda cell, p: (asympt.rate_lower_bound(p, cell.cfg), p)),
     "noiui_mc": (True, _noiui_mc),
     "ub": (False, lambda cell, p: (asympt.rate_upper_bound(p, cell.cfg), p)),
@@ -278,6 +287,7 @@ def _run_trials(spec: ExperimentSpec, args: tuple) -> dict[str, np.ndarray]:
     and reassemble the chunks in trial order."""
     if spec.workers == 1:
         return _trial_chunk(*args, spec.seed, 0, spec.trials)[0]
+    from concurrent.futures import ProcessPoolExecutor
     bounds = np.linspace(0, spec.trials, spec.workers + 1).astype(int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     # A forking pool starts all its processes at the first submit, so it
@@ -296,19 +306,15 @@ def _grid_rows(spec: ExperimentSpec, cell: _Cell,
     grid = dbm_grid(spec)
     p_list = np.array([transmit_power_from_dbm(d, cell.cfg) for d in grid])
     mc = _run_trials(spec, (cell, [n for n in names if SCHEMES[n][0]], p_list))
-    rows = {name: _mc_rows(name, grid, per_trial)
-            for name, per_trial in mc.items()}
-    points: list[EePoint] = []
-    for ip, (d, p) in enumerate(zip(grid, p_list)):
-        for name in names:
-            if name in rows:
-                points.append(rows[name][ip])
-                continue
-            rate, consumed, ee = _evaluate(cell, *SCHEMES[name][1](cell, p))
-            points.append(EePoint(scheme=name, P_dbm=float(d),
-                                  sum_rate=float(rate),
-                                  total_power=float(consumed), ee=float(ee)))
-    return points
+    columns = []
+    for name in names:
+        if name in mc:
+            columns.append(_mc_rows(name, grid, mc[name]))
+            continue
+        rate, consumed, ee = _evaluate(cell, *SCHEMES[name][1](cell, p_list))
+        columns.append(list(map(EePoint, [name] * grid.size, grid.tolist(),
+                                rate.tolist(), consumed.tolist(), ee.tolist())))
+    return [point for row in zip(*columns) for point in row]
 
 
 # ---------------------------------------------------------------- runners
@@ -338,12 +344,10 @@ def run_saturation(spec: ExperimentSpec) -> list[EePoint]:
     """
     cfg = load_config(spec.config_path)
     band = satpower.compute_band(cfg)
-    rows = [EePoint(scheme=name, P_dbm=transmit_power_to_dbm(p, cfg),
-                    sum_rate=0.0, total_power=p, ee=0.0)
+    rows = [EePoint(name, transmit_power_to_dbm(p, cfg), 0.0, p, 0.0)
             for name, p in (("p_lb", band.p_lb), ("p_rzf", band.p_rzf),
                             ("p_prop", band.p_prop), ("p_ub", band.p_ub))]
-    rows += [EePoint(scheme=name, P_dbm=0.0, sum_rate=0.0, total_power=0.0,
-                     ee=g)
+    rows += [EePoint(name, 0.0, 0.0, 0.0, g)
              for name, g in (("gamma_lb", band.gamma_lb),
                              ("gamma_rzf", band.gamma_rzf),
                              ("gamma_se_est", band.gamma_se_est),
@@ -418,10 +422,9 @@ def run_toy(spec: ExperimentSpec) -> list[EePoint]:
         if not math.isfinite(p):
             raise ValueError(f"a budget of {d} dB is past the float range")
         for name, q in (("full", p), ("clamped", min(p, p_sat))):
-            points.append(EePoint(scheme=name, P_dbm=float(d),
-                                  sum_rate=float(satpower.toy_rate(q)),
-                                  total_power=q + spec.p_static,
-                                  ee=float(satpower.toy_ee(q, spec.p_static))))
+            points.append(EePoint(name, float(d), float(satpower.toy_rate(q)),
+                                  q + spec.p_static,
+                                  float(satpower.toy_ee(q, spec.p_static))))
     return points
 
 

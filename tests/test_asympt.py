@@ -226,8 +226,16 @@ def test_ee_rzf_tops_mrt_at_high_power(cfg3):
 @example(16, 1, 1.5736567647427118e-15)
 @example(64, 64, 1e-15)
 def test_det_equiv_positive_and_certified(m, n, alpha):
-    de = asympt.det_equiv_rzf(SystemConfig(M=m, N=n), alpha)
+    cfg = SystemConfig(M=m, N=n)
+    de = asympt.det_equiv_rzf(cfg, alpha)
+    # an array of loadings gives each entry the bits of its scalar call
+    loadings = [alpha, 1e-15, 1.0, 1e6]
+    stacked = asympt.det_equiv_rzf(cfg, np.array(loadings))
+    for k, a in enumerate(loadings):
+        one = asympt.det_equiv_rzf(cfg, a)
+        assert (stacked.m0[k], stacked.psi0[k]) == (one.m0, one.psi0), a
     assert de.m0 > 0.0 and de.psi0 > 0.0
+    assert type(de.m0) is float and type(de.psi0) is float
     g = 1.0 / (alpha + n / m / (1.0 + de.m0))
     assert abs(de.m0 - g) <= 1e-9 * max(1.0, de.m0)
     m0, gamma0, psi0 = det_equiv_rzf_decimal(m, n, alpha)

@@ -178,7 +178,7 @@ def test_pool_gets_one_worker_per_chunk(monkeypatch):
     spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
                           pmin_dbm=30.0, pmax_dbm=32.0, trials=2, seed=5)
     serial = harness.format_csv(harness.run_sweep(spec))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     wide = dataclasses.replace(spec, workers=64)
     assert harness.format_csv(harness.run_sweep(wide)) == serial
     assert sizes == [2]
@@ -548,6 +548,20 @@ def test_cli_rejects_budget_outside_snr_range(kind, dbm, capsys):
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert f"{dbm}.0 dBm" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("kind, dbm, scheme", [("tradeoff", "-1900", "se_mc"),
+                                               ("compare", "2000", "baseline")])
+def test_cli_zero_mean_efficiency_is_numerical_error(kind, dbm, scheme, capsys):
+    """Budgets inside the SNR range at which the solvers return zero
+    beamformers give a zero mean efficiency: a numerical failure (exit 3)
+    naming the scheme and the budget, not a traceback or a NaN row."""
+    args = [kind, "--config", DEFAULT_CONFIG, "--pmin-dbm", dbm,
+            "--pmax-dbm", dbm, "--trials", "2"]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"numerical error: {scheme} ")
+    assert f"at {dbm}.0 dBm" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("dbm, code", [("-20", 0), ("3000", 2), ("-4000", 2)])
