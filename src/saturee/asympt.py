@@ -104,7 +104,7 @@ def det_equiv_rzf(cfg: SystemConfig, alpha) -> DetEquivParams:
 
 def sinr_rzf_asymptotic(p, de: DetEquivParams, n0: float):
     """Deterministic RZF SINR, (m0^2 / psi0) P / (P + (1 + m0)^2 n0)."""
-    return de.m0 ** 2 / de.psi0 * p / (p + (1.0 + de.m0) ** 2 * n0)
+    return de.m0 * de.m0 / de.psi0 * p / (p + (1.0 + de.m0) * (1.0 + de.m0) * n0)
 
 
 def ee_rzf_asymptotic(p, cfg: SystemConfig, de: DetEquivParams):

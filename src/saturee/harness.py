@@ -140,9 +140,13 @@ def _evaluate(cell: _Cell, rate, p_sum):
 # forms, the beamformers' sum power for the solvers, which solve all
 # their (draw, budget) entries in one stacked call.
 
-def _each_budget(h, p_list):
-    """Every (draw, budget) pair as one stack entry, draw-major."""
-    return np.repeat(h, p_list.size, axis=0), np.tile(p_list, len(h))
+def _solve_each(solve, h, p_list):
+    """Sum rate and power of solve(stack, budgets) at every draw of h and
+    budget of p_list, solving each distinct budget once per draw in one
+    draw-major stacked call."""
+    p_ops, at = np.unique(p_list, return_inverse=True)
+    res = solve(np.repeat(h, p_ops.size, axis=0), np.tile(p_ops, len(h)))
+    return tuple(x.reshape(len(h), -1)[:, at] for x in (res.sum_rate, res.p_sum))
 
 
 def _mrt_mc(cell: _Cell, h, p_list):
@@ -163,12 +167,8 @@ def _noiui_mc(cell: _Cell, h, p_list):
 def _proposed(cell: _Cell, h, p_list):
     # The scheme reads the budget only through min(p_prop, budget), so all
     # budgets at or above p_prop share one solve per draw.
-    p_ops, at = np.unique(np.minimum(cell.band.p_prop, p_list),
-                          return_inverse=True)
-    hs, budgets = _each_budget(h, p_ops)
-    res = satpower.proposed_scheme(hs, cell.cfg, budgets, cell.band)
-    shape = (len(h), p_ops.size)
-    return res.sum_rate.reshape(shape)[:, at], res.p_sum.reshape(shape)[:, at]
+    return _solve_each(lambda hs, p: satpower.proposed_scheme(
+        hs, cell.cfg, p, cell.band), h, np.minimum(cell.band.p_prop, p_list))
 
 
 # A baseline solution whose sum power sits this far below its budget leaves
@@ -180,50 +180,42 @@ def _baseline(cell: _Cell, h, p_list):
     # Past saturation the efficient beamformers stop using extra power: a
     # solution that leaves its budget slack is a KKT point of every larger
     # budget, so each draw solves its budgets in increasing order up to
-    # the first slack one, which answers for all larger budgets.
+    # the first slack one (its stop), which answers for all larger budgets.
     #
     # The solves run in waves.  The first takes each draw's budgets up to
     # the first above p_ub, where slack solutions set in; each later wave
     # takes the next budget of every draw without a slack solution yet.
-    # Solutions past a draw's first slack budget are dropped, so the rows
-    # do not depend on the waves.
+    # Solutions past a draw's stop are dropped, so the rows do not depend
+    # on the waves.
     order = np.argsort(p_list, kind="stable")
     budgets = p_list[order]
-    rate = np.empty((len(h), budgets.size))
-    power = np.empty_like(rate)
-    first = int(np.searchsorted(budgets, cell.band.p_ub, side="right"))
-    wave = {t: list(range(min(first + 1, budgets.size)))
-            for t in range(len(h))}
-    while wave:
-        draws = [t for t, ks in wave.items() for _ in ks]
-        ks = [k for ks in wave.values() for k in ks]
+    last = budgets.size - 1
+    points = np.empty((len(h), budgets.size, 2))
+    stop = np.full(len(h), last)
+    width = min(int(np.searchsorted(budgets, cell.band.p_ub, side="right")),
+                last) + 1
+    draws, ks = np.divmod(np.arange(len(h) * width), width)
+    while draws.size:
         hs = h[draws]
         res = optim.dinkelbach_ee(hs, cell.cfg, budgets[ks])
         # A Dinkelbach result carries no sum rate or power; score its
         # beamformers.
-        rate[draws, ks] = beamform.sum_rate(
-            beamform.sinr(hs, res.b, cell.pm.n0))
-        power[draws, ks] = np.sum(np.abs(res.b) ** 2, axis=(-2, -1))
-        slack = power[draws, ks] < budgets[ks] * (1.0 - _SLACK_RTOL)
-        settled, wave = set(), {}
-        for t, k, stop in zip(draws, ks, slack.tolist()):
-            if t in settled:
-                continue
-            if stop:
-                rate[t, k + 1:], power[t, k + 1:] = rate[t, k], power[t, k]
-                settled.add(t)
-                wave.pop(t, None)
-            elif k + 1 < budgets.size:
-                wave[t] = [k + 1]
-    back = np.argsort(order)
-    return rate[:, back], power[:, back]
+        rate = beamform.sum_rate(beamform.sinr(hs, res.b, cell.pm.n0))
+        power = np.sum(np.abs(res.b) ** 2, axis=(-2, -1))
+        points[draws, ks] = np.stack((rate, power), axis=-1)
+        slack = power < budgets[ks] * (1.0 - _SLACK_RTOL)
+        np.minimum.at(stop, draws[slack], ks[slack])
+        # Below the last budget, a stop still at it marks an open draw.
+        k = ks[-1] + 1
+        draws = np.flatnonzero(stop == last) if k <= last else draws[:0]
+        ks = np.full(draws.size, k)
+    at = np.minimum(np.argsort(order), stop[:, None])
+    return np.moveaxis(np.take_along_axis(points, at[..., None], axis=1), -1, 0)
 
 
 def _se_mc(cell: _Cell, h, p_list):
-    hs, budgets = _each_budget(h, p_list)
-    res = optim.wmmse(hs, cell.cfg, budgets)
-    shape = (len(h), p_list.size)
-    return res.sum_rate.reshape(shape), res.p_sum.reshape(shape)
+    # The grid is increasing and distinct, so each budget is one column.
+    return _solve_each(lambda hs, p: optim.wmmse(hs, cell.cfg, p), h, p_list)
 
 
 def _log1p_rate(cell: _Cell, sinrs, p):
@@ -369,7 +361,7 @@ class CompareReport:
 
 
 def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
-                    seed: int) -> tuple[CompareReport, np.ndarray, np.ndarray]:
+                    seed: int) -> tuple[CompareReport, EePoint, EePoint]:
     """Timed head-to-head of the one-shot scheme against the fractional
     baseline over identical channel draws, single worker.
 
@@ -377,8 +369,8 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
     schemes solve it in turn, so the host's drifts fall on both arms
     alike; the band computation counts to the one-shot scheme.
 
-    Returns the report plus the per-trial (rate, ee) arrays of both
-    schemes in trial order.
+    Returns the report plus the proposed and baseline rows, whose mean
+    efficiencies the report reads.
     """
     tic = time.perf_counter()
     band = satpower.compute_band(cfg)
@@ -386,18 +378,15 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
     t_band = time.perf_counter() - tic
     per_trial, seconds = _trial_chunk(cell, ["proposed", "baseline"],
                                       (budget,), seed, 0, trials)
-    t_prop = t_band + seconds["proposed"]
-    t_base = seconds["baseline"]
+    t_prop, t_base = t_band + seconds["proposed"], seconds["baseline"]
 
-    prop, base = per_trial["proposed"][:, 0], per_trial["baseline"][:, 0]
     budget_dbm = transmit_power_to_dbm(budget, cfg)
-    mean_p, mean_b = (_mc_rows(name, [budget_dbm], per_trial[:, None])[0].ee
-                      for name, per_trial in (("proposed", prop),
-                                              ("baseline", base)))
+    prop, base = (_mc_rows(name, [budget_dbm], per_trial[name])[0]
+                  for name in ("proposed", "baseline"))
     report = CompareReport(
         band=band, budget_dbm=budget_dbm,
-        mean_ee_proposed=mean_p, mean_ee_baseline=mean_b,
-        ee_ratio=mean_p / mean_b, seconds_proposed=t_prop,
+        mean_ee_proposed=prop.ee, mean_ee_baseline=base.ee,
+        ee_ratio=prop.ee / base.ee, seconds_proposed=t_prop,
         seconds_baseline=t_base, speedup=t_base / t_prop)
     return report, prop, base
 
@@ -406,10 +395,9 @@ def run_compare(spec: ExperimentSpec) -> tuple[list[EePoint], CompareReport]:
     """CSV rows plus the timing report at the top budget of the grid."""
     cfg = load_config(spec.config_path)
     budget = transmit_power_from_dbm(spec.pmax_dbm, cfg)
-    report, prop, base = compare_schemes(cfg, budget, spec.trials, spec.seed)
-    points = [_mc_rows(name, [spec.pmax_dbm], per_trial[:, None])[0]
-              for name, per_trial in (("proposed", prop), ("baseline", base))]
-    return points, report
+    report, *rows = compare_schemes(cfg, budget, spec.trials, spec.seed)
+    # The rows carry the budget as given: dBm -> W/Hz -> dBm can move it.
+    return [row._replace(P_dbm=spec.pmax_dbm) for row in rows], report
 
 
 def run_toy(spec: ExperimentSpec) -> list[EePoint]:

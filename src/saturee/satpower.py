@@ -78,8 +78,8 @@ def p_rzf(cfg: SystemConfig, de: DetEquivParams) -> float:
     """Root of the RZF stationarity condition, bracketed and bisected."""
     pm = derive_power_model(cfg)
     pconst_over_xi = pm.Pconst / cfg.xi
-    g = de.m0 ** 2 / de.psi0
-    a = (1.0 + de.m0) ** 2 * pm.n0
+    g = de.m0 * de.m0 / de.psi0
+    a = (1.0 + de.m0) * (1.0 + de.m0) * pm.n0
     f = lambda p: _stationarity_rzf(p, g, a, pconst_over_xi)
 
     scale = max(a / g, pconst_over_xi)

@@ -229,15 +229,16 @@ def _cold_baseline(cell, h, p):
 
 
 def _count_baseline_entries(monkeypatch, cfg, seed, trials):
-    """Record the (trial, budget) of every entry the baseline solves."""
+    """Record the (trial, budget) entries of every baseline solve call, a
+    list per call in stack order."""
     draws = {channel.generate(cfg, seed, t).tobytes(): t
              for t in range(trials)}
     solve = optim.dinkelbach_ee
     solved = []
 
     def counted(h, cfg, p):
-        solved.extend(zip((draws[g.tobytes()] for g in h),
-                          np.broadcast_to(p, h.shape[:-2]).tolist()))
+        solved.append(list(zip((draws[g.tobytes()] for g in h),
+                               np.broadcast_to(p, h.shape[:-2]).tolist())))
         return solve(h, cfg, p)
 
     monkeypatch.setattr(optim, "dinkelbach_ee", counted)
@@ -265,7 +266,7 @@ def test_sweep_baseline_flat_past_first_slack_budget(monkeypatch):
     cell = harness._Cell(cfg, derive_power_model(cfg), band)
     firsts = []
     for t in range(spec.trials):
-        budgets = [p for trial, p in solved if trial == t]
+        budgets = [p for call in solved for trial, p in call if trial == t]
         assert budgets == p_list[:len(budgets)]
         h = channel.generate(cfg, spec.seed, t)
         slack = [_cold_baseline(cell, h, p)[2] for p in budgets]
@@ -296,25 +297,43 @@ def test_baseline_reuse_matches_cold_solves(name, monkeypatch):
     solution without a solve of its own beyond the first wave, and
     agrees with a cold solve there: the efficiency to 1e-9 and the sum
     rate to 1e-5 relative (the operating point slides along a flat
-    ridge)."""
+    ridge).
+
+    The first solve call stacks every draw's budgets up to the first
+    above p_ub, draw-major; each later call stacks the next budget of
+    every draw without a slack solution yet, in draw order.  With p_ub
+    moved down to p_lb the first wave ends before any slack solution,
+    and the later waves give the same points."""
     cfg = load_config(str(CONFIG_DIR / f"{name}.json"))
     band = satpower.compute_band(cfg)
     cell = harness._Cell(cfg, derive_power_model(cfg), band)
     p_list = np.array([transmit_power_from_dbm(d, cfg) for d in
                        harness.dbm_grid(ExperimentSpec(kind="sweep"))])
-    wave = int(np.argmax(p_list > band.p_ub))
     trials, seed = 4, 7
-    solved = _count_baseline_entries(monkeypatch, cfg, seed, trials)
     h = np.stack([channel.generate(cfg, seed, t) for t in range(trials)])
-    rate, power = harness._baseline(cell, h, p_list)
-    monkeypatch.undo()
+    colds = [[_cold_baseline(cell, h[t], p) for p in p_list]
+             for t in range(trials)]
+    firsts = [[slack for _, _, slack in cold].index(True) for cold in colds]
+    for p_ub in (band.p_ub, band.p_lb):
+        moved = dataclasses.replace(cell, band=dataclasses.replace(
+            band, p_ub=p_ub))
+        solved = _count_baseline_entries(monkeypatch, cfg, seed, trials)
+        got = harness._baseline(moved, h, p_list)
+        monkeypatch.undo()
+        wave = int(np.argmax(p_list > p_ub))
+        waves = [[(t, p) for t in range(trials) for p in p_list[:wave + 1]]]
+        for k in range(wave + 1, p_list.size):
+            waves.append([(t, p_list[k]) for t in range(trials)
+                          if firsts[t] >= k])
+        assert solved == [calls for calls in waves if calls]
+        if p_ub == band.p_ub:
+            rate, power = got
+        else:
+            assert len(solved) > 2
+            assert np.array_equal(got, (rate, power))
     _, _, ee = harness._evaluate(cell, rate, power)
     reused = 0
-    for t in range(trials):
-        cold = [_cold_baseline(cell, h[t], p) for p in p_list]
-        first = [slack for _, _, slack in cold].index(True)
-        assert (sorted(p for trial, p in solved if trial == t)
-                == p_list[:max(wave, first) + 1].tolist())
+    for t, (cold, first) in enumerate(zip(colds, firsts)):
         for k, (cold_rate, cold_power, _) in enumerate(cold):
             if k <= first:
                 assert (rate[t, k], power[t, k]) == (cold_rate, cold_power)
@@ -327,7 +346,8 @@ def test_baseline_reuse_matches_cold_solves(name, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, name", [
-    ("sweep", "default"), ("sweep", "high_power"), ("compare", "default")])
+    ("sweep", "default"), ("sweep", "high_power"), ("tradeoff", "default"),
+    ("compare", "default")])
 def test_csv_independent_of_draw_groups_and_waves(kind, name, monkeypatch):
     """Each entry of a stacked solve follows the single solve to the last
     bit, so the CSV bytes do not depend on how many draws one call
@@ -380,8 +400,8 @@ def test_mc_rows_match_exact_sums(trials):
 
 def test_compare_draws_each_trial_once(monkeypatch):
     """compare_schemes draws each trial's channel once for both schemes,
-    outside their clocks, and its per-trial arrays are those of one
-    _trial_chunk call per scheme."""
+    outside their clocks, and its rows, which the report's means read,
+    are those of one _trial_chunk call per scheme."""
     cfg = load_config(str(CONFIG_DIR.parent / "perfbench" / "configs"
                           / "cell_64x16.json"))
     budget = transmit_power_from_dbm(46.0, cfg)
@@ -397,13 +417,16 @@ def test_compare_draws_each_trial_once(monkeypatch):
     report, prop, base = harness.compare_schemes(cfg, budget, trials, 3)
     assert len(draws) == trials
     assert report.seconds_proposed > 0.0 and report.seconds_baseline > 0.0
+    assert (report.mean_ee_proposed, report.mean_ee_baseline) == (prop.ee,
+                                                                  base.ee)
     cell = harness._Cell(cfg, derive_power_model(cfg),
                          satpower.compute_band(cfg))
     for name, got in (("proposed", prop), ("baseline", base)):
         per_trial, seconds = harness._trial_chunk(cell, [name], (budget,),
                                                   3, 0, trials)
         assert list(seconds) == [name]
-        assert np.array_equal(got, per_trial[name][:, 0])
+        assert got == harness._mc_rows(name, [report.budget_dbm],
+                                       per_trial[name])[0]
 
 
 def test_run_compare_report():
