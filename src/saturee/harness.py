@@ -274,6 +274,13 @@ def _trial_chunk(cell: _Cell, names: list[str], p_list, seed: int,
     return out, seconds
 
 
+def _strict(fn, *args):
+    """fn(*args) with float overflow, division by zero and invalid
+    operations raising FloatingPointError, not warning."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return fn(*args)
+
+
 def _run_trials(spec: ExperimentSpec, args: tuple) -> dict[str, np.ndarray]:
     """Run :func:`_trial_chunk` over the trial range, possibly in parallel,
     and reassemble the chunks in trial order."""
@@ -285,7 +292,7 @@ def _run_trials(spec: ExperimentSpec, args: tuple) -> dict[str, np.ndarray]:
     # A forking pool starts all its processes at the first submit, so it
     # is sized by the chunks that hold work, not by the worker count.
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [pool.submit(_trial_chunk, *args, spec.seed, a, b)
+        futures = [pool.submit(_strict, _trial_chunk, *args, spec.seed, a, b)
                    for a, b in spans]
         chunks = [f.result()[0] for f in futures]
     return {key: np.concatenate([c[key] for c in chunks], axis=0)
@@ -457,10 +464,10 @@ def describe_report(report: CompareReport, bits: bool = False) -> str:
 
 
 def run(spec: ExperimentSpec) -> tuple[list[EePoint], str | None]:
-    """Dispatch one experiment; returns rows plus an optional stdout note."""
+    """Dispatch one experiment under _strict: rows and an optional note."""
     if spec.kind == "compare":
-        points, report = run_compare(spec)
+        points, report = _strict(run_compare, spec)
         return points, describe_report(report, spec.bits)
     runner = {"sweep": run_sweep, "tradeoff": run_tradeoff,
               "saturation": run_saturation, "toy": run_toy}[spec.kind]
-    return runner(spec), None
+    return _strict(runner, spec), None

@@ -6,11 +6,12 @@ fractional program for energy efficiency and serves as the baseline the
 one-shot scheme is judged against.
 
 Both solve a stack of problems, channels h (E, N, M) with budgets (E,);
-one problem is a one-entry stack.  Each entry has its own stop, cap and
-Dinkelbach parameter, kept with the rest of the descent's state in (E,)
-arrays, and leaves the stack when it finishes.  Its arithmetic does not
-depend on the other entries, so the stack only shares numpy's per-call
-cost among them.
+one problem is a one-entry stack.  One block descent serves both: the
+WMMSE solve runs it once, and the Dinkelbach loop once per outer step
+at the entries' current parameters.  Each entry has its own stop and
+cap, kept with the rest of the state in (E,) arrays, and leaves the
+stack when it finishes.  Its arithmetic does not depend on the other
+entries, so the stack only shares numpy's per-call cost among them.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ import numpy as np
 
 from .beamform import link_gains, mmse_loading_alpha, mrt, rzf
 from .scalar_opt import golden_section_max
-from .sysmodel import (DerivedPowerModel, SystemConfig, derive_power_model,
-                       total_power)
+from .sysmodel import SystemConfig, derive_power_model, total_power
 
 _POWER_RTOL = 1e-10
 # A power this little above the budget is rounding, not a binding
@@ -256,11 +256,9 @@ def _stats(h: np.ndarray, b: np.ndarray):
 @dataclass
 class _Descent:
     """Outcome of :func:`_descend`, one array over the entries per field:
-    the last iterate b (E, N, M), its sum rate and sum power, and the
-    beam steps and convergence flag of the last inner descent; then the
-    objective after every iteration of a plain descent (empty with a
-    Dinkelbach loop) and the parameter and F(lam) of every outer step
-    (empty without one), each concatenated in entry order."""
+    the last iterate b (E, N, M), its sum rate and sum power, the beam
+    steps and convergence flag, and the objective after every iteration,
+    concatenated in entry order."""
 
     b: np.ndarray
     rate: np.ndarray
@@ -268,8 +266,6 @@ class _Descent:
     steps: np.ndarray
     converged: np.ndarray
     history: np.ndarray
-    lam: np.ndarray
-    f: np.ndarray
 
 
 def _by_entry(log: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -281,10 +277,28 @@ def _by_entry(log: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return values[np.argsort(at, kind="stable")]
 
 
+def _row_space(h: np.ndarray, b: np.ndarray):
+    """The channels and start a solve of the stack h (E, N, M) descends
+    on, from the beamformers b, and the lift of its result back.
+
+    A wide cell (M > N) descends in its channels' row space: with the QR
+    factorization h^T = q r, coefficients c on the N x N effective
+    channels r^T see the link gains and spend the power of the
+    beamformers c q^T.  A component no channel sees changes no link gain
+    and only spends power, so the start is projected, b conj(q), which
+    drops only that part, and the lift is c -> c q^T.  A cell with
+    N >= M has nothing to drop and descends as given.
+    """
+    if h.shape[-1] <= h.shape[-2]:
+        return h, b, lambda c: c
+    q, r = np.linalg.qr(np.swapaxes(h, -1, -2))
+    qt = np.swapaxes(q, -1, -2)
+    return (np.ascontiguousarray(np.swapaxes(r, -1, -2)), b @ q.conj(),
+            lambda c: c @ qt)
+
+
 def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
-             ridge: np.ndarray, b: np.ndarray,
-             outer: tuple[DerivedPowerModel, float] | None = None
-             ) -> _Descent:
+             ridge: np.ndarray, b: np.ndarray) -> _Descent:
     """Block descent of a stack of entries, channels h (E, N, M) from the
     beamformers b (E, N, M), each under its own budget and ridge (E,).
 
@@ -295,52 +309,28 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
     rate minus ridge times sum power) changes by at most _TOL relative,
     or after _MAX_ITER beam steps.
 
-    With outer = (power model, xi) each entry runs Dinkelbach's
-    parametric method instead: when its descent stops, F(lam) = rate -
-    lam * consumed power is taken, and unless |F(lam)| <= _DELTA or
-    _MAX_OUTER outer steps are spent, the descent restarts from the
-    entry's beamformers with lam = rate / consumed power.
-
-    The state of the entries still stepping (objective, ridge, lam,
-    step and outer-step counts) is kept in arrays, and each beam step
-    does its bookkeeping in array passes over them: the stop test, F(lam)
-    and the restart of the entries that stopped, and the removal of the
-    finished ones from the stack, state and all.  Each pass applies the
-    float operations a scalar loop over the entries would, so an entry
-    gets the same bits.  A missing previous objective is NaN, which no
-    stop test passes.
-
-    A wide cell (M > N) descends in its channels' row space: with the QR
-    factorization h^T = q r, coefficients c on the N x N effective
-    channels r^T see the link gains and spend the power of the
-    beamformers c q^T.  A component no channel sees changes no link gain
-    and only spends power, so the start is projected, b conj(q), which
-    drops only that part, and the finished beamformers are lifted back
-    with q^T.  A cell with N >= M has nothing to drop and descends as
-    given.
+    The state of the entries still stepping (previous objective, ridge,
+    step count) is kept in arrays, and each beam step does its
+    bookkeeping in array passes over them: the stop test, the cap and
+    the removal of the finished entries from the stack, state and all.
+    Each pass applies the float operations a scalar loop over the
+    entries would, so an entry gets the same bits.  The previous
+    objective starts as NaN, which no stop test passes.
 
     Each iterate takes its link statistics once: a power-scale step
-    that keeps tau = 1 leaves them as the beam step's output had them,
-    and a restarted descent starts from the statistics the last one
-    ended on.  Every iterate is a C-ordered array, the start included,
-    and each beam step runs every entry at full width with a masked tail
-    (see _beam_step), so an entry's bits do not depend on the stack it
+    that keeps tau = 1 leaves them as the beam step's output had them.
+    Every iterate is a C-ordered array, the start included, and each
+    beam step runs every entry at full width with a masked tail (see
+    _beam_step), so an entry's bits do not depend on the stack it
     shares.
     """
-    basis = None
-    if h.shape[-1] > h.shape[-2]:
-        basis, r = np.linalg.qr(np.swapaxes(h, -1, -2))
-        h = np.ascontiguousarray(np.swapaxes(r, -1, -2))
-        b = b @ basis.conj()
     count = len(budget)
     at = np.arange(count)               # the entry at each stack position
     prev = np.full(count, np.nan)
-    lam = np.zeros(count)
     steps = np.zeros(count, dtype=int)
-    outer_steps = np.zeros(count, dtype=int)
     rate_out, psum_out = np.empty(count), np.empty(count)
     steps_out, conv_out = np.empty(count, dtype=int), np.empty(count, bool)
-    history, lam_log, f_log = [], [], []
+    history = []
     last_b = np.empty(b.shape, dtype=complex)
     d, sig, inter, psum = _stats(h, b)
     while at.size:
@@ -348,25 +338,10 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
         sinr = sig / e
         rate = np.log1p(sinr).sum(axis=-1)
         obj = rate - ridge * psum
+        history.append((at, obj))
         converged = np.abs(obj - prev) <= _TOL * np.maximum(1.0, np.abs(obj))
         prev = obj
         stop = converged | ~(steps < _MAX_ITER)
-        if outer is None:
-            history.append((at, obj))
-        elif stop.any():
-            pm, xi = outer
-            consumed = total_power(psum, pm, xi)
-            f = rate - lam * consumed
-            lam_log.append((at[stop], lam[stop]))
-            f_log.append((at[stop], f[stop]))
-            converged = np.where(stop, np.abs(f) <= _DELTA, converged)
-            lam = np.where(stop, rate / consumed, lam)
-            outer_steps += stop
-            restart = stop & ~converged & (outer_steps < _MAX_OUTER)
-            ridge = np.where(restart, lam * xi, ridge)
-            prev = np.where(restart, rate - ridge * psum, prev)
-            steps[restart] = 0
-            stop &= ~restart
         if stop.any():
             done = at[stop]
             last_b[done] = b[stop]
@@ -375,9 +350,9 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
             if stop.all():
                 break
             go = ~stop
-            (at, budget, ridge, prev, lam, steps, outer_steps, h, d, sig, e,
-             sinr) = (a[go] for a in (at, budget, ridge, prev, lam, steps,
-                                      outer_steps, h, d, sig, e, sinr))
+            at, budget, ridge, prev, steps, h, d, sig, e, sinr = (
+                a[go] for a in (at, budget, ridge, prev, steps, h, d, sig, e,
+                                sinr))
         del b                           # before the step allocates the next
         b = _beam_step(h, d / (e + sig), 1.0 + sinr, budget, ridge)
         d, sig, inter, psum = _stats(h, b)
@@ -392,11 +367,8 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
                 b[pos] *= np.sqrt(tau[moved])[:, None, None]
                 d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos],
                                                                  b[pos])
-    if basis is not None:
-        last_b = last_b @ np.swapaxes(basis, -1, -2)
     return _Descent(b=last_b, rate=rate_out, p_sum=psum_out, steps=steps_out,
-                    converged=conv_out, history=_by_entry(history),
-                    lam=_by_entry(lam_log), f=_by_entry(f_log))
+                    converged=conv_out, history=_by_entry(history))
 
 
 def _budgets(h: np.ndarray, p_budget) -> np.ndarray:
@@ -429,10 +401,10 @@ def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget,
     elif np.shape(init) != h.shape:
         raise ValueError(f"init shape {np.shape(init)} does not match "
                          f"channels {h.shape}")
-    run = _descend(h, pm.n0, budget, np.zeros(budget.size),
-                   np.ascontiguousarray(init, dtype=complex))
+    h, c, lift = _row_space(h, np.ascontiguousarray(init, dtype=complex))
+    run = _descend(h, pm.n0, budget, np.zeros(budget.size), c)
     return WmmseResult(
-        b=run.b, state=WmmseState(iteration=int(run.steps.sum())),
+        b=lift(run.b), state=WmmseState(iteration=int(run.steps.sum())),
         converged=bool(run.converged.all()), sum_rate=run.rate,
         p_sum=run.p_sum, objective_history=run.history)
 
@@ -442,25 +414,42 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     """Energy-efficiency maximization by Dinkelbach's parametric method,
     for a stack of channels h (E, N, M) under the budgets p_budget (E,).
 
-    Each outer step solves max sum-rate minus lam times consumed power
-    (same block descent, with lam xi folded into the beamformer
-    regularizer), warm-started from the previous beamformers so the lam
-    sequence is nondecreasing.  Stops once the parametric value F(lam)
-    falls within _DELTA of zero; the returned lambda_star is the achieved
-    efficiency of the final solution.
+    Every entry starts at lam = 0.  Each outer step runs one block
+    descent over the entries still open, maximizing sum rate minus lam
+    times consumed power (lam xi folded into the beamformer regularizer)
+    from their last beamformers, so the lam sequence is nondecreasing.
+    It takes F(lam) = rate - lam * consumed power and then lam = rate /
+    consumed power, the achieved efficiency.  An entry finishes once
+    |F(lam)| <= _DELTA, or unconverged after _MAX_OUTER outer steps; its
+    lambda_star is the efficiency of its last beamformers.
 
-    The very first solve starts from equal-power RZF beamformers: a
+    The very first descent starts from equal-power RZF beamformers: a
     maximum-ratio start can strand the whole continuation in a basin
-    where a strongly correlated user is abandoned.
+    where a strongly correlated user is abandoned.  A wide cell is
+    projected to its row space once, before the first outer step.
     """
     budget = _budgets(h, p_budget)
     pm = derive_power_model(cfg)
-    scale = np.sqrt(budget / cfg.N)[:, None, None]
-    # The start is built inline: the descent drops it after one step.
-    run = _descend(h, pm.n0, budget, np.zeros(budget.size),
-                   rzf(h, mmse_loading_alpha(cfg, budget)) * scale,
-                   outer=(pm, cfg.xi))
+    h, c, lift = _row_space(h, rzf(h, mmse_loading_alpha(cfg, budget))
+                            * np.sqrt(budget / cfg.N)[:, None, None])
+    at = np.arange(budget.size)         # the entry at each stack position
+    lam = np.zeros(budget.size)
+    c_out, lam_out = np.empty(c.shape, dtype=complex), np.empty(budget.size)
+    conv_out = np.zeros(budget.size, dtype=bool)
+    lam_log, f_log = [], []
+    for _ in range(_MAX_OUTER):
+        run = _descend(h, pm.n0, budget, lam * cfg.xi, c)
+        consumed = total_power(run.p_sum, pm, cfg.xi)
+        f = run.rate - lam * consumed
+        lam_log.append((at, lam))
+        f_log.append((at, f))
+        lam, c = run.rate / consumed, run.b
+        done = np.abs(f) <= _DELTA
+        c_out[at], lam_out[at], conv_out[at] = c, lam, done
+        go = ~done
+        if not go.any():
+            break
+        at, h, budget, lam, c = (a[go] for a in (at, h, budget, lam, c))
     return DinkelbachResult(
-        b=run.b, lambda_star=run.rate / total_power(run.p_sum, pm, cfg.xi),
-        converged=bool(run.converged.all()), lambda_history=run.lam,
-        f_history=run.f)
+        b=lift(c_out), lambda_star=lam_out, converged=bool(conv_out.all()),
+        lambda_history=_by_entry(lam_log), f_history=_by_entry(f_log))

@@ -172,27 +172,28 @@ def proposed_one(h: np.ndarray, cfg: SystemConfig, budget: float,
 
 def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float):
     """Dinkelbach's method of ``optim.dinkelbach_ee`` on one problem
-    h (N, M) with N >= M, as a float loop over its outer steps, each a
-    plain one-entry ``optim._descend`` at the ridge lam xi from the last
-    step's beamformers: the per-entry form the stacked bookkeeping must
-    match bit for bit.  (A wide cell would redo its row-space projection
-    on every step.)  Returns the last beamformers, the efficiency and the
-    lam and F(lam) of every outer step."""
+    h (N, M), as a float loop over its outer steps, each a plain
+    one-entry ``optim._descend`` at the ridge lam xi from the last
+    step's beamformers, in the row space a wide cell is projected to
+    once: the per-entry form the stacked bookkeeping must match bit for
+    bit.  Returns the last beamformers, the efficiency and the lam and
+    F(lam) of every outer step."""
     pm = derive_power_model(cfg)
-    stack, p = h[None], np.array([budget])
-    b = (beamform.rzf(stack, beamform.mmse_loading_alpha(cfg, p))
-         * np.sqrt(p / cfg.N)[:, None, None])
+    p = np.array([budget])
+    stack, c, lift = optim._row_space(
+        h[None], beamform.rzf(h[None], beamform.mmse_loading_alpha(cfg, p))
+        * np.sqrt(p / cfg.N)[:, None, None])
     lam, lams, fs = 0.0, [], []
     while True:
-        run = optim._descend(stack, pm.n0, p, np.array([lam * cfg.xi]), b)
+        run = optim._descend(stack, pm.n0, p, np.array([lam * cfg.xi]), c)
         rate = float(run.rate[0])
         consumed = total_power(float(run.p_sum[0]), pm, cfg.xi)
         lams.append(lam)
         fs.append(rate - lam * consumed)
         lam = rate / consumed
         if abs(fs[-1]) <= optim._DELTA or len(fs) == optim._MAX_OUTER:
-            return run.b[0], lam, lams, fs
-        b = run.b
+            return lift(run.b)[0], lam, lams, fs
+        c = run.b
 
 
 def beam_step(h: np.ndarray, u: np.ndarray, w: np.ndarray, budget: float,

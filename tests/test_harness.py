@@ -587,7 +587,20 @@ def test_cli_zero_mean_efficiency_is_numerical_error(kind, dbm, scheme, capsys):
     assert f"at {dbm}.0 dBm" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("dbm, code", [("-20", 0), ("3000", 2), ("-4000", 2)])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_float_overflow_is_numerical_error(workers, capsys):
+    """A budget whose baseline solve overflows a float is a numerical
+    failure (exit 3), in a worker process too, not a warning followed by
+    a meaningless row."""
+    args = ["sweep", "--config", DEFAULT_CONFIG, "--pmin-dbm", "1800",
+            "--pmax-dbm", "1800", "--trials", "2", "--workers", workers]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical error: overflow encountered")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dbm, code",[("-20", 0), ("3000", 2), ("-4000", 2)])
 def test_cli_compare_reads_the_top_budget_alone(dbm, code, capsys):
     """compare reads only --pmax-dbm, so a top budget below the default
     grid floor (-10 dBm) runs; one outside the SNR range is still a

@@ -387,15 +387,14 @@ def test_beam_step_searches_once_per_step(monkeypatch):
 
 
 def _descent_coordinates(h: np.ndarray, b0: np.ndarray):
-    """The channel and start the descent of ``optim._descend`` runs on,
-    and its lift of a result back: for a wide cell the factor r^T of
-    h^T = q r, the start projected by conj(q) and the lift by q^T, as
-    the descent takes them; any other cell as it is."""
+    """The channel and start the solvers' descent runs on: for a wide
+    cell the factor r^T of h^T = q r and the start projected by conj(q),
+    as ``optim._row_space`` takes them; any other cell as it is."""
     n, m = h.shape
     if m <= n:
-        return h, b0, lambda c: c
+        return h, b0
     q, r = np.linalg.qr(h.T)
-    return r.T, b0 @ q.conj(), lambda c: c @ q.T
+    return r.T, b0 @ q.conj()
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (16, 64), (8, 2), (2, 8)])
@@ -414,15 +413,15 @@ def test_iterate_matches_recomputing_reference(n, m):
         h = channel.generate(cfg, 23, trial)
         b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
             * math.sqrt(p / n)
-        hr, c0, lift = _descent_coordinates(h, b0)
+        hr, c0 = _descent_coordinates(h, b0)
         for ridge in (0.0, 1e-3 * n / p, n / p):
-            run = optim._descend(h[None], pm.n0, np.array([p]),
-                                 np.array([ridge]), b0[None])
+            run = optim._descend(hr[None], pm.n0, np.array([p]),
+                                 np.array([ridge]), c0[None])
             c_ref, hist = iterate_recomputing(hr, pm.n0, p, ridge, c0)
             assert run.steps.tolist() == [len(hist) - 1]
             np.testing.assert_allclose(run.history, hist,
                                        rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(run.b[0], lift(c_ref), rtol=1e-12,
+            np.testing.assert_allclose(run.b[0], c_ref, rtol=1e-12,
                                        atol=0.0)
 
         res = dinkelbach_one(h, cfg, p)
@@ -491,7 +490,7 @@ def test_wide_cells_solve_in_row_space(n, m):
         h = channel.generate(cfg, 1, trial)
         b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, budget)) \
             * math.sqrt(budget / cfg.N)
-        hr, c0, _ = _descent_coordinates(h, b0)
+        hr, c0 = _descent_coordinates(h, b0)
         d, sig, inter = beamform.link_gains(hr, c0)
         u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
         free = beam_step(hr, u, w, math.inf, 0.0)
@@ -637,6 +636,8 @@ _STACK_CELLS = {
     "3x6": lambda: SystemConfig(M=3, N=6),
     # Two modes for eight users, the widest gap of modes below users.
     "2x8": lambda: SystemConfig(M=2, N=8),
+    # More antennas than users: the solvers descend in the rows' span.
+    "16x4": lambda: SystemConfig(M=16, N=4),
     "cell_64x16": lambda: load_config(
         str(ROOT / "perfbench" / "configs" / "cell_64x16.json")),
 }
@@ -716,17 +717,18 @@ def test_stacked_entries_match_single_solves_when_capped(name, monkeypatch):
     assert seen["converged"] > 0 or name == "3x6"
 
 
-@pytest.mark.parametrize("name", ["default", "3x6", "2x8"])
+@pytest.mark.parametrize("name", ["default", "3x6", "2x8", "16x4"])
 @pytest.mark.parametrize("caps", [None, (8, 3)],
                          ids=["uncapped", "capped"])
 def test_dinkelbach_bookkeeping_matches_outer_float_loop(name, caps,
                                                          monkeypatch):
-    """The array passes of a stacked Dinkelbach solve (the stop test,
-    F(lam), the lam update, the restart and the removal of finished
-    entries) give every entry the bits of a float loop over its outer
-    steps (tests/oracles.py).  With the descent capped at 8 beam steps
-    and 3 outer steps, entries stop on either cap or on |F(lam)|, at
-    different steps of the stack."""
+    """The array passes of a stacked Dinkelbach solve (F(lam), the lam
+    update and the removal of finished entries after each stacked
+    descent) give every entry the bits of a float loop over its outer
+    steps (tests/oracles.py), also on a wide cell, projected to its row
+    space once.  With the descent capped at 8 beam steps and 3 outer
+    steps, entries stop on either cap or on |F(lam)|, at different steps
+    of the stack."""
     if caps:
         monkeypatch.setattr(optim, "_MAX_ITER", caps[0])
         monkeypatch.setattr(optim, "_MAX_OUTER", caps[1])
