@@ -33,6 +33,10 @@ _TOL = 1e-4          # block descent stop: relative objective change
 _DELTA = 1e-3        # Dinkelbach stop: |F(lam)| at most this
 _MAX_ITER = 200      # block descent cap, WMMSE or one Dinkelbach inner
 _MAX_OUTER = 100     # Dinkelbach parametric steps
+# The power-scale search's relative width in tau.  An error d in log tau
+# costs the objective O(d^2), far below _TOL, and moves the sum power by
+# d, 10x inside the harness's slack test (harness._SLACK_RTOL = 1e-6).
+_TAU_RTOL = 1e-7
 
 
 @dataclass
@@ -212,15 +216,28 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: np.ndarray,
     feasible.
 
     Each other entry is decided once, by the sign of the closed-form
-    slope at the budget's tau_hi,
-    sum_k s_k n0 / ((tau_hi q_k + n0)(tau_hi (s_k + q_k) + n0)) - ridge psum,
-    summed over the users as a float loop adds them (see _lead_sum).  A
-    nonnegative slope makes tau_hi the argmax by concavity, so the entry
-    takes tau_hi if that is above 1 and keeps tau = 1 otherwise, and
-    evaluates no objective.  On a negative slope a golden-section search
-    over [1e-20 tau_hi, tau_hi] runs entry by entry on Python floats, and
-    its argmax replaces tau = 1 only if it scores higher on the same
-    Python-float objective, so the step never lowers the objective.
+    slope g(tau) = sum_k s_k n0 / ((tau q_k + n0)(tau (s_k + q_k) + n0))
+    - ridge psum at the budget's tau_hi, summed over the users as a float
+    loop adds them (see _lead_sum).  A nonnegative slope makes tau_hi
+    the argmax by concavity, so the entry takes tau_hi if that is above
+    1 and keeps tau = 1 otherwise, and evaluates no objective.
+
+    On a negative slope the argmax lies in a bracket read off bounds on
+    each term of g, with S = max_k (s_k + q_k): a term is at least
+    s_k n0 / (tau S + n0)^2, so g >= 0 up to
+    tau_lo = (sqrt(n0 sum_k s_k / (ridge psum)) - n0) / S, and at most
+    s_k / (tau (s_k + q_k)), so g < 0 from
+    tau_up = sum_k s_k / (s_k + q_k) / (ridge psum) on.  tau_lo <= 0
+    means g(0) <= 0: the objective falls from tau = 0, and the entry
+    keeps tau = 1.  Otherwise a golden-section search over
+    [tau_lo, min(tau_hi, tau_up)] runs entry by entry on Python floats,
+    to a relative width of _TAU_RTOL.  A bracket already that narrow
+    gives its geometric midpoint instead; one that rounding crossed has
+    its lower end clamped to the upper.  That point replaces tau = 1 only
+    if it lies farther than _TAU_RTOL from 1 and scores higher on the
+    same Python-float objective, so the step never lowers the objective.
+    The bracket needs no floor: the power may fall as far below the
+    budget as the argmax does.
     """
     tau = np.ones(psum.shape)
     live = np.flatnonzero(psum > 0.0)
@@ -231,19 +248,35 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: np.ndarray,
     slope = _lead_sum(np.concatenate((
         (-rg * p)[None],
         s * n0 / ((tau_hi * q + n0) * (tau_hi * (s + q) + n0)))))
-    tau[live] = np.where(tau_hi > 1.0, tau_hi, 1.0)
-    for j in np.flatnonzero(~(slope >= 0.0)).tolist():
+    rises = slope >= 0.0
+    tau[live] = np.where(rises & (tau_hi > 1.0), tau_hi, 1.0)
+    for j in np.flatnonzero(~rises).tolist():
         links = list(zip(s[:, j].tolist(), q[:, j].tolist()))
         ridge_j, psum_j = float(rg[j]), float(p[j])
+        cost = ridge_j * psum_j
+        total = widest = share = 0.0
+        for sk, qk in links:
+            total += sk
+            widest = max(widest, sk + qk)
+            if sk > 0.0:
+                share += sk / (sk + qk)
+        reach = math.sqrt(n0 * total / cost) - n0
+        if not reach > 0.0:
+            continue
+        hi = min(float(tau_hi[j]), share / cost)
+        lo = min(reach / widest, hi)
 
         def gain(t: float) -> float:
             rate = 0.0
             for sk, qk in links:
                 rate += math.log1p(t * sk / (t * qk + n0))
             return rate - ridge_j * t * psum_j
-        best = golden_section_max(gain, 1e-20 * tau_hi[j], tau_hi[j],
-                                  rel_tol=1e-10)
-        tau[live[j]] = 1.0 if gain(best) <= gain(1.0) else best
+        if math.log(hi) - math.log(lo) > _TAU_RTOL:
+            best = golden_section_max(gain, lo, hi, rel_tol=_TAU_RTOL)
+        else:
+            best = math.sqrt(lo) * math.sqrt(hi)
+        if abs(best - 1.0) > _TAU_RTOL and gain(best) > gain(1.0):
+            tau[live[j]] = best
     return tau
 
 
@@ -256,16 +289,17 @@ def _stats(h: np.ndarray, b: np.ndarray):
 @dataclass
 class _Descent:
     """Outcome of :func:`_descend`, one array over the entries per field:
-    the last iterate b (E, N, M), its sum rate and sum power, the beam
-    steps and convergence flag, and the objective after every iteration,
-    concatenated in entry order."""
+    the last iterate b (E, N, M), its sum rate, its link statistics and
+    sum power as _stats gives them, the beam steps and convergence flag.
+    log holds the objective after every iteration as (entries, values)
+    pairs in the order they were taken; _by_entry orders it."""
 
     b: np.ndarray
     rate: np.ndarray
-    p_sum: np.ndarray
+    stats: tuple[np.ndarray, ...]
     steps: np.ndarray
     converged: np.ndarray
-    history: np.ndarray
+    log: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _by_entry(log: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -298,9 +332,10 @@ def _row_space(h: np.ndarray, b: np.ndarray):
 
 
 def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
-             ridge: np.ndarray, b: np.ndarray) -> _Descent:
+             ridge: np.ndarray, b: np.ndarray, stats) -> _Descent:
     """Block descent of a stack of entries, channels h (E, N, M) from the
-    beamformers b (E, N, M), each under its own budget and ridge (E,).
+    beamformers b (E, N, M) with their statistics stats = _stats(h, b),
+    each under its own budget and ridge (E,).
 
     ridge = lambda * xi regularizes the beamformer step for the
     fractional inner problems, and a positive ridge adds a power-scale
@@ -318,7 +353,9 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
     objective starts as NaN, which no stop test passes.
 
     Each iterate takes its link statistics once: a power-scale step
-    that keeps tau = 1 leaves them as the beam step's output had them.
+    that keeps tau = 1 leaves them as the beam step's output had them,
+    and the last iterate's come back with it, so a descent continued
+    from there takes none afresh.
     Every iterate is a C-ordered array, the start included, and each
     beam step runs every entry at full width with a masked tail (see
     _beam_step), so an entry's bits do not depend on the stack it
@@ -328,24 +365,26 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
     at = np.arange(count)               # the entry at each stack position
     prev = np.full(count, np.nan)
     steps = np.zeros(count, dtype=int)
-    rate_out, psum_out = np.empty(count), np.empty(count)
+    rate_out = np.empty(count)
+    stats_out = tuple(np.empty(a.shape, a.dtype) for a in stats)
     steps_out, conv_out = np.empty(count, dtype=int), np.empty(count, bool)
-    history = []
+    log = []
     last_b = np.empty(b.shape, dtype=complex)
-    d, sig, inter, psum = _stats(h, b)
+    d, sig, inter, psum = stats
     while at.size:
         e = inter + n0
         sinr = sig / e
         rate = np.log1p(sinr).sum(axis=-1)
         obj = rate - ridge * psum
-        history.append((at, obj))
+        log.append((at, obj))
         converged = np.abs(obj - prev) <= _TOL * np.maximum(1.0, np.abs(obj))
         prev = obj
         stop = converged | ~(steps < _MAX_ITER)
         if stop.any():
             done = at[stop]
-            last_b[done] = b[stop]
-            rate_out[done], psum_out[done] = rate[stop], psum[stop]
+            last_b[done], rate_out[done] = b[stop], rate[stop]
+            for out, a in zip(stats_out, (d, sig, inter, psum)):
+                out[done] = a[stop]
             steps_out[done], conv_out[done] = steps[stop], converged[stop]
             if stop.all():
                 break
@@ -367,8 +406,8 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
                 b[pos] *= np.sqrt(tau[moved])[:, None, None]
                 d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos],
                                                                  b[pos])
-    return _Descent(b=last_b, rate=rate_out, p_sum=psum_out, steps=steps_out,
-                    converged=conv_out, history=_by_entry(history))
+    return _Descent(b=last_b, rate=rate_out, stats=stats_out, steps=steps_out,
+                    converged=conv_out, log=log)
 
 
 def _budgets(h: np.ndarray, p_budget) -> np.ndarray:
@@ -402,11 +441,11 @@ def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget,
         raise ValueError(f"init shape {np.shape(init)} does not match "
                          f"channels {h.shape}")
     h, c, lift = _row_space(h, np.ascontiguousarray(init, dtype=complex))
-    run = _descend(h, pm.n0, budget, np.zeros(budget.size), c)
+    run = _descend(h, pm.n0, budget, np.zeros(budget.size), c, _stats(h, c))
     return WmmseResult(
         b=lift(run.b), state=WmmseState(iteration=int(run.steps.sum())),
         converged=bool(run.converged.all()), sum_rate=run.rate,
-        p_sum=run.p_sum, objective_history=run.history)
+        p_sum=run.stats[-1], objective_history=_by_entry(run.log))
 
 
 def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
@@ -417,7 +456,8 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     Every entry starts at lam = 0.  Each outer step runs one block
     descent over the entries still open, maximizing sum rate minus lam
     times consumed power (lam xi folded into the beamformer regularizer)
-    from their last beamformers, so the lam sequence is nondecreasing.
+    from their last beamformers, so the lam sequence is nondecreasing,
+    and takes those beamformers' link statistics from the last descent.
     It takes F(lam) = rate - lam * consumed power and then lam = rate /
     consumed power, the achieved efficiency.  An entry finishes once
     |F(lam)| <= _DELTA, or unconverged after _MAX_OUTER outer steps; its
@@ -437,19 +477,21 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     c_out, lam_out = np.empty(c.shape, dtype=complex), np.empty(budget.size)
     conv_out = np.zeros(budget.size, dtype=bool)
     lam_log, f_log = [], []
+    stats = _stats(h, c)
     for _ in range(_MAX_OUTER):
-        run = _descend(h, pm.n0, budget, lam * cfg.xi, c)
-        consumed = total_power(run.p_sum, pm, cfg.xi)
+        run = _descend(h, pm.n0, budget, lam * cfg.xi, c, stats)
+        consumed = total_power(run.stats[-1], pm, cfg.xi)
         f = run.rate - lam * consumed
         lam_log.append((at, lam))
         f_log.append((at, f))
-        lam, c = run.rate / consumed, run.b
+        lam, c, stats = run.rate / consumed, run.b, run.stats
         done = np.abs(f) <= _DELTA
         c_out[at], lam_out[at], conv_out[at] = c, lam, done
         go = ~done
         if not go.any():
             break
-        at, h, budget, lam, c = (a[go] for a in (at, h, budget, lam, c))
+        at, h, budget, lam, c, *stats = (
+            a[go] for a in (at, h, budget, lam, c, *stats))
     return DinkelbachResult(
         b=lift(c_out), lambda_star=lam_out, converged=bool(conv_out.all()),
         lambda_history=_by_entry(lam_log), f_history=_by_entry(f_log))

@@ -64,16 +64,55 @@ def rescale_objective(h: np.ndarray, b: np.ndarray, n0: float, ridge: float):
     return gain
 
 
+def rescale_bracket(sig, inter, psum: float, n0: float, tau_hi: float,
+                    ridge: float):
+    """The bracket [lo, hi] the power-scale step searches for the
+    argmax of its objective, as a float loop over the users' signal and
+    interference powers sig, inter (N,): lo is where a lower bound on
+    the slope reaches zero, hi the smaller of tau_hi and where an upper
+    bound on it does, and lo is clamped to hi.  None when the slope at
+    tau = 0 is not positive, so the objective falls from there."""
+    cost = ridge * psum
+    total = widest = share = 0.0
+    for s, q in zip(sig.tolist(), inter.tolist()):
+        total += s
+        widest = max(widest, s + q)
+        if s > 0.0:
+            share += s / (s + q)
+    reach = math.sqrt(n0 * total / cost) - n0
+    if not reach > 0.0:
+        return None
+    hi = min(tau_hi, share / cost)
+    return min(reach / widest, hi), hi
+
+
+def rescale_argmax(gain, bracket) -> float:
+    """The power scale the step takes from the bracket: the
+    golden-section argmax of gain over it to optim._TAU_RTOL, or its
+    geometric midpoint when it is no wider than that, unless the point
+    lies within optim._TAU_RTOL of 1 or scores no higher than tau = 1."""
+    if bracket is None:
+        return 1.0
+    lo, hi = bracket
+    if math.log(hi) - math.log(lo) > optim._TAU_RTOL:
+        tau = golden_section_max(gain, lo, hi, rel_tol=optim._TAU_RTOL)
+    else:
+        tau = math.sqrt(lo) * math.sqrt(hi)
+    if abs(tau - 1.0) <= optim._TAU_RTOL or gain(tau) <= gain(1.0):
+        return 1.0
+    return tau
+
+
 def rescale_tau(h: np.ndarray, b: np.ndarray, n0: float, budget: float,
                 ridge: float) -> float:
-    """The power scale tau the Dinkelbach power-scale step picks: the
-    golden-section argmax of :func:`rescale_objective` over
-    [1e-20 tau_hi, tau_hi], tau_hi = budget / psum, unless tau = 1 scores
-    at least as high."""
-    gain = rescale_objective(h, b, n0, ridge)
-    tau_hi = budget / float(np.sum(np.abs(b) ** 2))
-    tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
-    return 1.0 if gain(tau) <= gain(1.0) else tau
+    """The power scale tau the Dinkelbach power-scale step picks, on
+    :func:`rescale_objective`'s numpy arrays: the argmax
+    (:func:`rescale_argmax`) over :func:`rescale_bracket` with
+    tau_hi = budget / psum."""
+    _, sig, inter = beamform.link_gains(h, b)
+    psum = float(np.sum(np.abs(b) ** 2))
+    return rescale_argmax(rescale_objective(h, b, n0, ridge), rescale_bracket(
+        sig, inter, psum, n0, budget / psum, ridge))
 
 
 def multiplier(r: np.ndarray, base: np.ndarray, budget: float) -> float:
@@ -135,8 +174,8 @@ def rescale(sig: np.ndarray, inter: np.ndarray, psum: float, n0: float,
         slope += s * n0 / ((tau_hi * q + n0) * (tau_hi * (s + q) + n0))
     if slope >= 0.0:
         return tau_hi if tau_hi > 1.0 else 1.0
-    tau = golden_section_max(gain, 1e-20 * tau_hi, tau_hi, rel_tol=1e-10)
-    return 1.0 if gain(tau) <= gain(1.0) else tau
+    return rescale_argmax(gain, rescale_bracket(sig, inter, psum, n0, tau_hi,
+                                                ridge))
 
 
 def _one_entry(res):
@@ -174,10 +213,11 @@ def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float):
     """Dinkelbach's method of ``optim.dinkelbach_ee`` on one problem
     h (N, M), as a float loop over its outer steps, each a plain
     one-entry ``optim._descend`` at the ridge lam xi from the last
-    step's beamformers, in the row space a wide cell is projected to
-    once: the per-entry form the stacked bookkeeping must match bit for
-    bit.  Returns the last beamformers, the efficiency and the lam and
-    F(lam) of every outer step."""
+    step's beamformers, their link statistics taken afresh, in the row
+    space a wide cell is projected to once: the per-entry form the
+    stacked bookkeeping must match bit for bit.  Returns the last
+    beamformers, the efficiency and the lam and F(lam) of every outer
+    step."""
     pm = derive_power_model(cfg)
     p = np.array([budget])
     stack, c, lift = optim._row_space(
@@ -185,9 +225,10 @@ def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float):
         * np.sqrt(p / cfg.N)[:, None, None])
     lam, lams, fs = 0.0, [], []
     while True:
-        run = optim._descend(stack, pm.n0, p, np.array([lam * cfg.xi]), c)
+        run = optim._descend(stack, pm.n0, p, np.array([lam * cfg.xi]), c,
+                             optim._stats(stack, c))
         rate = float(run.rate[0])
-        consumed = total_power(float(run.p_sum[0]), pm, cfg.xi)
+        consumed = total_power(float(run.stats[-1][0]), pm, cfg.xi)
         lams.append(lam)
         fs.append(rate - lam * consumed)
         lam = rate / consumed

@@ -300,6 +300,73 @@ def test_rescale_matches_numpy_reference(n, m, monkeypatch):
     assert searched[True] > 0 and searched[False] > 0
 
 
+def _random_links(rng, kind: str):
+    """Signal and interference powers (N,) of one entry at unit noise: a
+    single user, users without interference, or the users of random
+    beamformers, 8 users on 2 antennas (interference-limited) or 16
+    users on 32 antennas."""
+    if kind in ("single", "no-interference"):
+        n = 1 if kind == "single" else 5
+        sig = 10.0 ** rng.uniform(-1.0, 4.0, n)
+        inter = (10.0 ** rng.uniform(-1.0, 3.0, n) if kind == "single"
+                 else np.zeros(n))
+        return sig, inter
+    n, m = (8, 2) if kind == "8x2" else (16, 32)
+    h, b = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            for _ in range(2))
+    _, sig, inter = beamform.link_gains(h, b * 10.0 ** rng.uniform(0.0, 2.0))
+    return sig, inter
+
+
+@pytest.mark.parametrize("kind", ["single", "no-interference", "8x2",
+                                  "16-users"])
+def test_rescale_bracket_holds_the_argmax(kind, monkeypatch):
+    """The power-scale step searches the bracket its slope bounds give,
+    [tau_lo, min(tau_hi, tau_up)], and the argmax of the objective over
+    (0, tau_hi], found by a scan with steps of 0.1% in tau, lies in it to
+    one step.  The ridge puts the argmax anywhere from 1e-12 tau_hi to
+    just below tau_hi, so every entry searches."""
+    brackets = []
+    golden = optim.golden_section_max
+
+    def logged(f, lo, hi, **kwargs):
+        brackets.append((lo, hi))
+        return golden(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(optim, "golden_section_max", logged)
+    rng = np.random.default_rng(21)
+    n0, psum = 1.0, 1.0
+    for _ in range(20):
+        sig, inter = _random_links(rng, kind)
+        tau_hi = 10.0 ** rng.uniform(0.0, 6.0)
+
+        def rate_slope(tau):
+            return float(np.sum(sig * n0 / ((tau * inter + n0)
+                                            * (tau * (sig + inter) + n0))))
+        ridge = math.exp(rng.uniform(math.log(rate_slope(tau_hi)),
+                                     math.log(rate_slope(1e-12 * tau_hi))))
+        brackets.clear()
+        rescale_step(sig, inter, psum, n0, tau_hi * psum, ridge)
+        [(lo, hi)] = brackets
+        grid = tau_hi * np.exp(np.arange(-12.0 * math.log(10.0), 0.0, 1e-3))
+        gain = (np.log1p(grid[:, None] * sig / (grid[:, None] * inter + n0))
+                .sum(axis=-1) - ridge * grid * psum)
+        at = int(np.argmax(gain))
+        assert grid[max(at - 1, 0)] <= hi <= tau_hi
+        assert lo <= grid[min(at + 1, grid.size - 1)]
+
+
+def test_rescale_keeps_power_when_the_objective_falls_from_zero(monkeypatch):
+    """Where the slope at tau = 0, sum_k s_k / n0 - ridge psum, is not
+    positive, the objective falls all the way from zero power: the step
+    keeps tau = 1 and runs no search, at a zero slope too."""
+    monkeypatch.setattr(optim, "golden_section_max", None)
+    sig, inter = np.array([2.0, 0.5]), np.array([0.5, 0.0])
+    for ridge in (2.5, 3.0):
+        assert rescale_step(sig, inter, 1.0, 1.0, 10.0, ridge) == 1.0
+        assert rescale(sig, inter, 1.0, 1.0, 10.0, ridge) == 1.0
+
+
 @pytest.mark.parametrize("n", [1, 3, 16])
 def test_stacked_rescale_matches_float_loop(n, monkeypatch):
     """The stacked power-scale step equals the per-entry float loop of
@@ -401,8 +468,9 @@ def _descent_coordinates(h: np.ndarray, b0: np.ndarray):
 def test_iterate_matches_recomputing_reference(n, m):
     """The descent takes each iterate's link statistics once; the
     reference descent takes them afresh at every iterate.  Both take as
-    many steps to the same objectives, at ridge zero and positive, and
-    the Dinkelbach parameters match a replay on the reference.  The
+    many steps to the same objectives, at ridge zero and positive, the
+    statistics the descent returns are its last iterate's, bit for bit,
+    and the Dinkelbach parameters match a replay on the reference.  The
     reference runs in the descent's own coordinates, so a wide cell's
     replay runs in its rows' span too (the agreement in full space is
     test_wide_cells_solve_in_row_space's)."""
@@ -416,13 +484,16 @@ def test_iterate_matches_recomputing_reference(n, m):
         hr, c0 = _descent_coordinates(h, b0)
         for ridge in (0.0, 1e-3 * n / p, n / p):
             run = optim._descend(hr[None], pm.n0, np.array([p]),
-                                 np.array([ridge]), c0[None])
+                                 np.array([ridge]), c0[None],
+                                 optim._stats(hr[None], c0[None]))
             c_ref, hist = iterate_recomputing(hr, pm.n0, p, ridge, c0)
             assert run.steps.tolist() == [len(hist) - 1]
-            np.testing.assert_allclose(run.history, hist,
+            np.testing.assert_allclose(optim._by_entry(run.log), hist,
                                        rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(run.b[0], c_ref, rtol=1e-12,
                                        atol=0.0)
+            for got, fresh in zip(run.stats, optim._stats(hr[None], run.b)):
+                assert np.array_equal(got, fresh)
 
         res = dinkelbach_one(h, cfg, p)
         lam, c = 0.0, c0

@@ -316,17 +316,17 @@ def test_overloaded_cell_fidelity(M, N):
     assert report.ee_ratio >= 0.95, report
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "optim._rescale searches tau over [1e-20 tau_hi, tau_hi], so the "
-    "baseline's power cannot fall below 1e-20 of its budget"))
-def test_baseline_fidelity_at_huge_budget():
-    """At 250 dBm the efficient sum power (about 2.6e-8 W/Hz) sits far
-    below 1e-20 of the budget, so the baseline, held at that floor,
-    should still come close to the one-shot scheme's efficiency."""
+@pytest.mark.parametrize("dbm", [240.0, 250.0])
+def test_baseline_fidelity_at_huge_budget(dbm):
+    """At 240 and 250 dBm the efficient sum power (about 2.6e-8 W/Hz)
+    sits below 1e-20 of the budget.  The baseline's power-scale search
+    has no floor tied to the budget, so it reaches that power, and the
+    one-shot scheme keeps c10's 95% of its efficiency without beating it
+    by more than 5%."""
     cfg = load_config(DEFAULT_CONFIG)
-    budget = transmit_power_from_dbm(250.0, cfg)
+    budget = transmit_power_from_dbm(dbm, cfg)
     report, _, _ = harness.compare_schemes(cfg, budget, 2, seed=1)
-    assert report.ee_ratio < 1.05, report
+    assert 0.95 <= report.ee_ratio < 1.05, report
 
 
 def test_band_uses_served_cell():
