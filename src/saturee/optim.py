@@ -229,13 +229,23 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: np.ndarray,
     s_k / (tau (s_k + q_k)), so g < 0 from
     tau_up = sum_k s_k / (s_k + q_k) / (ridge psum) on.  tau_lo <= 0
     means g(0) <= 0: the objective falls from tau = 0, and the entry
-    keeps tau = 1.  Otherwise a golden-section search over
-    [tau_lo, min(tau_hi, tau_up)] runs entry by entry on Python floats,
-    to a relative width of _TAU_RTOL.  A bracket already that narrow
-    gives its geometric midpoint instead; one that rounding crossed has
-    its lower end clamped to the upper.  That point replaces tau = 1 only
-    if it lies farther than _TAU_RTOL from 1 and scores higher on the
-    same Python-float objective, so the step never lowers the objective.
+    keeps tau = 1.  Otherwise the upper end is hi = min(tau_hi, tau_up),
+    and one tangent step from there tightens the lower end: each term of
+    g is s_k n0 times two positive, falling, convex factors of tau, so g
+    is convex and falling, and its tangent at hi crosses zero at or
+    below the argmax.  The lower end is therefore
+    lo = min(max(tau_lo, hi - g(hi) / g'(hi)), hi), both taken entry by
+    entry on Python floats.  Where tau_up is tight (little interference
+    and a high SINR at the argmax, as at the usual budgets) the step
+    lands within rounding of the argmax, the bracket starts narrower than
+    _TAU_RTOL, and the golden-section search over it returns its
+    geometric midpoint without evaluating the objective.  A looser
+    bracket (an interference-limited cell, a budget far above the
+    efficient power) is searched to a relative width of _TAU_RTOL.  A
+    bracket that rounding closed (lo = hi) takes hi.  That point
+    replaces tau = 1 only if it lies farther than _TAU_RTOL from 1 and
+    scores higher on the same Python-float objective, so the step never
+    lowers the objective.
     The bracket needs no floor: the power may fall as far below the
     budget as the argmax does.
     """
@@ -264,17 +274,23 @@ def _rescale(sig: np.ndarray, inter: np.ndarray, psum: np.ndarray,
         if not reach > 0.0:
             continue
         hi = min(float(tau_hi[j]), share / cost)
-        lo = min(reach / widest, hi)
+        lo, slope, curve = reach / widest, -cost, 0.0
+        for sk, qk in links:
+            near, far = hi * qk + n0, hi * (sk + qk) + n0
+            term = sk * n0 / (near * far)
+            slope += term
+            curve -= term * (qk / near + (sk + qk) / far)
+        if curve < 0.0:
+            lo = max(lo, hi - slope / curve)
+        lo = min(lo, hi)
 
         def gain(t: float) -> float:
             rate = 0.0
             for sk, qk in links:
                 rate += math.log1p(t * sk / (t * qk + n0))
             return rate - ridge_j * t * psum_j
-        if math.log(hi) - math.log(lo) > _TAU_RTOL:
-            best = golden_section_max(gain, lo, hi, rel_tol=_TAU_RTOL)
-        else:
-            best = math.sqrt(lo) * math.sqrt(hi)
+        best = (hi if lo >= hi else
+                golden_section_max(gain, lo, hi, rel_tol=_TAU_RTOL))
         if abs(best - 1.0) > _TAU_RTOL and gain(best) > gain(1.0):
             tau[live[j]] = best
     return tau

@@ -17,11 +17,14 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-8) -> float:
     """Argmax of a unimodal f over [lo, hi], 0 < lo < hi.
 
     Classic golden-section search carried out in log space; rel_tol is
-    the relative tolerance on the returned argument.
+    the relative tolerance on the returned argument.  A bracket already
+    that narrow gives its geometric midpoint without evaluating f.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     a, b = math.log(lo), math.log(hi)
+    if b - a <= rel_tol:
+        return math.exp(0.5 * (a + b))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = f(math.exp(c))

@@ -67,14 +67,16 @@ def rescale_objective(h: np.ndarray, b: np.ndarray, n0: float, ridge: float):
 def rescale_bracket(sig, inter, psum: float, n0: float, tau_hi: float,
                     ridge: float):
     """The bracket [lo, hi] the power-scale step searches for the
-    argmax of its objective, as a float loop over the users' signal and
-    interference powers sig, inter (N,): lo is where a lower bound on
-    the slope reaches zero, hi the smaller of tau_hi and where an upper
-    bound on it does, and lo is clamped to hi.  None when the slope at
-    tau = 0 is not positive, so the objective falls from there."""
+    argmax of its objective, as float loops over the users' signal and
+    interference powers sig, inter (N,): hi is the smaller of tau_hi and
+    where an upper bound on the slope reaches zero, and lo the larger of
+    where a lower bound on it does and where the slope's tangent at hi
+    does, clamped to hi.  None when the slope at tau = 0 is not
+    positive, so the objective falls from there."""
+    links = list(zip(sig.tolist(), inter.tolist()))
     cost = ridge * psum
     total = widest = share = 0.0
-    for s, q in zip(sig.tolist(), inter.tolist()):
+    for s, q in links:
         total += s
         widest = max(widest, s + q)
         if s > 0.0:
@@ -83,21 +85,27 @@ def rescale_bracket(sig, inter, psum: float, n0: float, tau_hi: float,
     if not reach > 0.0:
         return None
     hi = min(tau_hi, share / cost)
-    return min(reach / widest, hi), hi
+    lo, slope, curve = reach / widest, -cost, 0.0
+    for s, q in links:
+        near, far = hi * q + n0, hi * (s + q) + n0
+        term = s * n0 / (near * far)
+        slope += term
+        curve -= term * (q / near + (s + q) / far)
+    if curve < 0.0:
+        lo = max(lo, hi - slope / curve)
+    return min(lo, hi), hi
 
 
 def rescale_argmax(gain, bracket) -> float:
     """The power scale the step takes from the bracket: the
     golden-section argmax of gain over it to optim._TAU_RTOL, or its
-    geometric midpoint when it is no wider than that, unless the point
-    lies within optim._TAU_RTOL of 1 or scores no higher than tau = 1."""
+    upper end when rounding closed it, unless the point lies within
+    optim._TAU_RTOL of 1 or scores no higher than tau = 1."""
     if bracket is None:
         return 1.0
     lo, hi = bracket
-    if math.log(hi) - math.log(lo) > optim._TAU_RTOL:
-        tau = golden_section_max(gain, lo, hi, rel_tol=optim._TAU_RTOL)
-    else:
-        tau = math.sqrt(lo) * math.sqrt(hi)
+    tau = (hi if lo >= hi else
+           golden_section_max(gain, lo, hi, rel_tol=optim._TAU_RTOL))
     if abs(tau - 1.0) <= optim._TAU_RTOL or gain(tau) <= gain(1.0):
         return 1.0
     return tau

@@ -321,11 +321,12 @@ def _random_links(rng, kind: str):
 @pytest.mark.parametrize("kind", ["single", "no-interference", "8x2",
                                   "16-users"])
 def test_rescale_bracket_holds_the_argmax(kind, monkeypatch):
-    """The power-scale step searches the bracket its slope bounds give,
-    [tau_lo, min(tau_hi, tau_up)], and the argmax of the objective over
-    (0, tau_hi], found by a scan with steps of 0.1% in tau, lies in it to
-    one step.  The ridge puts the argmax anywhere from 1e-12 tau_hi to
-    just below tau_hi, so every entry searches."""
+    """The power-scale step searches the bracket its slope bounds and
+    tangent step give, [max(tau_lo, tangent end), min(tau_hi, tau_up)],
+    and the argmax of the objective over (0, tau_hi], found by a scan
+    with steps of 0.1% in tau, lies in it to one step.  The ridge puts
+    the argmax anywhere from 1e-12 tau_hi to just below tau_hi, so every
+    entry searches."""
     brackets = []
     golden = optim.golden_section_max
 
@@ -354,6 +355,96 @@ def test_rescale_bracket_holds_the_argmax(kind, monkeypatch):
         at = int(np.argmax(gain))
         assert grid[max(at - 1, 0)] <= hi <= tau_hi
         assert lo <= grid[min(at + 1, grid.size - 1)]
+
+
+def _tangent_cases(kind):
+    """Link statistics (sig, inter, psum, n0, tau_hi, ridge) of entries
+    the power-scale step brackets: random links of one of
+    _random_links' kinds with the ridge placing the argmax anywhere from
+    1e-12 tau_hi to just below tau_hi, or (a budget in dBm) every entry
+    of the power-scale steps a Dinkelbach solve of two default-cell
+    draws takes at that budget, whose efficient power lies below 1e-20
+    of it."""
+    if isinstance(kind, str):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            sig, inter = _random_links(rng, kind)
+            tau_hi = 10.0 ** rng.uniform(0.0, 6.0)
+            rate_slope = [float(np.sum(sig / ((t * inter + 1.0)
+                                              * (t * (sig + inter) + 1.0))))
+                          for t in (tau_hi, 1e-12 * tau_hi)]
+            ridge = math.exp(rng.uniform(*np.log(rate_slope)))
+            yield sig, inter, 1.0, 1.0, tau_hi, ridge
+        return
+    steps = []
+    rescale_stack = optim._rescale
+
+    def logged(sig, inter, psum, n0, budget, ridge):
+        steps.append((sig, inter, psum, n0, budget, ridge))
+        return rescale_stack(sig, inter, psum, n0, budget, ridge)
+
+    cfg = load_config(str(ROOT / "configs" / "default.json"))
+    h = np.stack([channel.generate(cfg, 1, t) for t in range(2)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "_rescale", logged)
+        optim.dinkelbach_ee(h, cfg, np.full(2, transmit_power_from_dbm(
+            kind, cfg)))
+    for sig, inter, psum, n0, budget, ridge in steps:
+        for e in np.flatnonzero(budget >= psum).tolist():
+            yield (sig[:, e], inter[:, e], float(psum[e]), n0,
+                   float(budget[e] / psum[e]), float(ridge[e]))
+
+
+@pytest.mark.parametrize("kind", ["single", "no-interference", "8x2",
+                                  "16-users", 240.0, 250.0])
+def test_rescale_tangent_end_is_certified(kind):
+    """The lower end the slope's tangent at the bracket's upper end gives
+    is at least the slope bound's tau_lo and never above the argmax of
+    the objective over (0, tau_hi], found by a scan with steps of 0.1%
+    in tau from below tau_lo, to one step."""
+    checked = 0
+    for sig, inter, psum, n0, tau_hi, ridge in _tangent_cases(kind):
+        bracket = oracles.rescale_bracket(sig, inter, psum, n0, tau_hi,
+                                          ridge)
+        if bracket is None:
+            continue
+        lo, _ = bracket
+        tau_lo = ((math.sqrt(n0 * float(np.sum(sig)) / (ridge * psum)) - n0)
+                  / float(np.max(sig + inter)))
+        grid = tau_hi * np.exp(np.arange(math.log(tau_lo / tau_hi) - 1e-2,
+                                         0.0, 1e-3))
+        gain = (np.log1p(grid[:, None] * sig / (grid[:, None] * inter + n0))
+                .sum(axis=-1) - ridge * grid * psum)
+        at = int(np.argmax(gain))
+        assert lo >= tau_lo * (1.0 - 1e-12)
+        assert lo <= grid[min(at + 1, grid.size - 1)]
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name", ["default", "cell_64x16"])
+def test_rescale_tangent_settles_the_search(name, monkeypatch):
+    """At 46 dBm the tangent step puts the power-scale searches of a
+    Dinkelbach solve within rounding of their argmax: searches still
+    run, and they evaluate their objective at most once per search on
+    average, where the slope bounds' bracket alone took about 42."""
+    searches, evals = [], []
+    golden = optim.golden_section_max
+
+    def counted(f, lo, hi, **kwargs):
+        searches.append((lo, hi))
+
+        def objective(tau):
+            evals.append(tau)
+            return f(tau)
+        return golden(objective, lo, hi, **kwargs)
+
+    monkeypatch.setattr(optim, "golden_section_max", counted)
+    cfg = _STACK_CELLS[name]()
+    h, p = _stack_entries(cfg, (46.0,))
+    optim.dinkelbach_ee(h, cfg, p)
+    assert searches
+    assert len(evals) <= len(searches)
 
 
 def test_rescale_keeps_power_when_the_objective_falls_from_zero(monkeypatch):

@@ -22,6 +22,17 @@ def test_golden_section_bad_bracket():
         golden_section_max(lambda x: x, -1.0, 1.0)
 
 
+def test_golden_section_narrow_bracket_needs_no_evaluation():
+    """A bracket already within rel_tol gives its geometric midpoint
+    without calling f."""
+    def f(x):
+        raise AssertionError("evaluated")
+    lo, hi = 2.0, 2.0 * (1.0 + 1e-9)
+    arg = golden_section_max(f, lo, hi, rel_tol=1e-8)
+    assert arg == math.exp(0.5 * (math.log(lo) + math.log(hi)))
+    assert lo < arg < hi
+
+
 @given(st.floats(min_value=-5.0, max_value=5.0))
 def test_golden_section_recovers_log_quadratic_peak(mu):
     arg = golden_section_max(lambda x: -(math.log(x) - mu) ** 2,
