@@ -53,6 +53,9 @@ class ExperimentSpec:
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
         if self.kind == "compare":
+            if self.workers > 1:
+                raise ValueError("compare times both arms in one process, "
+                                 f"so it runs one worker, not {self.workers}")
             # compare reads pmax_dbm alone, and transmit_power_from_dbm
             # rejects a budget outside the float range.
             return
@@ -246,9 +249,17 @@ SWEEP_SCHEMES = ("mrt_mc", "mrt_asym", "lb", "noiui_mc", "ub", "rzf_asym",
 TRADEOFF_SCHEMES = ("lb", "se_mc", "ub")
 
 
-# Draws whose entries one stacked call solves together: enough to share
-# numpy's per-call cost, few enough to bound memory on long runs.
-_DRAW_GROUP = 10
+# Channel elements (draws x budgets x N x M) one group of draws may hand
+# a stacked call: enough to share numpy's per-call cost, few enough to
+# bound memory on long runs.  Ten draws of a default-grid 64x16 sweep
+# fill it.
+_STACK_CAP = 10 * 29 * 64 * 16
+
+
+def _draw_group(cfg: SystemConfig, budgets: int) -> int:
+    """Draws per group when each draw stacks one entry per budget: as many
+    as fit in _STACK_CAP, and at least one."""
+    return max(1, _STACK_CAP // (budgets * cfg.N * cfg.M))
 
 
 def _trial_chunk(cell: _Cell, names: list[str], p_list, seed: int,
@@ -262,8 +273,9 @@ def _trial_chunk(cell: _Cell, names: list[str], p_list, seed: int,
     p_list = np.asarray(p_list, dtype=float)
     out = {name: np.empty((t1 - t0, p_list.size, 2)) for name in names}
     seconds = dict.fromkeys(names, 0.0)
-    for g0 in range(t0, t1, _DRAW_GROUP):
-        g1 = min(g0 + _DRAW_GROUP, t1)
+    group = _draw_group(cell.cfg, p_list.size)
+    for g0 in range(t0, t1, group):
+        g1 = min(g0 + group, t1)
         h = np.stack([channel.generate(cell.cfg, seed, trial)
                       for trial in range(g0, g1)])
         for name in names:

@@ -14,13 +14,15 @@ import pytest
 import saturee
 from saturee import beamform, channel, cli, harness, optim, satpower
 from saturee.harness import CSV_HEADER, EePoint, ExperimentSpec
-from saturee.sysmodel import (derive_power_model, load_config,
+from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               transmit_power_from_dbm)
 
 from oracles import dinkelbach_one
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DEFAULT_CONFIG = str(CONFIG_DIR / "default.json")
+CELL_64X16 = str(CONFIG_DIR.parent / "perfbench" / "configs"
+                 / "cell_64x16.json")
 
 
 @pytest.fixture
@@ -358,9 +360,12 @@ def test_csv_independent_of_draw_groups_and_waves(kind, name, monkeypatch):
     spec = ExperimentSpec(kind=kind, trials=7, seed=3,
                           config_path=str(CONFIG_DIR / f"{name}.json"))
     want = harness.format_csv(harness.run(spec)[0])
-    for group in (1, 3):
+    cfg = load_config(spec.config_path)
+    budgets = 1 if kind == "compare" else harness.dbm_grid(spec).size
+    for group in (1, 3, 7):
         with monkeypatch.context() as mp:
-            mp.setattr(harness, "_DRAW_GROUP", group)
+            mp.setattr(harness, "_STACK_CAP", group * budgets * cfg.N * cfg.M)
+            assert harness._draw_group(cfg, budgets) == group
             assert harness.format_csv(harness.run(spec)[0]) == want
     band = satpower.compute_band
     for p_ub in (0.0, math.inf):
@@ -368,6 +373,58 @@ def test_csv_independent_of_draw_groups_and_waves(kind, name, monkeypatch):
             mp.setattr(satpower, "compute_band", lambda cfg: (
                 dataclasses.replace(band(cfg), p_ub=p_ub)))
             assert harness.format_csv(harness.run(spec)[0]) == want
+
+
+def test_draw_group_counts_stacked_elements():
+    """A group holds as many draws as fit harness._STACK_CAP channel
+    elements, one entry per budget each: ten on a default-grid 64x16
+    sweep, a whole compare block at 64x16 and a whole 100-trial sweep at
+    3x3, and one draw where a single draw is over the cap."""
+    wide, small = load_config(CELL_64X16), load_config(DEFAULT_CONFIG)
+    assert harness._draw_group(wide, 29) == 10
+    assert harness._draw_group(wide, 15) == 19
+    assert harness._draw_group(wide, 1) >= 20
+    assert harness._draw_group(small, 29) >= 100
+    huge = SystemConfig(M=128, N=128)
+    assert 29 * huge.N * huge.M > harness._STACK_CAP
+    assert harness._draw_group(huge, 29) == 1
+
+
+def _stacked_calls(monkeypatch):
+    """Record the channel stack of every optim.wmmse and
+    optim.dinkelbach_ee call as (solver name, elements)."""
+    calls = []
+    for name in ("wmmse", "dinkelbach_ee"):
+        solve = getattr(optim, name)
+
+        def counted(h, *args, _name=name, _solve=solve, **kwargs):
+            calls.append((_name, h.size))
+            return _solve(h, *args, **kwargs)
+        monkeypatch.setattr(optim, name, counted)
+    return calls
+
+
+def test_compare_block_is_one_solver_call_per_arm(monkeypatch):
+    """The 20 draws of a 64x16 compare block form one group, so each arm
+    solves them in one stacked call."""
+    calls = _stacked_calls(monkeypatch)
+    harness.run(ExperimentSpec(kind="compare", config_path=CELL_64X16,
+                               trials=20, seed=1))
+    assert sorted(name for name, _ in calls) == ["dinkelbach_ee", "wmmse"]
+    assert all(size == 20 * 64 * 16 for _, size in calls)
+
+
+def test_sweep_stacks_stay_under_the_cap(monkeypatch):
+    """No solver call of a default-grid 64x16 sweep stacks more channel
+    elements than harness._STACK_CAP; 11 trials make a full group of 10
+    draws and a group of one."""
+    calls = _stacked_calls(monkeypatch)
+    harness.run(ExperimentSpec(kind="sweep", config_path=CELL_64X16,
+                               trials=11, seed=1))
+    assert max(size for _, size in calls) <= harness._STACK_CAP
+    # proposed stacks the same budgets for every draw.
+    proposed = [size for name, size in calls if name == "wmmse"]
+    assert proposed == [10 * proposed[1], proposed[1]]
 
 
 @pytest.mark.parametrize("trials", [1, 2, 9, 200])
@@ -402,8 +459,7 @@ def test_compare_draws_each_trial_once(monkeypatch):
     """compare_schemes draws each trial's channel once for both schemes,
     outside their clocks, and its rows, which the report's means read,
     are those of one _trial_chunk call per scheme."""
-    cfg = load_config(str(CONFIG_DIR.parent / "perfbench" / "configs"
-                          / "cell_64x16.json"))
+    cfg = load_config(CELL_64X16)
     budget = transmit_power_from_dbm(46.0, cfg)
     draws = []
     generate = channel.generate
@@ -598,6 +654,17 @@ def test_cli_float_overflow_is_numerical_error(workers, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical error: overflow encountered")
     assert captured.out == ""
+
+
+def test_cli_compare_rejects_workers(capsys):
+    """compare times its two arms in one process, so more than one worker
+    is a usage error (exit 2), not a request quietly run on one."""
+    args = ["compare", "--config", DEFAULT_CONFIG, "--trials", "2",
+            "--workers", "3"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "one process" in captured.err and captured.out == ""
+    assert cli.main(args[:-1] + ["1"]) == 0
 
 
 @pytest.mark.parametrize("dbm, code",[("-20", 0), ("3000", 2), ("-4000", 2)])
