@@ -107,10 +107,7 @@ def _multiplier(r: np.ndarray, base: np.ndarray,
     0.01 ms (3 modes) to 0.03 ms (16 modes) per entry for that float
     loop, so a stack breaks even near 30 entries of 3 modes and 8 of 16.
     The first beam steps of a default 3x3 sweep stack 19-20 entries per
-    draw, and its 100 trials make one group of draws (see
-    harness._STACK_CAP): 5 searches over 100-2000 entries take about
-    2 ms, against about 4 ms for 50 searches in groups of 10 draws and
-    11.4 ms entry by entry for 20 trials alone.
+    draw, so a group of two draws is past that.
     """
     def power(r, base, mu):
         x = 1.0 / (base + mu)

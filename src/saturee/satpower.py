@@ -16,7 +16,6 @@ import numpy as np
 
 from . import asympt, beamform, optim
 from .asympt import DetEquivParams
-from .errors import NumericalError
 from .scalar_opt import bisect_root_log
 from .specfun import lambert_w0
 from .sysmodel import SystemConfig, derive_power_model
@@ -60,44 +59,29 @@ def p_ub(cfg: SystemConfig) -> float:
     return cfg.N * pm.n0 / cfg.M * (math.exp(1.0 + w) - 1.0)
 
 
-def _stationarity_rzf(p: float, g: float, a: float,
-                      pconst_over_xi: float) -> float:
-    """Sign function whose unique root is the RZF saturation power.
-
-    The deterministic RZF curve is SINR(p) = g p / (p + a) with
-    g = m0^2 / psi0 and a = (1 + m0)^2 n0.  The function is negative
-    below its efficiency peak and positive above it; it tends to
-    -g Pconst / (xi a) at 0 and to log(1 + g) at infinity.
-    """
-    num = g * a * (p + pconst_over_xi)
-    den = (p + a) * ((1.0 + g) * p + a)
-    return math.log1p(g * p / (p + a)) - num / den
-
-
 def p_rzf(cfg: SystemConfig, de: DetEquivParams) -> float:
-    """Root of the RZF stationarity condition, bracketed and bisected."""
+    """Efficiency peak of the deterministic RZF curve, by one bisection.
+
+    The curve is SINR(p) = g p / (p + a) with g = m0^2 / psi0 and
+    a = (1 + m0)^2 n0.  With c = Pconst / xi, x = SINR(p) and
+    D = (p + a) ((1 + g) p + a) > 0, the efficiency's slope has the sign
+    of -f, where f(p) = log1p(x) - g a (p + c) / D.  Since
+    x / (1 + x) < log1p(x) < x for x > 0, f lies strictly between
+    g (p^2 - a c) / D and g ((1 + g) p^2 - a c) / D.  So f < 0 at and
+    below sqrt(a c / (1 + g)) and f > 0 at and above sqrt(a c), and f
+    is bisected on that bracket.
+    """
     pm = derive_power_model(cfg)
-    pconst_over_xi = pm.Pconst / cfg.xi
+    c = pm.Pconst / cfg.xi
     g = de.m0 * de.m0 / de.psi0
     a = (1.0 + de.m0) * (1.0 + de.m0) * pm.n0
-    f = lambda p: _stationarity_rzf(p, g, a, pconst_over_xi)
 
-    scale = max(a / g, pconst_over_xi)
-    lo = scale * 1e-12
-    for _ in range(100):
-        if f(lo) < 0.0:
-            break
-        lo *= 1e-3
-    else:
-        raise NumericalError("no negative bracket end for the RZF stationarity")
-    hi = scale
-    for _ in range(300):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("no positive bracket end for the RZF stationarity")
-    return bisect_root_log(f, lo, hi, rel_tol=1e-8, f_tol=1e-8)
+    def f(p: float) -> float:
+        den = (p + a) * ((1.0 + g) * p + a)
+        return math.log1p(g * p / (p + a)) - g * a * (p + c) / den
+
+    return bisect_root_log(f, math.sqrt(a * c / (1.0 + g)), math.sqrt(a * c),
+                           rel_tol=1e-8, f_tol=1e-8)
 
 
 @dataclass(frozen=True)
@@ -128,9 +112,10 @@ def interpolate(gamma_lb: float, gamma_ub: float, gamma_rzf: float,
     """Place the operating power inside [p_lb, p_ub].
 
     The estimate beta * gamma_rzf of the optimal efficiency is compared
-    against the bracket efficiencies: gap = (gamma_ub - est)/(est -
-    gamma_lb), omega = gap/(1 + gap), and p = omega p_lb + (1 - omega)
-    p_ub.  Estimates at or beyond a bracket end clamp to that end.
+    against the bracket efficiencies: with gap = (gamma_ub - est)/(est -
+    gamma_lb), omega = gap/(1 + gap) = (gamma_ub - est)/(gamma_ub -
+    gamma_lb), clamped to [0, 1], and p = omega p_lb + (1 - omega) p_ub.
+    Estimates at or beyond a bracket end give exactly that end.
     """
     if not (gamma_lb > 0.0 and gamma_ub > 0.0 and gamma_rzf > 0.0):
         raise ValueError("peak efficiencies must be positive")
@@ -142,13 +127,7 @@ def interpolate(gamma_lb: float, gamma_ub: float, gamma_rzf: float,
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     est = beta * gamma_rzf
-    if est >= gamma_ub:
-        omega = 0.0
-    elif est <= gamma_lb:
-        omega = 1.0
-    else:
-        gap = (gamma_ub - est) / (est - gamma_lb)
-        omega = gap / (1.0 + gap)
+    omega = min(max((gamma_ub - est) / (gamma_ub - gamma_lb), 0.0), 1.0)
     p_prop = omega * p_lb + (1.0 - omega) * p_ub
     return SaturationBand(p_lb=p_lb, p_ub=p_ub, p_rzf=p_rzf, p_prop=p_prop,
                           gamma_lb=gamma_lb, gamma_ub=gamma_ub,

@@ -31,10 +31,10 @@ def lambert_w0(x: float) -> float:
       tracks the true branch to a few percent all the way from small
       arguments to x ~ 1e12 and beyond.
 
-    The result is verified against |w exp(w) - x| <= 1e-12 max(1, |x|);
-    a violation raises :class:`NumericalError`.  Arguments below -1/e
-    raise ValueError.  numpy's exp and log1p are used on purpose: the
-    results are pinned to their rounding, which math's can differ from.
+    The result must satisfy |w exp(w) - x| <= 1e-12 max(1, |x|); any
+    other residual, NaN included, raises :class:`NumericalError`.
+    Arguments below -1/e raise ValueError.  numpy's exp and log1p are
+    used on purpose: results are pinned to their rounding, not math's.
     """
     if not x >= _BRANCH:
         raise ValueError(f"lambert_w0 needs x >= -1/e, got {x}")
@@ -58,6 +58,6 @@ def lambert_w0(x: float) -> float:
                 break
 
     residual = abs(w * np.exp(w) - x)
-    if residual > _RESIDUAL_RTOL * max(1.0, abs(x)):
+    if not residual <= _RESIDUAL_RTOL * max(1.0, abs(x)):
         raise NumericalError(f"lambert_w0 residual {residual:.3e} at x = {x}")
     return float(w)

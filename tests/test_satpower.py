@@ -183,6 +183,64 @@ def test_p_rzf_matches_direct_maximization(cfg3):
     assert root == pytest.approx(direct, rel=1e-3)
 
 
+_WIDE_DBM = (-400.0, -250.0, -100.0, 0.0, 30.0, 100.0, 200.0)
+
+
+def _wide_configs():
+    """Served, wide and overloaded cells, xi of 1 and 30, circuit and
+    static powers from -400 to 200 dBm and noise densities from -174 to
+    +100 dBm/Hz; configurations SystemConfig rejects are left out."""
+    for M, N, xi, pc, po, noise in itertools.product(
+            (1, 3, 16, 64, 128), (1, 3, 16, 32), (1.0, 30.0), _WIDE_DBM,
+            _WIDE_DBM, (-174.0, -100.0, 0.0, 100.0)):
+        try:
+            yield SystemConfig(M=M, N=N, xi=xi, Pc_prime_dbm=pc,
+                               Po_prime_dbm=po, noise_psd_dbm_per_hz=noise)
+        except ValueError:
+            continue
+
+
+def _p_ub_underflows(cfg):
+    """p_ub of the served cell is 0: M Pconst / (N n0 xi) is lost when
+    W0's argument rounds to -1/e."""
+    return satpower.p_ub(dataclasses.replace(cfg, N=min(cfg.N, cfg.M))) == 0.0
+
+
+def test_p_rzf_bracket_wide_grid():
+    """The bracket [sqrt(a c / (1 + g)), sqrt(a c)] of the p_rzf
+    docstring holds the stationarity root on every configuration of a
+    wide grid: the restated sign function is negative at its lower end
+    and positive at its upper end, and the band's p_rzf lies inside."""
+    checked = 0
+    for cfg in _wide_configs():
+        if _p_ub_underflows(cfg):
+            continue  # test_band_far_below_noise records this gap
+        band = satpower.compute_band(cfg)
+        served = dataclasses.replace(cfg, N=min(cfg.N, cfg.M))
+        pm = derive_power_model(served)
+        de = asympt.det_equiv_rzf(served, beamform.mmse_loading_alpha(
+            served, math.sqrt(band.p_lb * band.p_ub)))
+        c = pm.Pconst / served.xi
+        g = de.m0 * de.m0 / de.psi0
+        a = (1.0 + de.m0) * (1.0 + de.m0) * pm.n0
+        lo, hi = math.sqrt(a * c / (1.0 + g)), math.sqrt(a * c)
+        assert _stationarity(lo, de, pm.n0, c) < 0.0, cfg
+        assert _stationarity(hi, de, pm.n0, c) > 0.0, cfg
+        assert lo <= band.p_rzf <= hi, cfg
+        checked += 1
+    assert checked > 5000
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "p_ub forms W0's argument as (t - 1) / e, which rounds to -1/e once "
+    "t = M Pconst / (N n0 xi) is below about 1e-16, so p_ub is 0 and the "
+    "band's RZF loading is refused"))
+def test_band_far_below_noise():
+    cfg = SystemConfig(M=3, N=3, Pc_prime_dbm=-400.0, Po_prime_dbm=-400.0)
+    band = satpower.compute_band(cfg)
+    assert 0.0 < band.p_lb <= band.p_prop <= band.p_ub
+
+
 # -------------------------------------------------------- interpolation
 
 def test_interpolate_endpoints():

@@ -7,6 +7,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
+from saturee.errors import NumericalError
 from saturee.specfun import lambert_w0
 
 _BRANCH = -1.0 / math.e
@@ -65,6 +66,14 @@ def test_domain_errors():
         lambert_w0(_BRANCH - 1e-6)
     with pytest.raises(ValueError):
         lambert_w0(math.nan)
+
+
+def test_nan_residual_raises():
+    # With numpy's invalid-value warning silenced, as in library use, an
+    # infinite argument runs the iteration into NaN; the residual check
+    # must still refuse it.
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        lambert_w0(math.inf)
 
 
 def test_shapes():
