@@ -15,14 +15,6 @@ from .sysmodel import SystemConfig
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _draw(M: int, N: int, seed: int, trial_index: int) -> np.ndarray:
-    key = np.array([seed % 2**64, trial_index % 2**64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    re = rng.standard_normal((N, M))
-    im = rng.standard_normal((N, M))
-    return (re + 1j * im) * _SQRT_HALF
-
-
 def generate(cfg: SystemConfig, seed: int, trial_index: int) -> np.ndarray:
     """Draw the channel h for one Monte Carlo trial.
 
@@ -31,4 +23,8 @@ def generate(cfg: SystemConfig, seed: int, trial_index: int) -> np.ndarray:
     """
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    return _draw(cfg.M, cfg.N, seed, trial_index)
+    key = np.array([seed % 2**64, trial_index % 2**64], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    re = rng.standard_normal((cfg.N, cfg.M))
+    im = rng.standard_normal((cfg.N, cfg.M))
+    return (re + 1j * im) * _SQRT_HALF

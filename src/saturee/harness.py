@@ -182,7 +182,7 @@ _SLACK_RTOL = 1e-6
 def _baseline(cell: _Cell, h, p_list):
     # Past saturation the efficient beamformers stop using extra power: a
     # solution that leaves its budget slack is a KKT point of every larger
-    # budget, so each draw solves its budgets in increasing order up to
+    # budget.  The budgets come increasing, and each draw solves them up to
     # the first slack one (its stop), which answers for all larger budgets.
     #
     # The solves run in waves.  The first takes each draw's budgets up to
@@ -190,29 +190,27 @@ def _baseline(cell: _Cell, h, p_list):
     # takes the next budget of every draw without a slack solution yet.
     # Solutions past a draw's stop are dropped, so the rows do not depend
     # on the waves.
-    order = np.argsort(p_list, kind="stable")
-    budgets = p_list[order]
-    last = budgets.size - 1
-    points = np.empty((len(h), budgets.size, 2))
+    last = p_list.size - 1
+    points = np.empty((len(h), p_list.size, 2))
     stop = np.full(len(h), last)
-    width = min(int(np.searchsorted(budgets, cell.band.p_ub, side="right")),
+    width = min(int(np.searchsorted(p_list, cell.band.p_ub, side="right")),
                 last) + 1
     draws, ks = np.divmod(np.arange(len(h) * width), width)
     while draws.size:
         hs = h[draws]
-        res = optim.dinkelbach_ee(hs, cell.cfg, budgets[ks])
+        res = optim.dinkelbach_ee(hs, cell.cfg, p_list[ks])
         # A Dinkelbach result carries no sum rate or power; score its
         # beamformers.
         rate = beamform.sum_rate(beamform.sinr(hs, res.b, cell.pm.n0))
         power = np.sum(np.abs(res.b) ** 2, axis=(-2, -1))
         points[draws, ks] = np.stack((rate, power), axis=-1)
-        slack = power < budgets[ks] * (1.0 - _SLACK_RTOL)
+        slack = power < p_list[ks] * (1.0 - _SLACK_RTOL)
         np.minimum.at(stop, draws[slack], ks[slack])
         # Below the last budget, a stop still at it marks an open draw.
         k = ks[-1] + 1
         draws = np.flatnonzero(stop == last) if k <= last else draws[:0]
         ks = np.full(draws.size, k)
-    at = np.minimum(np.argsort(order), stop[:, None])
+    at = np.minimum(np.arange(p_list.size), stop[:, None])
     return np.moveaxis(np.take_along_axis(points, at[..., None], axis=1), -1, 0)
 
 
@@ -379,10 +377,11 @@ class CompareReport:
     speedup: float
 
 
-def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
+def compare_schemes(cfg: SystemConfig, budget_dbm: float, trials: int,
                     seed: int) -> tuple[CompareReport, EePoint, EePoint]:
     """Timed head-to-head of the one-shot scheme against the fractional
-    baseline over identical channel draws, single worker.
+    baseline over identical channel draws at a budget of budget_dbm,
+    single worker.  The rows and the report carry the budget as given.
 
     Each group of draws is made once, outside both clocks, and the two
     schemes solve it in turn, so the host's drifts fall on both arms
@@ -391,6 +390,7 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
     Returns the report plus the proposed and baseline rows, whose mean
     efficiencies the report reads.
     """
+    budget = transmit_power_from_dbm(budget_dbm, cfg)
     tic = time.perf_counter()
     band = satpower.compute_band(cfg)
     cell = _Cell(cfg, derive_power_model(cfg), band)
@@ -399,7 +399,6 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
                                       (budget,), seed, 0, trials)
     t_prop, t_base = t_band + seconds["proposed"], seconds["baseline"]
 
-    budget_dbm = transmit_power_to_dbm(budget, cfg)
     prop, base = (_mc_rows(name, [budget_dbm], per_trial[name])[0]
                   for name in ("proposed", "baseline"))
     report = CompareReport(
@@ -413,10 +412,8 @@ def compare_schemes(cfg: SystemConfig, budget: float, trials: int,
 def run_compare(spec: ExperimentSpec) -> tuple[list[EePoint], CompareReport]:
     """CSV rows plus the timing report at the top budget of the grid."""
     cfg = load_config(spec.config_path)
-    budget = transmit_power_from_dbm(spec.pmax_dbm, cfg)
-    report, *rows = compare_schemes(cfg, budget, spec.trials, spec.seed)
-    # The rows carry the budget as given: dBm -> W/Hz -> dBm can move it.
-    return [row._replace(P_dbm=spec.pmax_dbm) for row in rows], report
+    report, *rows = compare_schemes(cfg, spec.pmax_dbm, spec.trials, spec.seed)
+    return rows, report
 
 
 def run_toy(spec: ExperimentSpec) -> list[EePoint]:

@@ -31,11 +31,36 @@ def toy_ee(p, p_static: float):
     return np.log1p(p) / (p + p_static)
 
 
+def _saturation_root(t: float) -> float:
+    """The root z > 0 of phi(z) = (1 + z) log1p(z) - z = t, for t > 0.
+
+    From t = 1 on, the closed form exp(1 + W0((t - 1) / e)) - 1.  Below,
+    t - 1 rounds t away, so z starts from the branch series of W0 in
+    p = sqrt(2 t) (Corless et al., Adv. Comput. Math. 5, 1996),
+    z = p + p^2 / 6 - p^3 / 72 + ..., and takes three Newton steps on
+    phi, whose slope is log1p(z).  Below z = 0.1, where the closed form
+    of phi cancels, phi is its series, the sum over n >= 2 of
+    (-z)^n / (n (n - 1)), to n = 17.
+    """
+    if not t > 0.0:
+        raise ValueError(f"saturation root needs t > 0, got {t}")
+    if t >= 1.0:
+        return math.exp(1.0 + lambert_w0((t - 1.0) / math.e)) - 1.0
+    p = math.sqrt(2.0 * t)
+    z = p * (1.0 + p * (1.0 / 6.0 - p / 72.0))
+    for _ in range(3):
+        phi = ((1.0 + z) * math.log1p(z) - z if z >= 0.1 else
+               sum((-z) ** n / (n * (n - 1)) for n in range(17, 1, -1)))
+        z -= (phi - t) / math.log1p(z)
+    return z
+
+
 def p_ee_toy(p_static: float) -> float:
-    """Power maximizing :func:`toy_ee`, exp(W0((P_static - 1)/e) + 1) - 1."""
+    """Power maximizing :func:`toy_ee`: its stationarity condition is
+    (1 + p) log1p(p) - p = P_static."""
     if not (p_static > 0.0 and math.isfinite(p_static)):
         raise ValueError(f"static power must be positive, got {p_static}")
-    return math.exp(lambert_w0((p_static - 1.0) / math.e) + 1.0) - 1.0
+    return _saturation_root(p_static)
 
 
 def p_lb(cfg: SystemConfig) -> float:
@@ -51,12 +76,12 @@ def p_lb(cfg: SystemConfig) -> float:
 def p_ub(cfg: SystemConfig) -> float:
     """Saturation power of the interference-free envelope.
 
-    (N n0 / M) (exp(1 + W0((M Pconst / (N n0 xi) - 1) / e)) - 1).
+    (N n0 / M) z, where z is the saturation root of
+    t = M Pconst / (N n0 xi).
     """
     pm = derive_power_model(cfg)
     t = cfg.M * pm.Pconst / (cfg.N * pm.n0 * cfg.xi)
-    w = lambert_w0((t - 1.0) / math.e)
-    return cfg.N * pm.n0 / cfg.M * (math.exp(1.0 + w) - 1.0)
+    return cfg.N * pm.n0 / cfg.M * _saturation_root(t)
 
 
 def p_rzf(cfg: SystemConfig, de: DetEquivParams) -> float:

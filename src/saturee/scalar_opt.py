@@ -41,19 +41,19 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-8) -> float:
     return math.exp(0.5 * (a + b))
 
 
-def bisect_root_log(f, lo: float, hi: float, rel_tol: float = 1e-8,
-                    f_tol: float | None = None) -> float:
+def bisect_root_log(f, lo: float, hi: float, rel_tol: float,
+                    f_tol: float) -> float:
     """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi), geometric midpoints.
 
-    Stops once the bracket is relatively tighter than rel_tol and, when
-    f_tol is given, |f| at the returned point is below it too.
+    Stops once the bracket is relatively tighter than rel_tol and |f| at
+    the returned point is below f_tol; raises :class:`NumericalError`
+    when _BISECT_MAX_ITER steps do not meet both.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
     if flo > 0.0 or fhi < 0.0:
         raise ValueError(f"root not bracketed: f({lo})={flo}, f({hi})={fhi}")
-    mid = math.sqrt(lo * hi)
     for _ in range(_BISECT_MAX_ITER):
         mid = math.sqrt(lo * hi)
         fm = f(mid)
@@ -61,10 +61,7 @@ def bisect_root_log(f, lo: float, hi: float, rel_tol: float = 1e-8,
             lo = mid
         else:
             hi = mid
-        tight = hi - lo <= rel_tol * mid
-        if tight and (f_tol is None or abs(fm) <= f_tol):
+        if hi - lo <= rel_tol * mid and abs(fm) <= f_tol:
             return mid
-    if f_tol is not None:
-        raise NumericalError(
-            f"bisection left |f({mid})| = {abs(f(mid)):.3e} above {f_tol}")
-    return mid
+    raise NumericalError(
+        f"bisection left |f({mid})| = {abs(fm):.3e} above {f_tol}")

@@ -42,15 +42,15 @@ def watt_to_dbm(watt: float) -> float:
 class SystemConfig:
     """Static description of one downlink cell.
 
-    M / N are transmit antenna and single-antenna user counts.  W is the
-    bandwidth in Hz and T the transmission interval in seconds; both are
-    kept only for bookkeeping because every internal quantity is already
-    normalized per second and per Hz.  Powers are dBm figures over the
-    whole band: Pc_prime_dbm is the per-antenna circuit power and
-    Po_prime_dbm the static overhead.  xi >= 1 is the amplifier
-    inefficiency multiplying the radiated power.  beta > 0 is the safety
-    factor on the RZF peak efficiency that places the operating power
-    inside the saturation band.
+    M / N are transmit antenna and single-antenna user counts.  W, the
+    bandwidth in Hz, divides the circuit powers and the budgets into
+    densities.  T, the transmission interval in seconds, is read nowhere:
+    every internal quantity is already normalized per second.  Powers are
+    dBm figures over the whole band: Pc_prime_dbm is the per-antenna
+    circuit power and Po_prime_dbm the static overhead.  xi >= 1 is the
+    amplifier inefficiency multiplying the radiated power.  beta > 0 is
+    the safety factor on the RZF peak efficiency that places the
+    operating power inside the saturation band.
     """
 
     M: int

@@ -317,6 +317,26 @@ def det_equiv_rzf_decimal(m: int, n: int, alpha: float):
         return float(m0), float(m0 - a * m2), float(c * m2 / (1 + m0) ** 2)
 
 
+def saturation_root_decimal(t: float) -> float:
+    """The root z > 0 of (1 + z) ln(1 + z) - z = t by Newton's method in
+    420-digit decimal arithmetic, the left side as it reads.
+
+    Below t = 1e-300 the root is about sqrt(2 t) > 1e-150, so 1 + z keeps
+    z to some 270 digits and the subtraction cancels at most 300 of
+    them.  Newton runs from sqrt(2 t) until its step is below 1e-40 of z.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 420
+        target = Decimal(t)
+        z = (2 * target).sqrt()
+        while True:
+            log = (1 + z).ln()
+            step = ((1 + z) * log - z - target) / log
+            z -= step
+            if abs(step) <= z * Decimal("1e-40"):
+                return float(z)
+
+
 def det_equiv_rzf_empirical(cfg: SystemConfig, alpha: float, size: int = 256,
                             seed: int = 0) -> tuple[float, float, float]:
     """Estimate the RZF deterministic-equivalent constants m0, gamma0 and
@@ -334,7 +354,7 @@ def det_equiv_rzf_empirical(cfg: SystemConfig, alpha: float, size: int = 256,
     mb = size
     nb = max(1, round(size * cfg.N / cfg.M))
     ratio = nb / mb
-    h = channel._draw(mb, nb, seed, 0)
+    h = channel.generate(SystemConfig(M=mb, N=nb), seed, 0)
 
     resolvent = np.linalg.inv(h.T @ h.conj() / mb + alpha * np.eye(mb))
     m_hat = float(np.trace(resolvent).real) / mb

@@ -258,8 +258,7 @@ def test_c10_one_shot_matches_baseline_efficiency():
         for dim in (2, 3, 4):
             cfg = SystemConfig(M=dim, N=dim, Pc_prime_dbm=pc,
                                Po_prime_dbm=po)
-            budget = transmit_power_from_dbm(46.0, cfg)
-            report, _, _ = harness.compare_schemes(cfg, budget, 200, 606)
+            report, _, _ = harness.compare_schemes(cfg, 46.0, 200, 606)
             worst = min(worst, report.ee_ratio)
     elapsed = time.perf_counter() - tic
     ok = worst >= 0.95 and elapsed < 600.0
@@ -270,8 +269,7 @@ def test_c10_one_shot_matches_baseline_efficiency():
 
 def test_c11_one_shot_speedup():
     cfg = load_config(DEFAULT_CONFIG)
-    budget = transmit_power_from_dbm(46.0, cfg)
-    report, _, _ = harness.compare_schemes(cfg, budget, 60, 707)
+    report, _, _ = harness.compare_schemes(cfg, 46.0, 60, 707)
     ok = report.speedup >= 3.0
     _report("c11 one-shot-speedup", ok,
             f"wall-clock speedup {report.speedup:.2f}x (>=3x), 60 trials, "

@@ -14,7 +14,7 @@ from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               transmit_power_from_dbm)
 
-from oracles import proposed_one
+from oracles import proposed_one, saturation_root_decimal
 
 DEFAULT_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
                   / "default.json")
@@ -138,6 +138,17 @@ def test_p_ub_degenerate_ratio_case():
     assert satpower.p_ub(cfg) == pytest.approx(math.e - 1.0, rel=1e-9)
 
 
+def test_saturation_root_matches_decimal():
+    """The root of (1 + z) log1p(z) - z = t that p_ub and p_ee_toy share
+    holds 1e-12 relative against a 420-digit solve from t = 1e-300 to 1e6,
+    on both sides of t = 1, where it leaves the closed form in W0."""
+    ts = [10.0 ** (k / 4) for k in range(-1200, 25)]
+    ts += [1.0 - 1e-9, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, 1.0 + 1e-9]
+    for t in ts:
+        assert satpower._saturation_root(t) == pytest.approx(
+            saturation_root_decimal(t), rel=1e-12), t
+
+
 def test_closed_forms_match_direct_maximization(cfg3, cfg_high):
     """Both ends agree with golden-section maxima of their efficiency
     curves to well within 0.1%."""
@@ -200,45 +211,77 @@ def _wide_configs():
             continue
 
 
-def _p_ub_underflows(cfg):
-    """p_ub of the served cell is 0: M Pconst / (N n0 xi) is lost when
-    W0's argument rounds to -1/e."""
-    return satpower.p_ub(dataclasses.replace(cfg, N=min(cfg.N, cfg.M))) == 0.0
+# Below this circuit-to-noise ratio t = M Pconst / (N n0 xi) of the served
+# cell, the two terms of the RZF stationarity function differ by about
+# sqrt(t) of their size, which double rounding loses; see
+# test_band_at_vanishing_circuit_power.
+_T_VANISHING = 1e-30
+
+
+def _served_ratio(cfg):
+    served = dataclasses.replace(cfg, N=min(cfg.N, cfg.M))
+    pm = derive_power_model(served)
+    return served.M * pm.Pconst / (served.N * pm.n0 * served.xi)
+
+
+def _check_rzf_bracket(cfg):
+    band = satpower.compute_band(cfg)
+    served = dataclasses.replace(cfg, N=min(cfg.N, cfg.M))
+    pm = derive_power_model(served)
+    de = asympt.det_equiv_rzf(served, beamform.mmse_loading_alpha(
+        served, math.sqrt(band.p_lb * band.p_ub)))
+    c = pm.Pconst / served.xi
+    g = de.m0 * de.m0 / de.psi0
+    a = (1.0 + de.m0) * (1.0 + de.m0) * pm.n0
+    lo, hi = math.sqrt(a * c / (1.0 + g)), math.sqrt(a * c)
+    assert _stationarity(lo, de, pm.n0, c) < 0.0, cfg
+    assert _stationarity(hi, de, pm.n0, c) > 0.0, cfg
+    assert lo <= band.p_rzf <= hi, cfg
 
 
 def test_p_rzf_bracket_wide_grid():
     """The bracket [sqrt(a c / (1 + g)), sqrt(a c)] of the p_rzf
     docstring holds the stationarity root on every configuration of a
-    wide grid: the restated sign function is negative at its lower end
-    and positive at its upper end, and the band's p_rzf lies inside."""
+    wide grid whose served cell has t >= 1e-30: the restated sign
+    function is negative at its lower end and positive at its upper end,
+    and the band's p_rzf lies inside."""
     checked = 0
     for cfg in _wide_configs():
-        if _p_ub_underflows(cfg):
-            continue  # test_band_far_below_noise records this gap
-        band = satpower.compute_band(cfg)
-        served = dataclasses.replace(cfg, N=min(cfg.N, cfg.M))
-        pm = derive_power_model(served)
-        de = asympt.det_equiv_rzf(served, beamform.mmse_loading_alpha(
-            served, math.sqrt(band.p_lb * band.p_ub)))
-        c = pm.Pconst / served.xi
-        g = de.m0 * de.m0 / de.psi0
-        a = (1.0 + de.m0) * (1.0 + de.m0) * pm.n0
-        lo, hi = math.sqrt(a * c / (1.0 + g)), math.sqrt(a * c)
-        assert _stationarity(lo, de, pm.n0, c) < 0.0, cfg
-        assert _stationarity(hi, de, pm.n0, c) > 0.0, cfg
-        assert lo <= band.p_rzf <= hi, cfg
-        checked += 1
-    assert checked > 5000
+        if _served_ratio(cfg) >= _T_VANISHING:
+            _check_rzf_bracket(cfg)
+            checked += 1
+    assert checked > 7000
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-    "p_ub forms W0's argument as (t - 1) / e, which rounds to -1/e once "
-    "t = M Pconst / (N n0 xi) is below about 1e-16, so p_ub is 0 and the "
-    "band's RZF loading is refused"))
+@pytest.mark.xfail(strict=True, raises=(ValueError, AssertionError), reason=(
+    "below t = 1e-30 the two terms of the RZF stationarity function agree "
+    "to rounding, so its bracket's signs round away (p_rzf: root not "
+    "bracketed) or interpolate finds gamma_ub not above gamma_lb"))
+def test_band_at_vanishing_circuit_power():
+    """The wide grid's configurations with t < 1e-30, where p_ub is
+    exact but the band's later steps lose their signs to rounding: 271 of
+    365 raise ValueError in compute_band, and 69 of the rest fail the
+    bracket check."""
+    vanishing = [cfg for cfg in _wide_configs()
+                 if _served_ratio(cfg) < _T_VANISHING]
+    assert len(vanishing) > 300
+    for cfg in vanishing:
+        _check_rzf_bracket(cfg)
+
+
 def test_band_far_below_noise():
     cfg = SystemConfig(M=3, N=3, Pc_prime_dbm=-400.0, Po_prime_dbm=-400.0)
     band = satpower.compute_band(cfg)
     assert 0.0 < band.p_lb <= band.p_prop <= band.p_ub
+
+
+def test_band_rejects_underflowing_ratio():
+    """A cell whose t = M Pconst / (N n0 xi) underflows to 0 has no
+    saturation root: compute_band raises ValueError, the CLI's exit 2."""
+    cfg = SystemConfig(M=3, N=3, Pc_prime_dbm=-3000.0, Po_prime_dbm=-3000.0,
+                       noise_psd_dbm_per_hz=3000.0)
+    with pytest.raises(ValueError, match="t > 0"):
+        satpower.compute_band(cfg)
 
 
 # -------------------------------------------------------- interpolation
@@ -369,8 +412,7 @@ def test_overloaded_cell_fidelity(M, N):
     of min(N, M) users, and the one-shot scheme keeps 95% of the
     baseline's mean efficiency at 46 dBm, 200 trials (c10's bound)."""
     cfg = dataclasses.replace(load_config(DEFAULT_CONFIG), M=M, N=N)
-    budget = transmit_power_from_dbm(46.0, cfg)
-    report, _, _ = harness.compare_schemes(cfg, budget, 200, seed=1)
+    report, _, _ = harness.compare_schemes(cfg, 46.0, 200, seed=1)
     assert report.ee_ratio >= 0.95, report
 
 
@@ -382,8 +424,7 @@ def test_baseline_fidelity_at_huge_budget(dbm):
     one-shot scheme keeps c10's 95% of its efficiency without beating it
     by more than 5%."""
     cfg = load_config(DEFAULT_CONFIG)
-    budget = transmit_power_from_dbm(dbm, cfg)
-    report, _, _ = harness.compare_schemes(cfg, budget, 2, seed=1)
+    report, _, _ = harness.compare_schemes(cfg, dbm, 2, seed=1)
     assert 0.95 <= report.ee_ratio < 1.05, report
 
 

@@ -48,9 +48,11 @@ def test_bisect_root():
 
 def test_bisect_requires_bracket():
     with pytest.raises(ValueError):
-        bisect_root_log(lambda x: x, 1.0, 2.0)  # f > 0 at both ends
+        bisect_root_log(lambda x: x, 1.0, 2.0, rel_tol=1e-8,
+                        f_tol=1e-8)  # f > 0 at both ends
     with pytest.raises(ValueError):
-        bisect_root_log(lambda x: -x, 1.0, 2.0)  # f < 0 at both ends
+        bisect_root_log(lambda x: -x, 1.0, 2.0, rel_tol=1e-8,
+                        f_tol=1e-8)  # f < 0 at both ends
 
 
 def test_bisect_reports_unreachable_f_tol():
