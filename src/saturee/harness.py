@@ -48,6 +48,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.config_path is None and self.kind != "toy":
+            raise ValueError(f"{self.kind} needs a config file")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.workers < 1:
@@ -426,7 +428,7 @@ def run_toy(spec: ExperimentSpec) -> list[EePoint]:
         if not math.isfinite(p):
             raise ValueError(f"a budget of {d} dB is past the float range")
         for name, q in (("full", p), ("clamped", min(p, p_sat))):
-            points.append(EePoint(name, float(d), float(satpower.toy_rate(q)),
+            points.append(EePoint(name, float(d), float(np.log1p(q)),
                                   q + spec.p_static,
                                   float(satpower.toy_ee(q, spec.p_static))))
     return points
@@ -451,7 +453,7 @@ def format_csv(points: list[EePoint], bits: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def describe_report(report: CompareReport, bits: bool = False) -> str:
+def describe_report(report: CompareReport, bits: bool) -> str:
     """The compare report as text; mean efficiencies in bit/J when bits
     is set, scaled as :func:`format_csv` scales the CSV's."""
     band = report.band

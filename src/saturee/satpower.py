@@ -21,18 +21,14 @@ from .specfun import lambert_w0
 from .sysmodel import SystemConfig, derive_power_model
 
 
-def toy_rate(p):
-    """Single-link rate log(1 + P) in normalized units."""
-    return np.log1p(p)
-
-
 def toy_ee(p, p_static: float):
     """Single-link efficiency log(1 + P) / (P + P_static)."""
     return np.log1p(p) / (p + p_static)
 
 
 def _saturation_root(t: float) -> float:
-    """The root z > 0 of phi(z) = (1 + z) log1p(z) - z = t, for t > 0.
+    """The root z > 0 of phi(z) = (1 + z) log1p(z) - z = t; a t outside
+    (0, inf), underflowed or overflowed, raises ValueError.
 
     From t = 1 on, the closed form exp(1 + W0((t - 1) / e)) - 1.  Below,
     t - 1 rounds t away, so z starts from the branch series of W0 in
@@ -42,8 +38,8 @@ def _saturation_root(t: float) -> float:
     of phi cancels, phi is its series, the sum over n >= 2 of
     (-z)^n / (n (n - 1)), to n = 17.
     """
-    if not t > 0.0:
-        raise ValueError(f"saturation root needs t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"saturation root needs t > 0 and finite, got t = {t}")
     if t >= 1.0:
         return math.exp(1.0 + lambert_w0((t - 1.0) / math.e)) - 1.0
     p = math.sqrt(2.0 * t)
@@ -58,8 +54,6 @@ def _saturation_root(t: float) -> float:
 def p_ee_toy(p_static: float) -> float:
     """Power maximizing :func:`toy_ee`: its stationarity condition is
     (1 + p) log1p(p) - p = P_static."""
-    if not (p_static > 0.0 and math.isfinite(p_static)):
-        raise ValueError(f"static power must be positive, got {p_static}")
     return _saturation_root(p_static)
 
 

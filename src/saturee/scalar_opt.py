@@ -13,7 +13,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BISECT_MAX_ITER = 400
 
 
-def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-8) -> float:
+def golden_section_max(f, lo: float, hi: float, rel_tol: float) -> float:
     """Argmax of a unimodal f over [lo, hi], 0 < lo < hi.
 
     Classic golden-section search carried out in log space; rel_tol is

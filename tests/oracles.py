@@ -289,6 +289,46 @@ def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
     return b, history
 
 
+def linear_ee_upper_bound(h: np.ndarray, cfg: SystemConfig,
+                          budget: float) -> float:
+    """An upper bound on the efficiency of any linear beamformer on one
+    draw h (N, M) with sum power at most budget.
+
+    By Cauchy-Schwarz SINR_k <= |h_k|^2 p_k / n0, where p_k is user k's
+    beam power, so the efficiency is at most the peak of
+    R(p) / C(p) = sum log1p(g_k p_k) / (xi sum p + Pconst) over p >= 0,
+    sum p <= budget.  Dinkelbach's method from lam = 0 finds it:
+    F(lam) = max R - lam C is water-filling at the level
+    min(1 / (lam xi), nu), nu the level that spends the budget.  Every
+    iterate has F(lam) >= 0, so R / C <= lam + F(lam) / C <= lam +
+    F(lam) / Pconst for every feasible p, and the bound holds wherever
+    the loop stops.
+    """
+    pm = derive_power_model(cfg)
+    inv_g = np.sort(pm.n0 / np.sum(np.abs(h) ** 2, axis=-1))
+    for k in range(inv_g.size, 0, -1):
+        nu = (budget + inv_g[:k].sum()) / k
+        if nu > inv_g[k - 1]:
+            break
+
+    def step(lam):
+        level = nu if lam == 0.0 else min(nu, 1.0 / (lam * cfg.xi))
+        p = np.maximum(level - inv_g, 0.0)
+        rate = float(np.sum(np.log1p(p / inv_g)))
+        consumed = total_power(float(p.sum()), pm, cfg.xi)
+        return rate - lam * consumed, rate / consumed
+
+    lam = 0.0
+    f, ee = step(lam)
+    for _ in range(50):
+        if f <= 1e-12 * lam * pm.Pconst:
+            break
+        lam = ee
+        f, ee = step(lam)
+    # F(lam) >= 0 in exact arithmetic; a rounded one may read just below.
+    return lam + max(f, 0.0) / pm.Pconst
+
+
 def ee_mrt_asymptotic(p, cfg: SystemConfig):
     """Efficiency along the asymptotic MRT rate curve."""
     pm = derive_power_model(cfg)

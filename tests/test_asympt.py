@@ -51,7 +51,7 @@ def test_ee_mrt_vanishes_at_extremes(cfg3):
 
 def test_ee_mrt_unimodal(cfg3):
     peak = golden_section_max(lambda p: ee_mrt_asymptotic(p, cfg3),
-                              1e-18, 1e-3)
+                              1e-18, 1e-3, rel_tol=1e-8)
     values = ee_mrt_asymptotic(np.logspace(-18, -3, 200), cfg3)
     top = int(np.argmax(values))
     assert np.all(np.diff(values[: top + 1]) > 0.0)

@@ -63,6 +63,14 @@ def test_spec_validation():
         ExperimentSpec(kind="toy", pstep_db=0.0)
 
 
+@pytest.mark.parametrize("kind", ["sweep", "tradeoff", "saturation", "compare"])
+def test_spec_needs_a_config_for_every_kind_but_toy(kind):
+    """A spec without a config fails when it is built, not later inside
+    load_config with a TypeError."""
+    with pytest.raises(ValueError, match=f"{kind} needs a config file"):
+        ExperimentSpec(kind=kind)
+
+
 def test_run_toy_clamping():
     spec = ExperimentSpec(kind="toy", pmin_dbm=28.0, pmax_dbm=40.0,
                           pstep_db=2.0, p_static=1.0)
@@ -296,11 +304,12 @@ def test_baseline_reuse_matches_cold_solves(name, monkeypatch):
     every draw without a slack solution yet, in draw order.  With p_ub
     moved down to p_lb the first wave ends before any slack solution,
     and the later waves give the same points."""
-    cfg = load_config(str(CONFIG_DIR / f"{name}.json"))
+    path = str(CONFIG_DIR / f"{name}.json")
+    cfg = load_config(path)
     band = satpower.compute_band(cfg)
     cell = harness._Cell(cfg, derive_power_model(cfg), band)
-    p_list = np.array([transmit_power_from_dbm(d, cfg) for d in
-                       harness.dbm_grid(ExperimentSpec(kind="sweep"))])
+    grid = harness.dbm_grid(ExperimentSpec(kind="sweep", config_path=path))
+    p_list = np.array([transmit_power_from_dbm(d, cfg) for d in grid])
     trials, seed = 4, 7
     h = np.stack([channel.generate(cfg, seed, t) for t in range(trials)])
     colds = [[_cold_baseline(cell, h[t], p) for p in p_list]
@@ -486,7 +495,7 @@ def test_run_compare_report():
     assert report.mean_ee_proposed == points[0].ee
     assert report.mean_ee_baseline == points[1].ee
     assert report.speedup > 1.5
-    text = harness.describe_report(report)
+    text = harness.describe_report(report, False)
     assert "mean EE" in text and "speedup" in text
 
 
@@ -724,3 +733,16 @@ def test_cli_reaches_every_function(capsys):
     entered = {(Path(f).name, line, name) for f, line, name in calls
                if Path(f).resolve().parent == package}
     assert sorted(defs - entered) == []
+
+
+@pytest.mark.parametrize("kind", ["saturation", "sweep", "compare"])
+def test_cli_rejects_overflowing_circuit_to_noise_ratio(kind, tmp_path, capsys):
+    """A cell whose t = M Pconst / (N n0 xi) overflows to inf is a config
+    error (exit 2) that names t, like the t = 0 cell, not a numerical
+    error from inside lambert_w0."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"M": 3, "N": 3, "Pc_prime_dbm": 3000.0,
+                                "Po_prime_dbm": 3000.0}))
+    assert cli.main([kind, "--config", str(path), "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "t = inf" in captured.err and captured.out == ""
