@@ -47,11 +47,11 @@ class DetEquivParams:
 
     m0 is the limiting normalized trace of the regularized resolvent and
     psi0 the normalization coefficient, which for uncorrelated channels
-    equals the interference coefficient too; one per loading of an array.
+    equals the interference coefficient too; both shaped like the loading.
     """
 
-    m0: float | np.ndarray
-    psi0: float | np.ndarray
+    m0: np.ndarray
+    psi0: np.ndarray
 
 
 def det_equiv_rzf(cfg: SystemConfig, alpha) -> DetEquivParams:
@@ -62,8 +62,8 @@ def det_equiv_rzf(cfg: SystemConfig, alpha) -> DetEquivParams:
     alpha m^2 + b m - 1 = 0 with b = alpha + c - 1.  For r = sqrt(b^2 +
     4 alpha) the root is (r - b) / (2 alpha) when b <= 0 and the equal
     2 / (b + r) when b > 0, so no branch subtracts nearly equal numbers.
-    A float loading gives float fields; each entry of an array of loadings
-    divides in its own branch alone, as 2 / (b + r) can be 2 / 0 at b <= 0.
+    Each entry of the loadings divides in its own branch alone, as
+    2 / (b + r) can be 2 / 0 at b <= 0.
 
     The derivative quantity m2 = m0^2 / (1 - c m0^2 / (1 + m0)^2) gives
     the normalization coefficient psi0 = c m2 / (1 + m0)^2, evaluated as
@@ -97,8 +97,6 @@ def det_equiv_rzf(cfg: SystemConfig, alpha) -> DetEquivParams:
         raise NumericalError(f"deterministic equivalents uncertified at "
                              f"alpha={a[bad][0]}, ratio={ratio}: "
                              f"m0={m0[bad][0]}, psi0={psi0[bad][0]}")
-    if a.ndim == 0:
-        return DetEquivParams(m0=float(m0), psi0=float(psi0))
     return DetEquivParams(m0=m0, psi0=psi0)
 
 

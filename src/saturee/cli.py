@@ -9,31 +9,36 @@ from .errors import NumericalError
 from .harness import KINDS, ExperimentSpec, format_csv, run
 
 
+# ExperimentSpec field -> its option and the option's argparse keywords.
+_OPTIONS = {
+    "config_path": ("--config", dict(metavar="CONFIG", required=True,
+                                     help="JSON system configuration")),
+    "pmin_dbm": ("--pmin-dbm", dict(type=float)),
+    "pmax_dbm": ("--pmax-dbm", dict(type=float)),
+    "pstep_db": ("--pstep-db", dict(type=float)),
+    "trials": ("--trials", dict(type=int)),
+    "seed": ("--seed", dict(type=int)),
+    "workers": ("--workers", dict(type=int)),
+    "p_static": ("--pstatic", dict(metavar="PSTATIC", type=float,
+                                   help="static power of the single-link model")),
+    "out": ("--out", dict(help="CSV output path (default: stdout)")),
+    "bits": ("--bits", dict(action="store_true", help="report rates and "
+                            "efficiencies in base-2 units")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saturee",
         description="Energy-efficiency experiments for the MU-MISO downlink.")
-    # Every dest names an ExperimentSpec field. An option left off the
+    # Each kind takes the options of the fields it reads.  One left off the
     # command line sets no attribute, so the spec's own default applies.
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
+    for kind, reads in KINDS.items():
         p = sub.add_parser(kind, argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", dest="config_path", metavar="CONFIG",
-                       required=(kind != "toy"),
-                       help="JSON system configuration")
-        p.add_argument("--pmin-dbm", type=float)
-        p.add_argument("--pmax-dbm", type=float)
-        p.add_argument("--pstep-db", type=float)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="CSV output path (default: stdout)")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--bits", action="store_true",
-                       help="report rates and efficiencies in base-2 units")
-        if kind == "toy":
-            p.add_argument("--pstatic", dest="p_static", metavar="PSTATIC",
-                           type=float,
-                           help="static power of the single-link model")
+        for dest in reads + ("out", "bits"):
+            flag, options = _OPTIONS[dest]
+            p.add_argument(flag, dest=dest, **options)
     return parser
 
 

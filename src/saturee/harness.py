@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +23,13 @@ from .sysmodel import (DerivedPowerModel, SystemConfig, dbm_to_watt,
                        derive_power_model, load_config, total_power,
                        transmit_power_from_dbm, transmit_power_to_dbm)
 
-KINDS = ("sweep", "tradeoff", "saturation", "compare", "toy")
+# Experiment kind -> the ExperimentSpec fields it reads, and the CLI offers,
+# besides out and bits.  compare times both arms in one process: no workers.
+_GRID = ("pmin_dbm", "pmax_dbm", "pstep_db")
+_DRAWS = ("config_path", *_GRID, "trials", "seed", "workers")
+KINDS = {"sweep": _DRAWS, "tradeoff": _DRAWS, "saturation": ("config_path",),
+         "compare": ("config_path", "pmax_dbm", "trials", "seed"),
+         "toy": (*_GRID, "p_static")}
 CSV_HEADER = "scheme,P_dbm,sum_rate,total_power,ee,stderr,trials"
 MAX_BUDGETS = 10_000    # the default grid has 29
 LN2 = math.log(2.0)
@@ -48,19 +54,18 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.config_path is None and self.kind != "toy":
+        reads = KINDS[self.kind] + ("kind", "out", "bits")
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} does not read {f.name}")
+        if "config_path" in reads and self.config_path is None:
             raise ValueError(f"{self.kind} needs a config file")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
-        if self.kind == "compare":
-            if self.workers > 1:
-                raise ValueError("compare times both arms in one process, "
-                                 f"so it runs one worker, not {self.workers}")
-            # compare reads pmax_dbm alone, and transmit_power_from_dbm
-            # rejects a budget outside the float range.
-            return
+        if "pstep_db" not in reads:
+            return  # transmit_power_from_dbm checks compare's one budget
         grid = (self.pmin_dbm, self.pmax_dbm, self.pstep_db)
         if not all(math.isfinite(v) for v in grid):
             raise ValueError(f"power grid values must be finite, got {grid}")
@@ -412,7 +417,7 @@ def compare_schemes(cfg: SystemConfig, budget_dbm: float, trials: int,
 
 
 def run_compare(spec: ExperimentSpec) -> tuple[list[EePoint], CompareReport]:
-    """CSV rows plus the timing report at the top budget of the grid."""
+    """CSV rows plus the timing report at the one budget pmax_dbm."""
     cfg = load_config(spec.config_path)
     report, *rows = compare_schemes(cfg, spec.pmax_dbm, spec.trials, spec.seed)
     return rows, report
@@ -442,14 +447,15 @@ def _unit_scale(bits: bool) -> float:
 
 
 def format_csv(points: list[EePoint], bits: bool = False) -> str:
-    """Render rows; rates and efficiencies switch to base-2 units when
-    bits is set.  Full float precision so rows re-parse exactly."""
+    """Render rows, full float precision so rows re-parse exactly; rates and
+    efficiencies, but not the weight omega, switch to base-2 units under bits."""
     scale = _unit_scale(bits)
     lines = [CSV_HEADER]
     for pt in points:
         lines.append("%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
             pt.scheme, pt.P_dbm, pt.sum_rate * scale, pt.total_power,
-            pt.ee * scale, pt.stderr * scale, pt.trials))
+            pt.ee * (1.0 if pt.scheme == "omega" else scale),
+            pt.stderr * scale, pt.trials))
     return "\n".join(lines) + "\n"
 
 

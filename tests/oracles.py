@@ -408,3 +408,19 @@ def det_equiv_rzf_empirical(cfg: SystemConfig, alpha: float, size: int = 256,
     gamma_hat = interf * m_hat * m_hat / sig
     psi_hat = ratio * m2_hat / (1.0 + m_hat) ** 2
     return m_hat, gamma_hat, psi_hat
+
+
+def path_loss_draws(h: np.ndarray, spread_db: float = 20.0) -> np.ndarray:
+    """Draws h (..., N, M) with user k's row scaled by a power gain; the
+    gains fall evenly in dB across the users over spread_db and are
+    normalized to mean 1."""
+    gains = 10.0 ** (np.linspace(0.0, -spread_db, h.shape[-2]) / 10.0)
+    return h * np.sqrt(gains / gains.mean())[:, None]
+
+
+def correlated_draws(h: np.ndarray, rho: float = 0.95) -> np.ndarray:
+    """Draws h (..., N, M) given the transmit correlation rho^|i - j|
+    between antennas i and j: each row times the transposed Cholesky
+    factor of that matrix."""
+    k = np.arange(h.shape[-1])
+    return h @ np.linalg.cholesky(rho ** np.abs(k[:, None] - k)).T

@@ -235,7 +235,7 @@ def test_det_equiv_positive_and_certified(m, n, alpha):
         one = asympt.det_equiv_rzf(cfg, a)
         assert (stacked.m0[k], stacked.psi0[k]) == (one.m0, one.psi0), a
     assert de.m0 > 0.0 and de.psi0 > 0.0
-    assert type(de.m0) is float and type(de.psi0) is float
+    assert np.shape(de.m0) == np.shape(de.psi0) == ()
     g = 1.0 / (alpha + n / m / (1.0 + de.m0))
     assert abs(de.m0 - g) <= 1e-9 * max(1.0, de.m0)
     m0, gamma0, psi0 = det_equiv_rzf_decimal(m, n, alpha)

@@ -53,10 +53,10 @@ def test_dbm_grid_counts():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(kind="banana")
-    with pytest.raises(ValueError):
-        ExperimentSpec(kind="toy", trials=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(kind="toy", workers=0)
+    with pytest.raises(ValueError, match="at least one trial"):
+        ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG, trials=0)
+    with pytest.raises(ValueError, match="at least one worker"):
+        ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG, workers=0)
     with pytest.raises(ValueError):
         ExperimentSpec(kind="toy", pmin_dbm=10.0, pmax_dbm=0.0)
     with pytest.raises(ValueError):
@@ -616,10 +616,11 @@ def test_spec_caps_grid_size(monkeypatch, capsys):
 def test_cli_rejects_budget_past_float_range(kind, capsys):
     """A finite dBm budget whose power overflows is a usage error (exit 2)
     that names the budget, not a warning followed by inf or nan rows."""
-    args = [kind, "--pmin-dbm", "0", "--pmax-dbm", "4000",
-            "--pstep-db", "2000", "--trials", "1"]
+    args = [kind, "--pmax-dbm", "4000"]
+    if kind != "compare":
+        args += ["--pmin-dbm", "0", "--pstep-db", "2000"]
     if kind != "toy":
-        args += ["--config", DEFAULT_CONFIG]
+        args += ["--config", DEFAULT_CONFIG, "--trials", "1"]
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert "4000" in captured.err and captured.out == ""
@@ -631,8 +632,9 @@ def test_cli_rejects_budget_outside_snr_range(kind, dbm, capsys):
     """A finite budget whose transmit SNR overflows (3000 dBm) or
     underflows to zero (-4000 dBm) is a usage error (exit 2) naming the
     budget, not a solver crash or a message about a 0 W/Hz power."""
-    args = [kind, "--config", DEFAULT_CONFIG, "--pmin-dbm", dbm,
-            "--pmax-dbm", dbm, "--trials", "1"]
+    args = [kind, "--config", DEFAULT_CONFIG, "--pmax-dbm", dbm, "--trials", "1"]
+    if kind != "compare":
+        args += ["--pmin-dbm", dbm]
     assert cli.main(args) == 2
     captured = capsys.readouterr()
     assert f"{dbm}.0 dBm" in captured.err and captured.out == ""
@@ -644,8 +646,9 @@ def test_cli_zero_mean_efficiency_is_numerical_error(kind, dbm, scheme, capsys):
     """Budgets inside the SNR range at which the solvers return zero
     beamformers give a zero mean efficiency: a numerical failure (exit 3)
     naming the scheme and the budget, not a traceback or a NaN row."""
-    args = [kind, "--config", DEFAULT_CONFIG, "--pmin-dbm", dbm,
-            "--pmax-dbm", dbm, "--trials", "2"]
+    args = [kind, "--config", DEFAULT_CONFIG, "--pmax-dbm", dbm, "--trials", "2"]
+    if kind != "compare":
+        args += ["--pmin-dbm", dbm]
     assert cli.main(args) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith(f"numerical error: {scheme} ")
@@ -666,14 +669,92 @@ def test_cli_float_overflow_is_numerical_error(workers, capsys):
 
 
 def test_cli_compare_rejects_workers(capsys):
-    """compare times its two arms in one process, so more than one worker
-    is a usage error (exit 2), not a request quietly run on one."""
-    args = ["compare", "--config", DEFAULT_CONFIG, "--trials", "2",
-            "--workers", "3"]
-    assert cli.main(args) == 2
+    """compare times its two arms in one process, so it takes no worker
+    count: --workers is a usage error (exit 2) at any count, not a
+    request quietly run on one.  A spec at the default single worker and
+    grid, as the benchmark builds it, stands."""
+    for workers in ("1", "3"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["compare", "--config", DEFAULT_CONFIG, "--trials", "2",
+                      "--workers", workers])
+        assert exit_.value.code == 2
+    assert capsys.readouterr().out == ""
+    ExperimentSpec(kind="compare", config_path=DEFAULT_CONFIG, pmin_dbm=-10.0,
+                   pstep_db=2.0, workers=1)
+
+
+# Each subcommand's options besides --help.
+_CLI_OPTIONS = {
+    "sweep": {"--config", "--pmin-dbm", "--pmax-dbm", "--pstep-db", "--trials",
+              "--seed", "--workers", "--out", "--bits"},
+    "saturation": {"--config", "--out", "--bits"},
+    "compare": {"--config", "--pmax-dbm", "--trials", "--seed", "--out",
+                "--bits"},
+    "toy": {"--pmin-dbm", "--pmax-dbm", "--pstep-db", "--pstatic", "--out",
+            "--bits"},
+}
+_CLI_OPTIONS["tradeoff"] = _CLI_OPTIONS["sweep"]
+
+
+@pytest.mark.parametrize("kind", sorted(_CLI_OPTIONS))
+def test_cli_help_lists_the_options_the_kind_reads(kind, capsys):
+    """Each subcommand's help lists the options of the fields it reads,
+    plus --out and --bits, and no other: 33 over the five."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([kind, "--help"])
+    assert exit_.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed - {"--help"} == _CLI_OPTIONS[kind]
+    assert sum(map(len, _CLI_OPTIONS.values())) == 33
+
+
+@pytest.mark.parametrize("kind, option", [
+    *[("saturation", o) for o in ("--pmin-dbm", "--pmax-dbm", "--pstep-db",
+                                  "--trials", "--seed", "--workers")],
+    *[("compare", o) for o in ("--pmin-dbm", "--pstep-db", "--workers")],
+    *[("toy", o) for o in ("--config", "--trials", "--seed", "--workers")]])
+def test_cli_rejects_an_option_the_kind_does_not_read(kind, option, capsys):
+    """An option its kind never reads is a usage error (exit 2) with
+    nothing on stdout, even at the field's default value, not a setting
+    quietly dropped."""
+    args = [kind, option, "1"]
+    if kind != "toy":
+        args += ["--config", DEFAULT_CONFIG]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(args)
+    assert exit_.value.code == 2
     captured = capsys.readouterr()
-    assert "one process" in captured.err and captured.out == ""
-    assert cli.main(args[:-1] + ["1"]) == 0
+    assert captured.out == "" and option in captured.err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("saturation", "trials", 2), ("saturation", "pmin_dbm", 10.0),
+    ("compare", "pstep_db", 0.0), ("compare", "workers", 3),
+    ("toy", "config_path", "default.json"),
+    ("toy", "seed", 3), ("toy", "workers", 2)])
+def test_spec_rejects_an_unread_field_off_its_default(kind, field, value):
+    """A spec that sets a field its kind does not read raises ValueError
+    naming both; the same field at its default stands."""
+    config = {} if kind == "toy" else {"config_path": DEFAULT_CONFIG}
+    with pytest.raises(ValueError, match=f"{kind} does not read {field}"):
+        ExperimentSpec(kind=kind, **config, **{field: value})
+    default = ExperimentSpec.__dataclass_fields__[field].default
+    ExperimentSpec(kind=kind, **config, **{field: default})
+
+
+def test_cli_saturation_bits_leaves_omega_unscaled(capsys):
+    """--bits turns the gamma rows' efficiencies into bit/J, but omega is
+    a weight in [0, 1] and prints the same either way."""
+    rows = {}
+    for bits in ([], ["--bits"]):
+        assert cli.main(["saturation", "--config", DEFAULT_CONFIG] + bits) == 0
+        lines = capsys.readouterr().out.strip().split("\n")[1:]
+        rows[bool(bits)] = {line.split(",")[0]: line for line in lines}
+    assert rows[True]["omega"] == rows[False]["omega"]
+    ln2 = math.log(2.0)
+    for name in ("gamma_lb", "gamma_rzf", "gamma_se_est", "gamma_ub"):
+        nat, bit = (float(rows[b][name].split(",")[4]) for b in (False, True))
+        assert bit == pytest.approx(nat / ln2, rel=1e-15)
 
 
 @pytest.mark.parametrize("dbm, code",[("-20", 0), ("3000", 2), ("-4000", 2)])
@@ -718,14 +799,16 @@ def test_cli_reaches_every_function(capsys):
         code = frame.f_code
         calls.add((code.co_filename, code.co_firstlineno, code.co_name))
 
-    grid = ["--pmin-dbm", "20", "--pmax-dbm", "46", "--pstep-db", "13",
-            "--trials", "2"]
+    # Each kind gets the options it reads of these.
+    options = {"config_path": ["--config", DEFAULT_CONFIG],
+               "pmin_dbm": ["--pmin-dbm", "20"], "pmax_dbm": ["--pmax-dbm", "46"],
+               "pstep_db": ["--pstep-db", "13"], "trials": ["--trials", "2"]}
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        codes = [cli.main([kind] + grid
-                          + ([] if kind == "toy" else ["--config", DEFAULT_CONFIG]))
-                 for kind in harness.KINDS]
+        codes = [cli.main([kind] + [arg for field in reads
+                                    for arg in options.get(field, [])])
+                 for kind, reads in harness.KINDS.items()]
     finally:
         sys.settrace(previous)
     capsys.readouterr()
@@ -743,6 +826,7 @@ def test_cli_rejects_overflowing_circuit_to_noise_ratio(kind, tmp_path, capsys):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({"M": 3, "N": 3, "Pc_prime_dbm": 3000.0,
                                 "Po_prime_dbm": 3000.0}))
-    assert cli.main([kind, "--config", str(path), "--trials", "1"]) == 2
+    trials = [] if kind == "saturation" else ["--trials", "1"]
+    assert cli.main([kind, "--config", str(path)] + trials) == 2
     captured = capsys.readouterr()
     assert "t = inf" in captured.err and captured.out == ""

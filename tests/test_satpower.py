@@ -14,8 +14,8 @@ from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               transmit_power_from_dbm)
 
-from oracles import (linear_ee_upper_bound, proposed_one,
-                     saturation_root_decimal)
+from oracles import (correlated_draws, linear_ee_upper_bound, path_loss_draws,
+                     proposed_one, saturation_root_decimal)
 
 DEFAULT_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
                   / "default.json")
@@ -440,15 +440,16 @@ def test_band_uses_served_cell():
 
 # ----------------------------------------------- interference-free bound
 
-def _scheme_ee_and_bound(M, N, seed, trials):
+def _scheme_ee_and_bound(M, N, seed, trials, shape=lambda h: h):
     """Per-draw efficiency of proposed and baseline at 46 dBm on the
     default config resized to M x N, and each draw's interference-free
-    upper bound on any linear beamformer's efficiency."""
+    upper bound on any linear beamformer's efficiency; shape maps the
+    i.i.d. draws to the ones scored."""
     cfg = dataclasses.replace(load_config(DEFAULT_CONFIG), M=M, N=N)
     budget = transmit_power_from_dbm(46.0, cfg)
     cell = harness._Cell(cfg, derive_power_model(cfg),
                          satpower.compute_band(cfg))
-    h = np.stack([channel.generate(cfg, seed, t) for t in range(trials)])
+    h = shape(np.stack([channel.generate(cfg, seed, t) for t in range(trials)]))
     ee = {name: harness._evaluate(cell, *harness.SCHEMES[name][1](
               cell, h, np.array([budget])))[2][:, 0]
           for name in ("proposed", "baseline")}
@@ -469,11 +470,17 @@ def test_linear_ee_upper_bound_is_tight_for_one_user():
             peak, rel=1e-12)
 
 
-@pytest.mark.parametrize("M, N", [(3, 3), (16, 16), (3, 6), (64, 16)])
-def test_schemes_stay_below_interference_free_bound(M, N):
-    """No linear beamformer beats the interference-free bound, so neither
-    scheme may on any draw."""
-    ee, bound = _scheme_ee_and_bound(M, N, seed=1, trials=20)
+@pytest.mark.parametrize("shape, M, N", [
+    pytest.param(shape, M, N, id=f"{name}{M}-{N}")
+    for name, shape in (("", lambda h: h), ("path_loss-", path_loss_draws),
+                        ("correlated-", correlated_draws))
+    for M, N in ((3, 3), (16, 16), (3, 6), (64, 16))])
+def test_schemes_stay_below_interference_free_bound(shape, M, N):
+    """No linear beamformer beats the interference-free bound, whatever
+    the channel, so neither scheme may on any draw: i.i.d. ones, and ones
+    with per-user path loss over 20 dB or transmit correlation
+    0.95^|i - j|, for which the band's i.i.d. statistics are mismatched."""
+    ee, bound = _scheme_ee_and_bound(M, N, seed=1, trials=20, shape=shape)
     for name, values in ee.items():
         assert np.all(values <= bound * (1.0 + 1e-9)), (name, values / bound)
 
