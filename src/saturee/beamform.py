@@ -44,6 +44,35 @@ def rzf(h: np.ndarray, alpha) -> np.ndarray:
     return dirs / norms[..., None]
 
 
+def served_users(h: np.ndarray) -> np.ndarray:
+    """The users each channel matrix of h (N, M) serves: K = min(N, M) of
+    them, as increasing indices (K,), or (..., K) for a stack.
+
+    With N <= M that is every user.  Otherwise the users are picked
+    greedily (Yoo and Goldsmith's semi-orthogonal selection, IEEE JSAC
+    24(3), 2006): each pick is the user whose channel has the largest
+    part orthogonal to the channels already picked, ties going to the
+    lowest index.  Those parts are kept by deflating every channel along
+    each pick's part in turn.
+    """
+    n, m = h.shape[-2:]
+    if n <= m:
+        return np.broadcast_to(np.arange(n), (*h.shape[:-2], n)).copy()
+    rest = np.array(h, dtype=complex).reshape(-1, n, m)
+    at = np.arange(len(rest))[:, None]
+    picks = np.empty((len(rest), 0), dtype=int)
+    for _ in range(m):
+        size = (rest.real ** 2 + rest.imag ** 2).sum(axis=-1)
+        size[at, picks] = -1.0
+        pick = np.argmax(size, axis=-1)[:, None]       # first of equals
+        picks = np.concatenate((picks, pick), axis=-1)
+        # A pick with no part left (rank below M) deflates nothing.
+        norm = np.sqrt(size[at, pick])[..., None]
+        q = rest[at, pick] / np.where(norm > 0.0, norm, 1.0)
+        rest -= (rest @ np.swapaxes(q.conj(), -1, -2)) * q
+    return np.sort(picks, axis=-1).reshape(*h.shape[:-2], m)
+
+
 def mmse_loading_alpha(cfg: SystemConfig, p):
     """MMSE-style loading N / (M rho) with rho = p / n0, for one power or
     an array of them."""

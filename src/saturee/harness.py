@@ -10,6 +10,7 @@ so the bytes do not depend on how many draws one call stacks either.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -307,8 +308,10 @@ def _run_trials(spec: ExperimentSpec, args: tuple) -> dict[str, np.ndarray]:
     bounds = np.linspace(0, spec.trials, spec.workers + 1).astype(int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     # A forking pool starts all its processes at the first submit, so it
-    # is sized by the chunks that hold work, not by the worker count.
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+    # is sized by the chunks that hold work, and by the cores, not by the
+    # worker count.  The chunks stay split by the worker count.
+    with ProcessPoolExecutor(
+            max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_strict, _trial_chunk, *args, spec.seed, a, b)
                    for a, b in spans]
         chunks = [f.result()[0] for f in futures]

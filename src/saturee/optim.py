@@ -16,11 +16,11 @@ entries, so the stack only shares numpy's per-call cost among them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamform import link_gains, mmse_loading_alpha, mrt, rzf
+from .beamform import link_gains, mmse_loading_alpha, mrt, rzf, served_users
 from .scalar_opt import golden_section_max
 from .sysmodel import SystemConfig, derive_power_model, total_power
 
@@ -468,7 +468,17 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     """Energy-efficiency maximization by Dinkelbach's parametric method,
     for a stack of channels h (E, N, M) under the budgets p_budget (E,).
 
-    Every entry starts at lam = 0.  Each outer step runs one block
+    The first descent starts from equal-power RZF beamformers at the
+    full budget over the K = min(N, M) users served_users picks, with the
+    loading and per-user power of that served cell; the other users
+    start, and stay, unserved.  A maximum-ratio start can strand the
+    whole continuation in a basin where a strongly correlated user is
+    abandoned.  A wide cell is projected to its row space once, before
+    the first outer step.
+
+    Every entry starts at lam = the efficiency of its start, Dinkelbach's
+    own start from a feasible point: the first descent then begins at
+    F(lam) = 0 and can only raise it.  Each outer step runs one block
     descent over the entries still open, maximizing sum rate minus lam
     times consumed power (lam xi folded into the beamformer regularizer)
     from their last beamformers, so the lam sequence is nondecreasing,
@@ -477,22 +487,23 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     consumed power, the achieved efficiency.  An entry finishes once
     |F(lam)| <= _DELTA, or unconverged after _MAX_OUTER outer steps; its
     lambda_star is the efficiency of its last beamformers.
-
-    The very first descent starts from equal-power RZF beamformers: a
-    maximum-ratio start can strand the whole continuation in a basin
-    where a strongly correlated user is abandoned.  A wide cell is
-    projected to its row space once, before the first outer step.
     """
     budget = _budgets(h, p_budget)
     pm = derive_power_model(cfg)
-    h, c, lift = _row_space(h, rzf(h, mmse_loading_alpha(cfg, budget))
-                            * np.sqrt(budget / cfg.N)[:, None, None])
+    served = np.arange(len(h))[:, None], served_users(h)
+    k = served[1].shape[-1]
+    dirs = rzf(h[served], mmse_loading_alpha(replace(cfg, N=k), budget))
+    c = np.zeros(h.shape, dtype=complex)
+    c[served] = dirs * np.sqrt(budget / k)[:, None, None]
+    h, c, lift = _row_space(h, c)
     at = np.arange(budget.size)         # the entry at each stack position
-    lam = np.zeros(budget.size)
     c_out, lam_out = np.empty(c.shape, dtype=complex), np.empty(budget.size)
     conv_out = np.zeros(budget.size, dtype=bool)
     lam_log, f_log = [], []
     stats = _stats(h, c)
+    _, sig, inter, psum = stats
+    lam = (np.log1p(sig / (inter + pm.n0)).sum(axis=-1)
+           / total_power(psum, pm, cfg.xi))
     for _ in range(_MAX_OUTER):
         run = _descend(h, pm.n0, budget, lam * cfg.xi, c, stats)
         consumed = total_power(run.stats[-1], pm, cfg.xi)

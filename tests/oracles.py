@@ -217,21 +217,65 @@ def proposed_one(h: np.ndarray, cfg: SystemConfig, budget: float,
                                                np.array([budget]), band))
 
 
+def served_users(h: np.ndarray) -> list[int]:
+    """The users ``beamform.served_users`` picks on one draw h (N, M), as
+    a float loop: every user when N <= M, else M greedy picks, each the
+    user whose channel keeps the largest part after Gram-Schmidt against
+    the parts picked so far, the lowest index among equals."""
+    n, m = h.shape
+    if n <= m:
+        return list(range(n))
+    rows = [[complex(x) for x in row] for row in h.tolist()]
+    basis, picks = [], []
+    for _ in range(m):
+        best, best_size, best_part = -1, -1.0, None
+        for i, row in enumerate(rows):
+            if i in picks:
+                continue
+            part = row
+            for q in basis:
+                c = sum(a * b.conjugate() for a, b in zip(part, q))
+                part = [a - c * b for a, b in zip(part, q)]
+            size = sum(abs(a) ** 2 for a in part)
+            if size > best_size:
+                best, best_size, best_part = i, size, part
+        picks.append(best)
+        if best_size > 0.0:
+            norm = math.sqrt(best_size)
+            basis.append([a / norm for a in best_part])
+    return sorted(picks)
+
+
+def served_start(h: np.ndarray, cfg: SystemConfig, p: float) -> np.ndarray:
+    """The solvers' start on one draw h (N, M) at the power p: equal-power
+    RZF beamformers over the users :func:`served_users` picks, with the
+    loading and per-user power of a cell of those users alone, and zero
+    beamformers for the rest."""
+    served = served_users(h)
+    k = len(served)
+    b = np.zeros(h.shape, dtype=complex)
+    b[served] = beamform.rzf(h[served], beamform.mmse_loading_alpha(
+        dataclasses.replace(cfg, N=k), p)) * math.sqrt(p / k)
+    return b
+
+
 def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float):
     """Dinkelbach's method of ``optim.dinkelbach_ee`` on one problem
     h (N, M), as a float loop over its outer steps, each a plain
     one-entry ``optim._descend`` at the ridge lam xi from the last
     step's beamformers, their link statistics taken afresh, in the row
-    space a wide cell is projected to once: the per-entry form the
-    stacked bookkeeping must match bit for bit.  Returns the last
-    beamformers, the efficiency and the lam and F(lam) of every outer
-    step."""
+    space a wide cell is projected to once, from :func:`served_start`
+    and lam = its efficiency: the per-entry form the stacked bookkeeping
+    must match bit for bit.  Returns the last beamformers, the
+    efficiency and the lam and F(lam) of every outer step."""
     pm = derive_power_model(cfg)
     p = np.array([budget])
-    stack, c, lift = optim._row_space(
-        h[None], beamform.rzf(h[None], beamform.mmse_loading_alpha(cfg, p))
-        * np.sqrt(p / cfg.N)[:, None, None])
-    lam, lams, fs = 0.0, [], []
+    stack, c, lift = optim._row_space(h[None],
+                                      served_start(h, cfg, budget)[None])
+    _, sig, inter, psum = optim._stats(stack, c)
+    lam = (float(np.log1p(sig / (inter + pm.n0)).sum(axis=-1)[0])
+           / total_power(float(psum[0]), pm, cfg.xi))
+    lams, fs = [], []
     while True:
         run = optim._descend(stack, pm.n0, p, np.array([lam * cfg.xi]), c,
                              optim._stats(stack, c))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from saturee import beamform, channel
 from saturee.sysmodel import SystemConfig, derive_power_model
 
+import oracles
 from oracles import instantaneous_ee
 
 
@@ -104,6 +105,70 @@ def test_rzf_orthogonal_channels_are_fixed_points():
     v = beamform.rzf(h, 0.8)
     m = beamform.mrt(h)
     assert np.allclose(np.abs(np.sum(m.conj() * v, axis=1)), 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (2, 8), (16, 64)])
+def test_served_users_keeps_every_user_up_to_m(n, m):
+    """With no more users than antennas every user is served, in index
+    order, for one draw and for a stack of them."""
+    h = np.stack([channel.generate(SystemConfig(M=m, N=n), 4, t)
+                  for t in range(5)])
+    assert np.array_equal(beamform.served_users(h[0]), np.arange(n))
+    assert np.array_equal(beamform.served_users(h),
+                          np.tile(np.arange(n), (5, 1)))
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (6, 3), (8, 2), (8, 4), (16, 8)])
+def test_served_users_matches_gram_schmidt_oracle(n, m):
+    """Past M users the stacked selection picks, on every draw, the M
+    users the float-loop Gram-Schmidt selection of tests/oracles.py
+    does."""
+    h = np.stack([channel.generate(SystemConfig(M=m, N=n), 12, t)
+                  for t in range(40)])
+    served = beamform.served_users(h)
+    assert served.shape == (40, m)
+    for e in range(40):
+        assert served[e].tolist() == oracles.served_users(h[e])
+
+
+def test_served_users_ties_go_to_the_lowest_index():
+    """Equal orthogonal parts, from duplicate channels or from channels
+    that lie in the span already picked, go to the lowest index, also
+    when nothing is left to pick from (a rank-1 and a zero cell), and no
+    division warns there."""
+    a, b = [3.0, 1.0j], [0.5, -0.5j]
+    cases = {
+        # user 0 first; users 1 and 2 then keep all of e2
+        ((2.0, 0.0), (0.0, 1.0), (0.0, 1.0)): [0, 1],
+        # the duplicate largest channel goes to user 1, not 2
+        (tuple(b), tuple(a), tuple(a), (0.2, 0.1)): None,
+        # rank 1: after user 0 every part is zero or rounding-equal
+        (tuple(a), tuple(a), tuple(a)): [0, 1],
+        ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)): [0, 1],
+    }
+    for rows, want in cases.items():
+        h = np.array(rows, dtype=complex)
+        got = beamform.served_users(h).tolist()
+        assert got == oracles.served_users(h)
+        if want is None:
+            assert 1 in got and 2 not in got
+        else:
+            assert got == want
+
+
+def test_served_users_of_an_entry_ignore_its_stack():
+    """Each draw's picks are the same alone, as a one-entry stack, and
+    anywhere in a shuffled stack with extra leading axes."""
+    h = np.stack([channel.generate(SystemConfig(M=3, N=7), 2, t)
+                  for t in range(24)])
+    served = beamform.served_users(h)
+    for e in range(len(h)):
+        assert np.array_equal(beamform.served_users(h[e]), served[e])
+        assert np.array_equal(beamform.served_users(h[e:e + 1]),
+                              served[e:e + 1])
+    order = np.random.default_rng(1).permutation(len(h))
+    shuffled = beamform.served_users(h[order].reshape(4, 6, 7, 3))
+    assert np.array_equal(shuffled.reshape(24, 3), served[order])
 
 
 def test_mmse_loading_value(cfg3):

@@ -164,10 +164,9 @@ def test_run_sweep_rows_and_determinism():
             == harness.format_csv(points))
 
 
-def test_pool_gets_one_worker_per_chunk(monkeypatch):
-    """A forking pool starts all of its processes at the first submit, so
-    asking for more workers than trials must size it by the chunks that
-    hold work.  The pool here runs each chunk inline: no process starts."""
+def _inline_pool(monkeypatch) -> list[int]:
+    """Replace the process pool by one that runs each chunk inline, so no
+    process starts; returns the list its max_workers arguments go to."""
     sizes = []
 
     class InlinePool:
@@ -185,13 +184,45 @@ def test_pool_gets_one_worker_per_chunk(monkeypatch):
             future.set_result(fn(*args))
             return future
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_pool_gets_one_worker_per_chunk(monkeypatch):
+    """A forking pool starts all of its processes at the first submit, so
+    asking for more workers than trials must size it by the chunks that
+    hold work."""
     spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
                           pmin_dbm=30.0, pmax_dbm=32.0, trials=2, seed=5)
     serial = harness.format_csv(harness.run_sweep(spec))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    sizes = _inline_pool(monkeypatch)
     wide = dataclasses.replace(spec, workers=64)
     assert harness.format_csv(harness.run_sweep(wide)) == serial
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("cores, pool", [(3, 3), (None, 1)])
+def test_pool_gets_at_most_one_worker_per_core(cores, pool, monkeypatch):
+    """More workers than cores size the pool by the cores (by one where
+    the core count is unknown), while the trials are still split into
+    one chunk per worker, so the CSV bytes do not change."""
+    spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
+                          pmin_dbm=30.0, pmax_dbm=32.0, trials=8, seed=5)
+    serial = harness.format_csv(harness.run_sweep(spec))
+    sizes = _inline_pool(monkeypatch)
+    chunks = []
+    trial_chunk = harness._trial_chunk
+
+    def record(*args):
+        chunks.append(args[-2:])
+        return trial_chunk(*args)
+
+    monkeypatch.setattr(harness, "_trial_chunk", record)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+    many = dataclasses.replace(spec, workers=6)
+    assert harness.format_csv(harness.run_sweep(many)) == serial
+    assert sizes == [pool]
+    assert len(chunks) == 6
 
 
 def test_sweep_proposed_flat_above_p_prop(monkeypatch):

@@ -16,7 +16,8 @@ import oracles
 from oracles import (beam_step, dinkelbach_one, dinkelbach_outer_loop,
                      instantaneous_ee, iterate_recomputing, multiplier,
                      normalized_config, proposed_one, rescale,
-                     rescale_objective, rescale_step, rescale_tau, wmmse_one)
+                     rescale_objective, rescale_step, rescale_tau,
+                     served_start, wmmse_one)
 
 
 # ----------------------------------------------------------------- wmmse
@@ -138,10 +139,10 @@ def _check_multiplier(r, base):
 
 def test_multiplier_matches_bisection_on_beam_steps(monkeypatch):
     """The Newton multiplier lands where the bisection did, on the feasible
-    side within the power tolerance, for the beam steps of Dinkelbach
-    solves (ridge zero on the first outer step, positive after).  Each
-    entry of a recorded stack is checked on its own, masked tail
-    included."""
+    side within the power tolerance, for the beam steps of WMMSE solves
+    from maximum-ratio starts (ridge zero) and of Dinkelbach solves
+    (ridge positive).  Each entry of a recorded stack is checked on its
+    own, masked tail included."""
     seen = []
     search = optim._multiplier
 
@@ -156,7 +157,9 @@ def test_multiplier_matches_bisection_on_beam_steps(monkeypatch):
             cfg = SystemConfig(M=m, N=n)
             budget = transmit_power_from_dbm(30.0, cfg)
             for trial in range(2):
-                dinkelbach_one(channel.generate(cfg, 5, trial), cfg, budget)
+                h = channel.generate(cfg, 5, trial)
+                wmmse_one(h, cfg, budget)
+                dinkelbach_one(h, cfg, budget)
     assert len(seen) >= 40
     for r, base in seen:
         _check_multiplier(r, base)
@@ -561,18 +564,22 @@ def test_iterate_matches_recomputing_reference(n, m):
     reference descent takes them afresh at every iterate.  Both take as
     many steps to the same objectives, at ridge zero and positive, the
     statistics the descent returns are its last iterate's, bit for bit,
-    and the Dinkelbach parameters match a replay on the reference.  The
-    reference runs in the descent's own coordinates, so a wide cell's
-    replay runs in its rows' span too (the agreement in full space is
+    and the Dinkelbach parameters match a replay on the reference, which
+    starts at the efficiency of the solvers' start.  The reference runs
+    in the descent's own coordinates, so a wide cell's replay runs in its
+    rows' span too (the agreement in full space is
     test_wide_cells_solve_in_row_space's)."""
     cfg = SystemConfig(M=m, N=n)
     pm = derive_power_model(cfg)
     p = transmit_power_from_dbm(30.0, cfg)
+
+    def efficiency(h, c):
+        rate = beamform.sum_rate(beamform.sinr(h, c, pm.n0))
+        return rate / total_power(float(np.sum(np.abs(c) ** 2)), pm, cfg.xi)
+
     for trial in range(2):
         h = channel.generate(cfg, 23, trial)
-        b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, p)) \
-            * math.sqrt(p / n)
-        hr, c0 = _descent_coordinates(h, b0)
+        hr, c0 = _descent_coordinates(h, served_start(h, cfg, p))
         for ridge in (0.0, 1e-3 * n / p, n / p):
             run = optim._descend(hr[None], pm.n0, np.array([p]),
                                  np.array([ridge]), c0[None],
@@ -587,13 +594,11 @@ def test_iterate_matches_recomputing_reference(n, m):
                 assert np.array_equal(got, fresh)
 
         res = dinkelbach_one(h, cfg, p)
-        lam, c = 0.0, c0
+        lam, c = efficiency(hr, c0), c0
         for want in res.lambda_history:
             assert lam == pytest.approx(want, rel=1e-12, abs=0.0)
             c, _ = iterate_recomputing(hr, pm.n0, p, lam * cfg.xi, c)
-            rate = beamform.sum_rate(beamform.sinr(hr, c, pm.n0))
-            lam = rate / total_power(float(np.sum(np.abs(c) ** 2)), pm,
-                                     cfg.xi)
+            lam = efficiency(hr, c)
         assert res.lambda_star == pytest.approx(lam, rel=1e-12, abs=0.0)
 
 
@@ -604,7 +609,7 @@ def test_wide_cells_solve_in_row_space(n, m):
     them in full space gives the returned rate, power and efficiency, and
     they land where the reference descent on the full channel does.  Over
     these cases the worst relative gaps are 1.4e-15 of the norm off the
-    span, 1.8e-13 on rescoring, and 4.0e-12 (a WMMSE rate) and 1.8e-14
+    span, 1.8e-13 on rescoring, and 4.0e-12 (a WMMSE rate) and 2.2e-16
     (an efficiency) to the full-space reference.
 
     From the MMSE-loaded RZF start at 46 dBm on the 64x16 cell, the first
@@ -638,7 +643,7 @@ def test_wide_cells_solve_in_row_space(n, m):
                     continue
                 assert rate / total_power(p_sum, pm, cfg.xi) == (
                     pytest.approx(res.lambda_star, rel=1e-12))
-                lam, b_ref = 0.0, b0
+                lam, b_ref = instantaneous_ee(h, b0, cfg), b0
                 for _ in res.lambda_history:
                     b_ref, _ = iterate_recomputing(h, pm.n0, p, lam * cfg.xi,
                                                    b_ref)
@@ -726,6 +731,8 @@ def test_wmmse_rejects_bad_inputs(cfg3):
 # ------------------------------------------------------------ dinkelbach
 
 def test_dinkelbach_structure(cfg3):
+    """The parameter starts at the efficiency of the solvers' start and
+    rises, and F(lam) starts positive and falls to within the stop."""
     budget = transmit_power_from_dbm(46.0, cfg3)
     for trial in range(10):
         h = channel.generate(cfg3, 29, trial)
@@ -733,7 +740,8 @@ def test_dinkelbach_structure(cfg3):
         assert res.converged
         assert abs(res.f_history[-1]) <= 1e-3
         lam = res.lambda_history
-        assert lam[0] == 0.0
+        assert lam[0] == instantaneous_ee(h, served_start(h, cfg3, budget),
+                                          cfg3)
         assert float(np.min(np.diff(lam))) >= -1e-12 * lam[-1]
         f = res.f_history
         assert f[0] > 0.0
@@ -880,7 +888,7 @@ def test_stacked_entries_match_single_solves_when_capped(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["default", "3x6", "2x8", "16x4"])
-@pytest.mark.parametrize("caps", [None, (8, 3)],
+@pytest.mark.parametrize("caps", [None, (8, 2)],
                          ids=["uncapped", "capped"])
 def test_dinkelbach_bookkeeping_matches_outer_float_loop(name, caps,
                                                          monkeypatch):
@@ -888,9 +896,10 @@ def test_dinkelbach_bookkeeping_matches_outer_float_loop(name, caps,
     update and the removal of finished entries after each stacked
     descent) give every entry the bits of a float loop over its outer
     steps (tests/oracles.py), also on a wide cell, projected to its row
-    space once.  With the descent capped at 8 beam steps and 3 outer
+    space once.  With the descent capped at 8 beam steps and 2 outer
     steps, entries stop on either cap or on |F(lam)|, at different steps
-    of the stack."""
+    of the stack (from lam at the start's efficiency, a third outer step
+    leaves no 16x4 entry capped)."""
     if caps:
         monkeypatch.setattr(optim, "_MAX_ITER", caps[0])
         monkeypatch.setattr(optim, "_MAX_OUTER", caps[1])
