@@ -8,6 +8,8 @@ matrix of a stack exactly as it treats a single one, to the last bit.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .sysmodel import SystemConfig, derive_power_model
@@ -71,6 +73,24 @@ def served_users(h: np.ndarray) -> np.ndarray:
         q = rest[at, pick] / np.where(norm > 0.0, norm, 1.0)
         rest -= (rest @ np.swapaxes(q.conj(), -1, -2)) * q
     return np.sort(picks, axis=-1).reshape(*h.shape[:-2], m)
+
+
+def served_cell(h: np.ndarray, cfg: SystemConfig, p):
+    """The cell each draw of a stack h (E, N, M) serves at the powers
+    p (E,): the index of its K = min(N, M) served rows, their RZF loading
+    and their per-user amplitude sqrt(p / K), shaped to scale (E, K, M).
+
+    With N <= M every row is served and the index is ``...``, so h[index]
+    is h itself and no selection runs.  Otherwise the rows are those
+    :func:`served_users` picks, indexing (E, N, M) to (E, M, M), and the
+    loading is that of a cell of M users.
+    """
+    n, m = h.shape[-2:]
+    amp = np.sqrt(np.asarray(p) / min(n, m))[..., None, None]
+    if n <= m:
+        return ..., mmse_loading_alpha(cfg, p), amp
+    rows = np.arange(len(h))[:, None], served_users(h)
+    return rows, mmse_loading_alpha(replace(cfg, N=m), p), amp
 
 
 def mmse_loading_alpha(cfg: SystemConfig, p):

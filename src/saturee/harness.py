@@ -308,10 +308,12 @@ def _run_trials(spec: ExperimentSpec, args: tuple) -> dict[str, np.ndarray]:
     bounds = np.linspace(0, spec.trials, spec.workers + 1).astype(int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     # A forking pool starts all its processes at the first submit, so it
-    # is sized by the chunks that hold work, and by the cores, not by the
-    # worker count.  The chunks stay split by the worker count.
-    with ProcessPoolExecutor(
-            max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+    # is sized by the chunks that hold work, and by the CPUs this process
+    # may run on (its affinity set where the platform keeps one), not by
+    # the worker count.  The chunks stay split by the worker count.
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=min(len(spans), cores)) as pool:
         futures = [pool.submit(_strict, _trial_chunk, *args, spec.seed, a, b)
                    for a, b in spans]
         chunks = [f.result()[0] for f in futures]

@@ -16,11 +16,11 @@ entries, so the stack only shares numpy's per-call cost among them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import link_gains, mmse_loading_alpha, mrt, rzf, served_users
+from .beamform import link_gains, mrt, rzf, served_cell
 from .scalar_opt import golden_section_max
 from .sysmodel import SystemConfig, derive_power_model, total_power
 
@@ -469,12 +469,12 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     for a stack of channels h (E, N, M) under the budgets p_budget (E,).
 
     The first descent starts from equal-power RZF beamformers at the
-    full budget over the K = min(N, M) users served_users picks, with the
-    loading and per-user power of that served cell; the other users
-    start, and stay, unserved.  A maximum-ratio start can strand the
-    whole continuation in a basin where a strongly correlated user is
-    abandoned.  A wide cell is projected to its row space once, before
-    the first outer step.
+    full budget over the K = min(N, M) users of the served cell
+    (beamform.served_cell), with that cell's loading and per-user power;
+    the other users start, and stay, unserved.  A maximum-ratio start
+    can strand the whole continuation in a basin where a strongly
+    correlated user is abandoned.  A wide cell is projected to its row
+    space once, before the first outer step.
 
     Every entry starts at lam = the efficiency of its start, Dinkelbach's
     own start from a feasible point: the first descent then begins at
@@ -490,11 +490,9 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     """
     budget = _budgets(h, p_budget)
     pm = derive_power_model(cfg)
-    served = np.arange(len(h))[:, None], served_users(h)
-    k = served[1].shape[-1]
-    dirs = rzf(h[served], mmse_loading_alpha(replace(cfg, N=k), budget))
+    rows, alpha, amp = served_cell(h, cfg, budget)
     c = np.zeros(h.shape, dtype=complex)
-    c[served] = dirs * np.sqrt(budget / k)[:, None, None]
+    c[rows] = rzf(h[rows], alpha) * amp
     h, c, lift = _row_space(h, c)
     at = np.arange(budget.size)         # the entry at each stack position
     c_out, lam_out = np.empty(c.shape, dtype=complex), np.empty(budget.size)

@@ -186,19 +186,16 @@ def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
     beamformers, sum rate and sum power.
 
     The solve starts from equal-power RZF beamformers at the operating
-    power over the K = min(N, M) users :func:`beamform.served_users`
-    picks, with the loading and the per-user power of that served cell,
-    the one :func:`compute_band` sizes the band for; the other users
+    power over the K = min(N, M) users of :func:`beamform.served_cell`,
+    with the loading and the per-user power of that served cell, the one
+    :func:`compute_band` sizes the band for; the other users
     start, and stay, unserved.  A maximum-ratio start can abandon a user
     whose channel is strongly correlated with another's; the regularized
     inverse starts with every served user separated, which lands
     reliably in the basin where all of them are served.
     """
     p = np.minimum(band.p_prop, optim._budgets(h, p_budget))
-    served = np.arange(len(h))[:, None], beamform.served_users(h)
-    k = served[1].shape[-1]
-    dirs = beamform.rzf(h[served],
-                        beamform.mmse_loading_alpha(replace(cfg, N=k), p))
+    rows, alpha, amp = beamform.served_cell(h, cfg, p)
     b0 = np.zeros(h.shape, dtype=complex)
-    b0[served] = dirs * np.sqrt(p / k)[:, None, None]
+    b0[rows] = beamform.rzf(h[rows], alpha) * amp
     return optim.wmmse(h, cfg, p, init=b0)

@@ -259,19 +259,22 @@ def served_start(h: np.ndarray, cfg: SystemConfig, p: float) -> np.ndarray:
     return b
 
 
-def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float):
+def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float,
+                          start: np.ndarray | None = None):
     """Dinkelbach's method of ``optim.dinkelbach_ee`` on one problem
     h (N, M), as a float loop over its outer steps, each a plain
     one-entry ``optim._descend`` at the ridge lam xi from the last
     step's beamformers, their link statistics taken afresh, in the row
-    space a wide cell is projected to once, from :func:`served_start`
-    and lam = its efficiency: the per-entry form the stacked bookkeeping
-    must match bit for bit.  Returns the last beamformers, the
-    efficiency and the lam and F(lam) of every outer step."""
+    space a wide cell is projected to once, from the beamformers start
+    (by default :func:`served_start`, the solver's own) and lam = their
+    efficiency: the per-entry form the stacked bookkeeping must match
+    bit for bit.  Returns the last beamformers, the efficiency and the
+    lam and F(lam) of every outer step."""
     pm = derive_power_model(cfg)
     p = np.array([budget])
-    stack, c, lift = optim._row_space(h[None],
-                                      served_start(h, cfg, budget)[None])
+    if start is None:
+        start = served_start(h, cfg, budget)
+    stack, c, lift = optim._row_space(h[None], start[None])
     _, sig, inter, psum = optim._stats(stack, c)
     lam = (float(np.log1p(sig / (inter + pm.n0)).sum(axis=-1)[0])
            / total_power(float(psum[0]), pm, cfg.xi))

@@ -196,16 +196,22 @@ def test_pool_gets_one_worker_per_chunk(monkeypatch):
                           pmin_dbm=30.0, pmax_dbm=32.0, trials=2, seed=5)
     serial = harness.format_csv(harness.run_sweep(spec))
     sizes = _inline_pool(monkeypatch)
+    monkeypatch.setattr(harness.os, "sched_getaffinity",
+                        lambda pid: set(range(64)), raising=False)
     wide = dataclasses.replace(spec, workers=64)
     assert harness.format_csv(harness.run_sweep(wide)) == serial
     assert sizes == [2]
 
 
-@pytest.mark.parametrize("cores, pool", [(3, 3), (None, 1)])
-def test_pool_gets_at_most_one_worker_per_core(cores, pool, monkeypatch):
-    """More workers than cores size the pool by the cores (by one where
-    the core count is unknown), while the trials are still split into
-    one chunk per worker, so the CSV bytes do not change."""
+@pytest.mark.parametrize("affinity, cores, pool",
+                         [({0, 5, 7}, 64, 3), (None, 3, 3), (None, None, 1)])
+def test_pool_gets_at_most_one_worker_per_core(affinity, cores, pool,
+                                               monkeypatch):
+    """More workers than cores size the pool by the CPUs the process may
+    run on: its affinity set, not the machine's count, where the platform
+    keeps one; else the machine's count, or one where that is unknown.
+    The trials are still split into one chunk per worker, so the CSV
+    bytes do not change."""
     spec = ExperimentSpec(kind="sweep", config_path=DEFAULT_CONFIG,
                           pmin_dbm=30.0, pmax_dbm=32.0, trials=8, seed=5)
     serial = harness.format_csv(harness.run_sweep(spec))
@@ -218,6 +224,11 @@ def test_pool_gets_at_most_one_worker_per_core(cores, pool, monkeypatch):
         return trial_chunk(*args)
 
     monkeypatch.setattr(harness, "_trial_chunk", record)
+    if affinity is None:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: affinity)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
     many = dataclasses.replace(spec, workers=6)
     assert harness.format_csv(harness.run_sweep(many)) == serial
@@ -813,9 +824,11 @@ def test_cli_sweep_massive_cell(tmp_path, capsys):
     assert capsys.readouterr().out.count("rzf_asym,") == 29
 
 
-def test_cli_reaches_every_function(capsys):
-    """Each def in the package is entered by one of the five subcommands:
-    code that only the tests call belongs beside them, in tests/oracles.py."""
+def test_cli_reaches_every_function(capsys, tmp_path):
+    """Each def in the package is entered by one of the five subcommands,
+    or by compare on a cell with more users than antennas, the only kind
+    of cell that selects whom to serve: code that only the tests call
+    belongs beside them, in tests/oracles.py."""
     package = Path(saturee.__file__).resolve().parent
     defs = set()
     for path in package.glob("*.py"):
@@ -834,16 +847,20 @@ def test_cli_reaches_every_function(capsys):
     options = {"config_path": ["--config", DEFAULT_CONFIG],
                "pmin_dbm": ["--pmin-dbm", "20"], "pmax_dbm": ["--pmax-dbm", "46"],
                "pstep_db": ["--pstep-db", "13"], "trials": ["--trials", "2"]}
+    overloaded = tmp_path / "overloaded.json"
+    overloaded.write_text('{"M": 2, "N": 4}')
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
         codes = [cli.main([kind] + [arg for field in reads
                                     for arg in options.get(field, [])])
                  for kind, reads in harness.KINDS.items()]
+        codes.append(cli.main(["compare", "--config", str(overloaded),
+                               "--trials", "2"]))
     finally:
         sys.settrace(previous)
     capsys.readouterr()
-    assert codes == [0] * len(harness.KINDS)
+    assert codes == [0] * (len(harness.KINDS) + 1)
     entered = {(Path(f).name, line, name) for f, line, name in calls
                if Path(f).resolve().parent == package}
     assert sorted(defs - entered) == []

@@ -14,8 +14,9 @@ from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               transmit_power_from_dbm)
 
-from oracles import (correlated_draws, linear_ee_upper_bound, path_loss_draws,
-                     proposed_one, saturation_root_decimal)
+from oracles import (correlated_draws, dinkelbach_outer_loop,
+                     linear_ee_upper_bound, path_loss_draws, proposed_one,
+                     saturation_root_decimal)
 
 DEFAULT_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
                   / "default.json")
@@ -414,10 +415,34 @@ def test_wide_configuration_range(M, N):
 def test_overloaded_cell_fidelity(M, N):
     """With more users than antennas the band comes from the served cell
     of min(N, M) users, and the one-shot scheme keeps 95% of the
-    baseline's mean efficiency at 46 dBm, 200 trials (c10's bound)."""
+    baseline's mean efficiency at 46 dBm, 200 trials (c10's bound).
+
+    Both schemes start from the users beamform.served_users picks, and a
+    user that starts unserved stays so, so this ratio cannot tell a poor
+    selection: the next test and the interference-free bound judge it."""
     cfg = dataclasses.replace(load_config(DEFAULT_CONFIG), M=M, N=N)
     report, _, _ = harness.compare_schemes(cfg, 46.0, 200, seed=1)
     assert report.ee_ratio >= 0.95, report
+
+
+@pytest.mark.parametrize("M, N", [(4, 8), (2, 8), (3, 6), (8, 16)])
+def test_overloaded_cell_fidelity_against_all_user_start(M, N):
+    """The selection costs no more than c10's 5% of mean efficiency at
+    46 dBm, over 60 draws, against Dinkelbach's method started from
+    equal-power RZF beamformers over all N users, which leaves the
+    choice of whom to serve to the descent (it reads 1.002-1.013)."""
+    cfg = dataclasses.replace(load_config(DEFAULT_CONFIG), M=M, N=N)
+    budget = transmit_power_from_dbm(46.0, cfg)
+    cell = harness._Cell(cfg, derive_power_model(cfg),
+                         satpower.compute_band(cfg))
+    h = np.stack([channel.generate(cfg, 5, t) for t in range(60)])
+    ee = harness._evaluate(cell, *harness.SCHEMES["proposed"][1](
+        cell, h, np.array([budget])))[2][:, 0]
+    alpha = beamform.mmse_loading_alpha(cfg, budget)
+    starts = beamform.rzf(h, alpha) * math.sqrt(budget / N)
+    ref = [dinkelbach_outer_loop(x, cfg, budget, b)[1]
+           for x, b in zip(h, starts)]
+    assert ee.mean() >= 0.95 * np.mean(ref)
 
 
 @pytest.mark.parametrize("M, N", [(3, 6), (4, 8), (8, 16)])
