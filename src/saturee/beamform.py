@@ -76,11 +76,17 @@ def served_users(h: np.ndarray) -> np.ndarray:
 
 
 def served_cell(h: np.ndarray, cfg: SystemConfig, p):
-    """The cell each draw of a stack h (E, N, M) serves at the powers
-    p (E,): the index of its K = min(N, M) served rows, their RZF loading
-    and their per-user amplitude sqrt(p / K), shaped to scale (E, K, M).
+    """The cell each draw of a stack h (E, N, W) serves at the powers
+    p (E,): the index of its K = min(N, W) served rows, their RZF loading
+    and their per-user amplitude sqrt(p / K), shaped to scale (E, K, W).
 
-    With N <= M every row is served and the index is ``...``, so h[index]
+    h holds the cell's channels (W = M) or, for a wide cell, their N x N
+    effective channels r^T, with h^T = q r (W = N): the loading is scaled
+    by M / W, exactly 1 for W = M, so that the load W alpha of
+    :func:`rzf` is the M alpha of the full channels.  On r^T the start
+    rzf(h[index], alpha) is then the full channels' start times conj(q).
+
+    With N <= W every row is served and the index is ``...``, so h[index]
     is h itself and no selection runs.  Otherwise the rows are those
     :func:`served_users` picks, indexing (E, N, M) to (E, M, M), and the
     loading is that of a cell of M users.
@@ -88,9 +94,11 @@ def served_cell(h: np.ndarray, cfg: SystemConfig, p):
     n, m = h.shape[-2:]
     amp = np.sqrt(np.asarray(p) / min(n, m))[..., None, None]
     if n <= m:
-        return ..., mmse_loading_alpha(cfg, p), amp
-    rows = np.arange(len(h))[:, None], served_users(h)
-    return rows, mmse_loading_alpha(replace(cfg, N=m), p), amp
+        rows, cell = ..., cfg
+    else:
+        rows = np.arange(len(h))[:, None], served_users(h)
+        cell = replace(cfg, N=m)
+    return rows, mmse_loading_alpha(cell, p) * (cfg.M / m), amp
 
 
 def mmse_loading_alpha(cfg: SystemConfig, p):

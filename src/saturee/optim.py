@@ -326,24 +326,27 @@ def _by_entry(log: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return values[np.argsort(at, kind="stable")]
 
 
-def _row_space(h: np.ndarray, b: np.ndarray):
-    """The channels and start a solve of the stack h (E, N, M) descends
-    on, from the beamformers b, and the lift of its result back.
+def _row_space(h: np.ndarray):
+    """The channels a solve of the stack h (E, N, M) descends on, the
+    projection of a start given on h onto them, and the lift of its
+    result back.
 
     A wide cell (M > N) descends in its channels' row space: with the QR
     factorization h^T = q r, coefficients c on the N x N effective
     channels r^T see the link gains and spend the power of the
     beamformers c q^T.  A component no channel sees changes no link gain
-    and only spends power, so the start is projected, b conj(q), which
-    drops only that part, and the lift is c -> c q^T.  A cell with
-    N >= M has nothing to drop and descends as given.
+    and only spends power, so a start b on h is projected, b conj(q),
+    which drops only that part, and the lift is c -> c q^T.  A start
+    built on r^T itself, as both solvers build theirs (see
+    beamform.served_cell), needs no projection.  A cell with N >= M has
+    nothing to drop and descends as given, with no factorization.
     """
     if h.shape[-1] <= h.shape[-2]:
-        return h, b, lambda c: c
+        return h, (lambda b: b), (lambda c: c)
     q, r = np.linalg.qr(np.swapaxes(h, -1, -2))
     qt = np.swapaxes(q, -1, -2)
-    return (np.ascontiguousarray(np.swapaxes(r, -1, -2)), b @ q.conj(),
-            lambda c: c @ qt)
+    return (np.ascontiguousarray(np.swapaxes(r, -1, -2)),
+            lambda b: b @ q.conj(), lambda c: c @ qt)
 
 
 def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
@@ -455,7 +458,8 @@ def wmmse(h: np.ndarray, cfg: SystemConfig, p_budget,
     elif np.shape(init) != h.shape:
         raise ValueError(f"init shape {np.shape(init)} does not match "
                          f"channels {h.shape}")
-    h, c, lift = _row_space(h, np.ascontiguousarray(init, dtype=complex))
+    h, project, lift = _row_space(h)
+    c = project(np.ascontiguousarray(init, dtype=complex))
     run = _descend(h, pm.n0, budget, np.zeros(budget.size), c, _stats(h, c))
     return WmmseResult(
         b=lift(run.b), state=WmmseState(iteration=int(run.steps.sum())),
@@ -473,8 +477,10 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     (beamform.served_cell), with that cell's loading and per-user power;
     the other users start, and stay, unserved.  A maximum-ratio start
     can strand the whole continuation in a basin where a strongly
-    correlated user is abandoned.  A wide cell is projected to its row
-    space once, before the first outer step.
+    correlated user is abandoned.  A wide cell is factored to its row
+    space (see _row_space) once, before the start is built: the start
+    and every descent run on the N x N effective channels, and only the
+    returned beamformers are lifted back.
 
     Every entry starts at lam = the efficiency of its start, Dinkelbach's
     own start from a feasible point: the first descent then begins at
@@ -490,10 +496,10 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     """
     budget = _budgets(h, p_budget)
     pm = derive_power_model(cfg)
+    h, _, lift = _row_space(h)
     rows, alpha, amp = served_cell(h, cfg, budget)
     c = np.zeros(h.shape, dtype=complex)
     c[rows] = rzf(h[rows], alpha) * amp
-    h, c, lift = _row_space(h, c)
     at = np.arange(budget.size)         # the entry at each stack position
     c_out, lam_out = np.empty(c.shape, dtype=complex), np.empty(budget.size)
     conv_out = np.zeros(budget.size, dtype=bool)

@@ -193,9 +193,15 @@ def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
     whose channel is strongly correlated with another's; the regularized
     inverse starts with every served user separated, which lands
     reliably in the basin where all of them are served.
+
+    A wide cell is factored first (:func:`optim._row_space`): the start
+    is built on, and the solve runs on, the N x N effective channels, and
+    only the returned beamformers are lifted back.
     """
     p = np.minimum(band.p_prop, optim._budgets(h, p_budget))
+    h, _, lift = optim._row_space(h)
     rows, alpha, amp = beamform.served_cell(h, cfg, p)
     b0 = np.zeros(h.shape, dtype=complex)
     b0[rows] = beamform.rzf(h[rows], alpha) * amp
-    return optim.wmmse(h, cfg, p, init=b0)
+    run = optim.wmmse(h, cfg, p, init=b0)
+    return replace(run, b=lift(run.b))

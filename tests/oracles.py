@@ -247,15 +247,19 @@ def served_users(h: np.ndarray) -> list[int]:
 
 
 def served_start(h: np.ndarray, cfg: SystemConfig, p: float) -> np.ndarray:
-    """The solvers' start on one draw h (N, M) at the power p: equal-power
+    """The solvers' start on one draw h (N, W) at the power p: equal-power
     RZF beamformers over the users :func:`served_users` picks, with the
     loading and per-user power of a cell of those users alone, and zero
-    beamformers for the rest."""
+    beamformers for the rest.  h holds the cell's channels (W = M) or a
+    wide cell's N x N effective channels r^T, with h^T = q r (W = N), on
+    which the loading is scaled by M / W, so that it loads the RZF as
+    the full channels do."""
     served = served_users(h)
     k = len(served)
+    alpha = beamform.mmse_loading_alpha(dataclasses.replace(cfg, N=k), p)
     b = np.zeros(h.shape, dtype=complex)
-    b[served] = beamform.rzf(h[served], beamform.mmse_loading_alpha(
-        dataclasses.replace(cfg, N=k), p)) * math.sqrt(p / k)
+    b[served] = beamform.rzf(h[served], alpha * (cfg.M / h.shape[-1])) \
+        * math.sqrt(p / k)
     return b
 
 
@@ -265,16 +269,18 @@ def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float,
     h (N, M), as a float loop over its outer steps, each a plain
     one-entry ``optim._descend`` at the ridge lam xi from the last
     step's beamformers, their link statistics taken afresh, in the row
-    space a wide cell is projected to once, from the beamformers start
-    (by default :func:`served_start`, the solver's own) and lam = their
-    efficiency: the per-entry form the stacked bookkeeping must match
-    bit for bit.  Returns the last beamformers, the efficiency and the
-    lam and F(lam) of every outer step."""
+    space a wide cell is factored to once, and lam starting at the
+    efficiency of the first beamformers: the per-entry form the stacked
+    bookkeeping must match bit for bit.  Those are the beamformers start
+    on h, projected to that row space, or by default, as the solver
+    builds its own, :func:`served_start` on the channels the descent
+    runs on.  Returns the last beamformers, the efficiency and the lam
+    and F(lam) of every outer step."""
     pm = derive_power_model(cfg)
     p = np.array([budget])
-    if start is None:
-        start = served_start(h, cfg, budget)
-    stack, c, lift = optim._row_space(h[None], start[None])
+    stack, project, lift = optim._row_space(h[None])
+    c = (served_start(stack[0], cfg, budget)[None] if start is None
+         else project(start[None]))
     _, sig, inter, psum = optim._stats(stack, c)
     lam = (float(np.log1p(sig / (inter + pm.n0)).sum(axis=-1)[0])
            / total_power(float(psum[0]), pm, cfg.xi))

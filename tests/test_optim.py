@@ -547,15 +547,15 @@ def test_beam_step_searches_once_per_step(monkeypatch):
     assert re.fullmatch("(bm)+", "".join(name[1] for name in events))
 
 
-def _descent_coordinates(h: np.ndarray, b0: np.ndarray):
-    """The channel and start the solvers' descent runs on: for a wide
-    cell the factor r^T of h^T = q r and the start projected by conj(q),
-    as ``optim._row_space`` takes them; any other cell as it is."""
+def _descent_coordinates(h: np.ndarray, cfg: SystemConfig, p: float):
+    """The channel and start the solvers' descent runs on at the power p:
+    for a wide cell the factor r^T of h^T = q r, as ``optim._row_space``
+    takes it, and the served start built on r^T, as the solvers build
+    theirs; any other cell as it is, with its served start."""
     n, m = h.shape
-    if m <= n:
-        return h, b0
-    q, r = np.linalg.qr(h.T)
-    return r.T, b0 @ q.conj()
+    if m > n:
+        h = np.linalg.qr(h.T)[1].T
+    return h, served_start(h, cfg, p)
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (16, 64), (8, 2), (2, 8)])
@@ -579,7 +579,7 @@ def test_iterate_matches_recomputing_reference(n, m):
 
     for trial in range(2):
         h = channel.generate(cfg, 23, trial)
-        hr, c0 = _descent_coordinates(h, served_start(h, cfg, p))
+        hr, c0 = _descent_coordinates(h, cfg, p)
         for ridge in (0.0, 1e-3 * n / p, n / p):
             run = optim._descend(hr[None], pm.n0, np.array([p]),
                                  np.array([ridge]), c0[None],
@@ -610,12 +610,15 @@ def test_wide_cells_solve_in_row_space(n, m):
     they land where the reference descent on the full channel does.  Over
     these cases the worst relative gaps are 1.4e-15 of the norm off the
     span, 1.8e-13 on rescoring, and 4.0e-12 (a WMMSE rate) and 2.2e-16
-    (an efficiency) to the full-space reference.
+    (an efficiency) to the full-space reference, as when the solvers
+    projected a full-space start instead of building it on r^T.
 
-    From the MMSE-loaded RZF start at 46 dBm on the 64x16 cell, the first
-    beam step in the span meets the budget to within the rounding excess
-    the multiplier search ignores (at worst 1.1e-14 relative over these
-    50 draws), so mu stays 0 there as in full space."""
+    From the MMSE-loaded RZF start at 46 dBm on the 64x16 cell, built on
+    the effective channels r^T as the solvers build it, the first beam
+    step in the span meets the budget to within the rounding excess the
+    multiplier search ignores (at worst 1.0e-14 relative over these 50
+    draws; 1.1e-14 from the projected full-space start), so mu stays 0
+    there as in full space."""
     cfg = SystemConfig(M=m, N=n)
     pm = derive_power_model(cfg)
     for dbm in (30.0, 46.0):
@@ -655,15 +658,52 @@ def test_wide_cells_solve_in_row_space(n, m):
     budget = transmit_power_from_dbm(46.0, cfg)
     for trial in range(50):
         h = channel.generate(cfg, 1, trial)
-        b0 = beamform.rzf(h, beamform.mmse_loading_alpha(cfg, budget)) \
-            * math.sqrt(budget / cfg.N)
-        hr, c0 = _descent_coordinates(h, b0)
+        hr, c0 = _descent_coordinates(h, cfg, budget)
         d, sig, inter = beamform.link_gains(hr, c0)
         u, w = d / (inter + pm.n0 + sig), 1.0 + sig / (inter + pm.n0)
         free = beam_step(hr, u, w, math.inf, 0.0)
         p_free = float(np.sum(np.abs(free) ** 2))
         assert abs(p_free - budget) <= optim._ON_BUDGET_RTOL * budget
         assert np.array_equal(beam_step(hr, u, w, budget, 0.0), free)
+
+
+@pytest.mark.parametrize("n, m", [(2, 8), (4, 64), (16, 64), (4, 256)])
+def test_wide_cells_start_on_the_effective_channels(n, m, monkeypatch):
+    """Both solvers factor a wide cell before they build their start: no
+    rzf call of theirs sees more than N columns, and the start their
+    descent begins from is the full-space served start projected to the
+    rows' span, b conj(q), to within 1e-12 relative (Frobenius)."""
+    cfg = SystemConfig(M=m, N=n)
+    draws = 6
+    budget = np.full(draws, transmit_power_from_dbm(46.0, cfg))
+    h = np.stack([channel.generate(cfg, 41, t) for t in range(draws)])
+    band = satpower.compute_band(cfg)
+    widths, starts = [], []
+    rzf, descend = beamform.rzf, optim._descend
+
+    def record_rzf(channels, alpha):
+        widths.append(channels.shape[-1])
+        return rzf(channels, alpha)
+
+    def record_descend(channels, n0, p, ridge, b, stats):
+        starts.append(b.copy())
+        return descend(channels, n0, p, ridge, b, stats)
+
+    for module in (beamform, optim):
+        monkeypatch.setattr(module, "rzf", record_rzf)
+    monkeypatch.setattr(optim, "_descend", record_descend)
+    q = np.linalg.qr(np.swapaxes(h, -1, -2))[0]
+    for solve, p in (
+            (lambda: satpower.proposed_scheme(h, cfg, budget, band),
+             np.minimum(band.p_prop, budget)),
+            (lambda: optim.dinkelbach_ee(h, cfg, budget), budget)):
+        widths.clear()
+        starts.clear()
+        solve()
+        assert widths and max(widths) <= n
+        for got, x, qx, px in zip(starts[0], h, q, p):
+            want = served_start(x, cfg, px) @ qx.conj()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_wmmse_orthogonal_matches_power_filling(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saturee import asympt, beamform, channel, harness, satpower
+from saturee import asympt, beamform, channel, harness, optim, satpower
 from saturee.scalar_opt import golden_section_max
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               transmit_power_from_dbm)
@@ -462,6 +462,31 @@ def test_overloaded_cell_solves_in_one_beam_step(M, N):
     # Each entry takes at least one beam step, so a sum of one per entry
     # is one each.
     assert res.state.iteration == 200
+
+
+@pytest.mark.parametrize("M, N", [(16, 4), (64, 16), (128, 16), (256, 4)])
+def test_wide_cell_solves_in_one_beam_step_at_mu_zero(M, N, monkeypatch):
+    """On wide cells at 46 dBm, over 50 draws, the one-shot solve's first
+    beam step from its start on the effective channels meets the power to
+    within the rounding excess the multiplier search ignores, so mu stays
+    0 and no search runs, and every solve converges after that one step.
+    A multiplier search moving mu off zero by a rounding-sized step once
+    cost about 72 power evaluations per 64x16 solve."""
+    cfg = dataclasses.replace(load_config(DEFAULT_CONFIG), M=M, N=N)
+    budget = transmit_power_from_dbm(46.0, cfg)
+    mus = []
+    search = optim._multiplier
+
+    def record(r, base, budget):
+        mus.append(search(r, base, budget))
+        return mus[-1]
+
+    monkeypatch.setattr(optim, "_multiplier", record)
+    h = np.stack([channel.generate(cfg, 5, t) for t in range(50)])
+    res = satpower.proposed_scheme(h, cfg, np.full(50, budget),
+                                   satpower.compute_band(cfg))
+    assert res.converged and res.state.iteration == 50
+    assert len(mus) == 1 and not mus[0].any()
 
 
 @pytest.mark.parametrize("dbm", [240.0, 250.0])
