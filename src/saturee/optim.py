@@ -37,6 +37,8 @@ _MAX_OUTER = 100     # Dinkelbach parametric steps
 # costs the objective O(d^2), far below _TOL, and moves the sum power by
 # d, 10x inside the harness's slack test (harness._SLACK_RTOL = 1e-6).
 _TAU_RTOL = 1e-7
+# The square root of the largest float: a square past it overflows.
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass
@@ -349,6 +351,23 @@ def _row_space(h: np.ndarray):
             lambda b: b @ q.conj(), lambda c: c @ qt)
 
 
+def _scale(h: np.ndarray, n0: float, budget: np.ndarray,
+           ridge: np.ndarray, pos: np.ndarray, b: np.ndarray, stats):
+    """The power-scale step (see _rescale) of the entries pos of a stack
+    with channels h, iterate b and its statistics stats = _stats(h, b),
+    written into b and stats in place: an entry that moves is scaled and
+    takes its statistics afresh, and one that keeps tau = 1 is left as
+    it was."""
+    d, sig, inter, psum = stats
+    tau = _rescale(sig[pos].T, inter[pos].T, psum[pos], n0, budget[pos],
+                   ridge[pos])
+    moved = tau != 1.0
+    pos = pos[moved]
+    if pos.size:
+        b[pos] *= np.sqrt(tau[moved])[:, None, None]
+        d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos], b[pos])
+
+
 def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
              ridge: np.ndarray, b: np.ndarray, stats) -> _Descent:
     """Block descent of a stack of entries, channels h (E, N, M) from the
@@ -357,10 +376,22 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
 
     ridge = lambda * xi regularizes the beamformer step for the
     fractional inner problems, and a positive ridge adds a power-scale
-    step after each beam step; ridge = 0 gives plain sum-rate
-    maximization.  An entry's descent stops when its objective (sum
-    rate minus ridge times sum power) changes by at most _TOL relative,
-    or after _MAX_ITER beam steps.
+    step before the first beam step and after each one; ridge = 0 gives
+    plain sum-rate maximization.  The scale step maximizes exactly over
+    the power at fixed ridge, so the opening one sets the power that
+    beam steps alone move only slowly, and a second one before a beam
+    step would change nothing.  An entry's descent stops when its
+    objective (sum rate minus ridge times sum power) changes by at most
+    _TOL relative, or after _MAX_ITER beam steps; the first objective is
+    the scaled start's.
+
+    The opening step's slope (see _rescale) multiplies
+    (tau_hi q_k + n0)(tau_hi (s_k + q_k) + n0) at the budget's scale
+    tau_hi.  For a start on its budget (tau_hi = 1) each product is at
+    most (s_k + q_k + n0)^2, and for an iterate a scale step left they
+    are the products that step formed.  An entry where that square
+    leaves the float range skips the opening step and descends from the
+    start as given.  The caller's b and stats are not written to.
 
     The state of the entries still stepping (previous objective, ridge,
     step count) is kept in arrays, and each beam step does its
@@ -389,6 +420,13 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
     log = []
     last_b = np.empty(b.shape, dtype=complex)
     d, sig, inter, psum = stats
+    # s_k + q_k + n0 <= _SQRT_MAX, in a form that cannot overflow.
+    inside = (sig <= _SQRT_MAX - n0 - inter).all(axis=-1)
+    pos = np.flatnonzero((ridge > 0.0) & inside)
+    if pos.size:
+        b, stats = b.copy(), tuple(a.copy() for a in stats)
+        _scale(h, n0, budget, ridge, pos, b, stats)
+        d, sig, inter, psum = stats
     while at.size:
         e = inter + n0
         sinr = sig / e
@@ -416,14 +454,7 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
         steps += 1
         pos = np.flatnonzero(ridge > 0.0)
         if pos.size:
-            tau = _rescale(sig[pos].T, inter[pos].T, psum[pos], n0,
-                           budget[pos], ridge[pos])
-            moved = tau != 1.0
-            pos = pos[moved]
-            if pos.size:
-                b[pos] *= np.sqrt(tau[moved])[:, None, None]
-                d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos],
-                                                                 b[pos])
+            _scale(h, n0, budget, ridge, pos, b, (d, sig, inter, psum))
     return _Descent(b=last_b, rate=rate_out, stats=stats_out, steps=steps_out,
                     converged=conv_out, log=log)
 

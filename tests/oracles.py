@@ -315,11 +315,20 @@ def rescale_step(sig: np.ndarray, inter: np.ndarray, psum: float,
 
 
 def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
-                        ridge: float, b0: np.ndarray):
+                        ridge: float, b0: np.ndarray, opening: bool = True):
     """The WMMSE block descent of ``optim._descend`` with the link
-    statistics taken afresh at the top of every iterate.  Returns the
-    last beamformers and the objective history."""
-    b = b0
+    statistics taken afresh at the top of every iterate.  A positive
+    ridge takes a power-scale step after every beam step and, when
+    opening is set, one on the start before the first (the start's
+    statistics must lie in the float range ``optim._descend`` opens in).
+    Returns the last beamformers and the objective history."""
+    def scaled(b):
+        _, sig, inter = beamform.link_gains(h, b)
+        tau = rescale_step(sig, inter, float(np.sum(np.abs(b) ** 2)),
+                           n0, budget, ridge)
+        return b * math.sqrt(tau)
+
+    b = scaled(b0) if opening and ridge > 0.0 else b0
     history = []
     for it in range(optim._MAX_ITER + 1):
         d, sig, inter = beamform.link_gains(h, b)
@@ -335,11 +344,32 @@ def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
             break
         b = beam_step(h, d / (e + sig), 1.0 + sinr, budget, ridge)
         if ridge > 0.0:
-            _, sig, inter = beamform.link_gains(h, b)
-            tau = rescale_step(sig, inter, float(np.sum(np.abs(b) ** 2)),
-                               n0, budget, ridge)
-            b = b * math.sqrt(tau)
+            b = scaled(b)
     return b, history
+
+
+def dinkelbach_beam_first(h: np.ndarray, cfg: SystemConfig, budget: float):
+    """Dinkelbach's method of ``optim.dinkelbach_ee`` on one problem
+    h (N, M), in the row space a wide cell is factored to, from the
+    solvers' served start and lam at its efficiency, with every descent
+    that of :func:`iterate_recomputing` opening with a beam step: the
+    block order before descents opened with their power-scale step.
+    Returns the efficiency of the last beamformers and the beam steps
+    taken."""
+    pm = derive_power_model(cfg)
+    stack = optim._row_space(h[None])[0][0]
+    c = served_start(stack, cfg, budget)
+    lam, steps = instantaneous_ee(stack, c, cfg), 0
+    for _ in range(optim._MAX_OUTER):
+        c, hist = iterate_recomputing(stack, pm.n0, budget, lam * cfg.xi, c,
+                                      opening=False)
+        steps += len(hist) - 1
+        rate = beamform.sum_rate(beamform.sinr(stack, c, pm.n0))
+        consumed = total_power(float(np.sum(np.abs(c) ** 2)), pm, cfg.xi)
+        f, lam = rate - lam * consumed, rate / consumed
+        if abs(f) <= optim._DELTA:
+            break
+    return lam, steps
 
 
 def linear_ee_upper_bound(h: np.ndarray, cfg: SystemConfig,

@@ -712,6 +712,34 @@ def test_cli_float_overflow_is_numerical_error(workers, capsys):
     assert captured.out == ""
 
 
+def test_compare_warms_both_arms_once_per_process(monkeypatch):
+    """The first compare of a process solves both arms on its first draw
+    before the clocks start, so the arm that runs first does not pay the
+    process's one-time costs alone; later calls solve only the timed
+    draws, and the warm-up changes no row."""
+    cfg = load_config(DEFAULT_CONFIG)
+    calls = []
+
+    def spy(module, name, arm):
+        inner = getattr(module, name)
+
+        def call(h, *args):
+            calls.append((arm, len(h)))
+            return inner(h, *args)
+        monkeypatch.setattr(module, name, call)
+
+    spy(satpower, "proposed_scheme", "proposed")
+    spy(optim, "dinkelbach_ee", "baseline")
+    monkeypatch.setattr(harness, "_warm", False)
+    cold = harness.compare_schemes(cfg, 46.0, 3, 5)
+    assert calls == [("proposed", 1), ("baseline", 1),
+                     ("proposed", 3), ("baseline", 3)]
+    calls.clear()
+    warm = harness.compare_schemes(cfg, 46.0, 3, 5)
+    assert calls == [("proposed", 3), ("baseline", 3)]
+    assert cold[1:] == warm[1:]
+
+
 def test_cli_compare_rejects_workers(capsys):
     """compare times its two arms in one process, so it takes no worker
     count: --workers is a usage error (exit 2) at any count, not a

@@ -13,8 +13,9 @@ from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               total_power, transmit_power_from_dbm)
 
 import oracles
-from oracles import (beam_step, dinkelbach_one, dinkelbach_outer_loop,
-                     instantaneous_ee, iterate_recomputing, multiplier,
+from oracles import (beam_step, dinkelbach_beam_first, dinkelbach_one,
+                     dinkelbach_outer_loop, instantaneous_ee,
+                     iterate_recomputing, multiplier,
                      normalized_config, proposed_one, rescale,
                      rescale_objective, rescale_step, rescale_tau,
                      served_start, wmmse_one)
@@ -523,7 +524,9 @@ def test_stacked_rescale_matches_float_loop(n, monkeypatch):
 def test_beam_step_searches_once_per_step(monkeypatch):
     """A stacked Dinkelbach solve runs one multiplier search per beam
     step and at most one power-scale step after it, each over the whole
-    stack; a WMMSE solve, with no ridge, runs no power-scale step."""
+    stack, and each descent may open with one power-scale step before
+    its first beam step; a WMMSE solve, with no ridge, runs no
+    power-scale step."""
     events = []
 
     def spy(name):
@@ -541,10 +544,59 @@ def test_beam_step_searches_once_per_step(monkeypatch):
     optim.dinkelbach_ee(h, cfg, p)
     # One letter per call: b(eam step), m(ultiplier), r(escale).
     calls = "".join(name[1] for name in events)
-    assert re.fullmatch("(bmr?)+", calls) and calls.count("r") > 1
+    assert re.fullmatch("(r?(bmr?)+)+", calls) and calls.count("r") > 1
     events.clear()
     optim.wmmse(h, cfg, p)
     assert re.fullmatch("(bm)+", "".join(name[1] for name in events))
+
+
+def test_dinkelbach_descents_open_with_the_scale_step(monkeypatch):
+    """Each descent opens with the power-scale step, which sets the power
+    exactly at fixed lam, where beam steps only creep towards it.  On a
+    64x16 stack at 46 dBm every Dinkelbach entry then takes one beam step
+    per outer step, 3 in all, where the beam-first block order took 5
+    (2 + 2 + 1), and lands on the beam-first reference's efficiency to
+    within 1e-12."""
+    cfg = _STACK_CELLS["cell_64x16"]()
+    budget = transmit_power_from_dbm(46.0, cfg)
+    draws = 8
+    h = np.stack([channel.generate(cfg, 1, t) for t in range(draws)])
+    entries = []
+    inner = optim._beam_step
+
+    def spy(hs, *args):
+        entries.append(len(hs))
+        return inner(hs, *args)
+    monkeypatch.setattr(optim, "_beam_step", spy)
+    res = optim.dinkelbach_ee(h, cfg, np.full(draws, budget))
+    monkeypatch.undo()
+    assert res.converged and res.lambda_history.size == 3 * draws
+    assert sum(entries) == 3 * draws
+    for i in range(draws):
+        lam, steps = dinkelbach_beam_first(h[i], cfg, budget)
+        assert steps == 5
+        assert res.lambda_star[i] == pytest.approx(lam, rel=1e-12, abs=0.0)
+
+
+def test_descent_opening_step_leaves_the_start_as_given():
+    """The opening power-scale step scales a copy: the caller's start and
+    its statistics keep their bits while the descent's first iterate is
+    the scaled start."""
+    cfg = _STACK_CELLS["default"]()
+    pm = derive_power_model(cfg)
+    h, p = _stack_entries(cfg, (0.0, 24.0, 46.0))
+    c = beamform.mrt(h) * np.sqrt(p / cfg.N)[:, None, None]
+    stats = optim._stats(h, c)
+    kept = [c.copy(), *(a.copy() for a in stats)]
+    _, sig, inter, psum = stats
+    ridge = cfg.xi * (np.log1p(sig / (inter + pm.n0)).sum(axis=-1)
+                      / total_power(psum, pm, cfg.xi))
+    run = optim._descend(h, pm.n0, p, ridge, c, stats)
+    for got, was in zip((c, *stats), kept):
+        assert np.array_equal(got, was)
+    first = run.log[0][1]               # every entry, in entry order
+    start = np.log1p(sig / (inter + pm.n0)).sum(axis=-1) - ridge * psum
+    assert np.all(first >= start) and np.any(first > start)
 
 
 def _descent_coordinates(h: np.ndarray, cfg: SystemConfig, p: float):
