@@ -8,8 +8,6 @@ matrix of a stack exactly as it treats a single one, to the last bit.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .sysmodel import SystemConfig, derive_power_model
@@ -73,32 +71,6 @@ def served_users(h: np.ndarray) -> np.ndarray:
         q = rest[at, pick] / np.where(norm > 0.0, norm, 1.0)
         rest -= (rest @ np.swapaxes(q.conj(), -1, -2)) * q
     return np.sort(picks, axis=-1).reshape(*h.shape[:-2], m)
-
-
-def served_cell(h: np.ndarray, cfg: SystemConfig, p):
-    """The cell each draw of a stack h (E, N, W) serves at the powers
-    p (E,): the index of its K = min(N, W) served rows, their RZF loading
-    and their per-user amplitude sqrt(p / K), shaped to scale (E, K, W).
-
-    h holds the cell's channels (W = M) or, for a wide cell, their N x N
-    effective channels r^T, with h^T = q r (W = N): the loading is scaled
-    by M / W, exactly 1 for W = M, so that the load W alpha of
-    :func:`rzf` is the M alpha of the full channels.  On r^T the start
-    rzf(h[index], alpha) is then the full channels' start times conj(q).
-
-    With N <= W every row is served and the index is ``...``, so h[index]
-    is h itself and no selection runs.  Otherwise the rows are those
-    :func:`served_users` picks, indexing (E, N, M) to (E, M, M), and the
-    loading is that of a cell of M users.
-    """
-    n, m = h.shape[-2:]
-    amp = np.sqrt(np.asarray(p) / min(n, m))[..., None, None]
-    if n <= m:
-        rows, cell = ..., cfg
-    else:
-        rows = np.arange(len(h))[:, None], served_users(h)
-        cell = replace(cfg, N=m)
-    return rows, mmse_loading_alpha(cell, p) * (cfg.M / m), amp
 
 
 def mmse_loading_alpha(cfg: SystemConfig, p):

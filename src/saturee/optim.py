@@ -16,11 +16,12 @@ entries, so the stack only shares numpy's per-call cost among them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beamform import link_gains, mrt, rzf, served_cell
+from .beamform import (link_gains, mmse_loading_alpha, mrt, rzf,
+                       served_users)
 from .scalar_opt import golden_section_max
 from .sysmodel import SystemConfig, derive_power_model, total_power
 
@@ -339,9 +340,9 @@ def _row_space(h: np.ndarray):
     beamformers c q^T.  A component no channel sees changes no link gain
     and only spends power, so a start b on h is projected, b conj(q),
     which drops only that part, and the lift is c -> c q^T.  A start
-    built on r^T itself, as both solvers build theirs (see
-    beamform.served_cell), needs no projection.  A cell with N >= M has
-    nothing to drop and descends as given, with no factorization.
+    built on r^T itself, as both solvers build theirs (see _served_cell),
+    needs no projection.  A cell with N >= M has nothing to drop and
+    descends as given, with no factorization.
     """
     if h.shape[-1] <= h.shape[-2]:
         return h, (lambda b: b), (lambda c: c)
@@ -349,6 +350,37 @@ def _row_space(h: np.ndarray):
     qt = np.swapaxes(q, -1, -2)
     return (np.ascontiguousarray(np.swapaxes(r, -1, -2)),
             lambda b: b @ q.conj(), lambda c: c @ qt)
+
+
+def _served_cell(h: np.ndarray, cfg: SystemConfig, p):
+    """The K x K cell, K = min(N, M), that a solve of the stack h
+    (E, N, M) at the powers p (E,) descends on from its built start: its
+    channels, the start's RZF loading and per-user amplitude sqrt(p / K),
+    and the lift of a result back to (E, N, M).
+
+    A square cell is h itself.  A wide cell is its effective channels
+    r^T (see _row_space).  An overloaded cell is the M rows served_users
+    picks, lifted into zero beamformers for the other users, who stay
+    unserved.  The loading is a K-user cell's times M / K: rzf loads by
+    the width of the channels it is given, so the start on r^T is the
+    full channels' start times conj(q).
+    """
+    n, m = h.shape[-2:]
+    k = min(n, m)
+    if n > m:
+        cell, shape = replace(cfg, N=m), h.shape
+        rows = np.arange(len(h))[:, None], served_users(h)
+        h = h[rows]
+
+        def lift(c):
+            b = np.zeros(shape, dtype=complex)
+            b[rows] = c
+            return b
+    else:
+        cell = cfg
+        h, _, lift = _row_space(h)
+    alpha = mmse_loading_alpha(cell, p) * (cfg.M / k)
+    return h, alpha, np.sqrt(np.asarray(p) / k)[:, None, None], lift
 
 
 def _scale(h: np.ndarray, n0: float, budget: np.ndarray,
@@ -504,14 +536,10 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     for a stack of channels h (E, N, M) under the budgets p_budget (E,).
 
     The first descent starts from equal-power RZF beamformers at the
-    full budget over the K = min(N, M) users of the served cell
-    (beamform.served_cell), with that cell's loading and per-user power;
-    the other users start, and stay, unserved.  A maximum-ratio start
-    can strand the whole continuation in a basin where a strongly
-    correlated user is abandoned.  A wide cell is factored to its row
-    space (see _row_space) once, before the start is built: the start
-    and every descent run on the N x N effective channels, and only the
-    returned beamformers are lifted back.
+    full budget on the served cell (see _served_cell), and every descent
+    runs there; only the returned beamformers are lifted back.  A
+    maximum-ratio start can strand the whole continuation in a basin
+    where a strongly correlated user is abandoned.
 
     Every entry starts at lam = the efficiency of its start, Dinkelbach's
     own start from a feasible point: the first descent then begins at
@@ -527,10 +555,8 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     """
     budget = _budgets(h, p_budget)
     pm = derive_power_model(cfg)
-    h, _, lift = _row_space(h)
-    rows, alpha, amp = served_cell(h, cfg, budget)
-    c = np.zeros(h.shape, dtype=complex)
-    c[rows] = rzf(h[rows], alpha) * amp
+    h, alpha, amp, lift = _served_cell(h, cfg, budget)
+    c = rzf(h, alpha) * amp
     at = np.arange(budget.size)         # the entry at each stack position
     c_out, lam_out = np.empty(c.shape, dtype=complex), np.empty(budget.size)
     conv_out = np.zeros(budget.size, dtype=bool)

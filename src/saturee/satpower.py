@@ -186,22 +186,14 @@ def proposed_scheme(h: np.ndarray, cfg: SystemConfig,
     beamformers, sum rate and sum power.
 
     The solve starts from equal-power RZF beamformers at the operating
-    power over the K = min(N, M) users of :func:`beamform.served_cell`,
-    with the loading and the per-user power of that served cell, the one
-    :func:`compute_band` sizes the band for; the other users
-    start, and stay, unserved.  A maximum-ratio start can abandon a user
-    whose channel is strongly correlated with another's; the regularized
-    inverse starts with every served user separated, which lands
-    reliably in the basin where all of them are served.
-
-    A wide cell is factored first (:func:`optim._row_space`): the start
-    is built on, and the solve runs on, the N x N effective channels, and
-    only the returned beamformers are lifted back.
+    power on the served cell of :func:`optim._served_cell`, the one
+    :func:`compute_band` sizes the band for, runs there, and only its
+    beamformers are lifted back.  A maximum-ratio start can abandon a
+    user whose channel is strongly correlated with another's; the
+    regularized inverse starts with every served user separated, which
+    lands reliably in the basin where all of them are served.
     """
     p = np.minimum(band.p_prop, optim._budgets(h, p_budget))
-    h, _, lift = optim._row_space(h)
-    rows, alpha, amp = beamform.served_cell(h, cfg, p)
-    b0 = np.zeros(h.shape, dtype=complex)
-    b0[rows] = beamform.rzf(h[rows], alpha) * amp
-    run = optim.wmmse(h, cfg, p, init=b0)
+    h, alpha, amp, lift = optim._served_cell(h, cfg, p)
+    run = optim.wmmse(h, cfg, p, init=beamform.rzf(h, alpha) * amp)
     return replace(run, b=lift(run.b))

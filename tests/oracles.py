@@ -250,9 +250,10 @@ def served_start(h: np.ndarray, cfg: SystemConfig, p: float) -> np.ndarray:
     """The solvers' start on one draw h (N, W) at the power p: equal-power
     RZF beamformers over the users :func:`served_users` picks, with the
     loading and per-user power of a cell of those users alone, and zero
-    beamformers for the rest.  h holds the cell's channels (W = M) or a
-    wide cell's N x N effective channels r^T, with h^T = q r (W = N), on
-    which the loading is scaled by M / W, so that it loads the RZF as
+    beamformers for the rest.  h holds the cell's channels (W = M), or
+    the K x K channels of ``optim._served_cell`` (a wide cell's effective
+    channels r^T, with h^T = q r, or an overloaded cell's served rows),
+    on which the loading is scaled by M / W, so that it loads the RZF as
     the full channels do."""
     served = served_users(h)
     k = len(served)
@@ -263,24 +264,34 @@ def served_start(h: np.ndarray, cfg: SystemConfig, p: float) -> np.ndarray:
     return b
 
 
+def served_channels(h: np.ndarray, cfg: SystemConfig, p: float):
+    """The K x K channels ``optim._served_cell`` gives one draw h (N, M)
+    at the power p."""
+    return optim._served_cell(h[None], cfg, np.array([p]))[0][0]
+
+
 def dinkelbach_outer_loop(h: np.ndarray, cfg: SystemConfig, budget: float,
                           start: np.ndarray | None = None):
     """Dinkelbach's method of ``optim.dinkelbach_ee`` on one problem
     h (N, M), as a float loop over its outer steps, each a plain
     one-entry ``optim._descend`` at the ridge lam xi from the last
-    step's beamformers, their link statistics taken afresh, in the row
-    space a wide cell is factored to once, and lam starting at the
-    efficiency of the first beamformers: the per-entry form the stacked
-    bookkeeping must match bit for bit.  Those are the beamformers start
-    on h, projected to that row space, or by default, as the solver
-    builds its own, :func:`served_start` on the channels the descent
-    runs on.  Returns the last beamformers, the efficiency and the lam
-    and F(lam) of every outer step."""
+    step's beamformers, their link statistics taken afresh, and lam
+    starting at the efficiency of the first beamformers: the per-entry
+    form the stacked bookkeeping must match bit for bit.  By default the
+    loop runs where the solver does, on the K x K channels of
+    ``optim._served_cell``, from :func:`served_start` on them.  Given
+    beamformers start on h, it runs on all N rows, in the row space a
+    wide cell is factored to once, from start projected there.  Returns
+    the last beamformers, the efficiency and the lam and F(lam) of every
+    outer step."""
     pm = derive_power_model(cfg)
     p = np.array([budget])
-    stack, project, lift = optim._row_space(h[None])
-    c = (served_start(stack[0], cfg, budget)[None] if start is None
-         else project(start[None]))
+    if start is None:
+        stack, _, _, lift = optim._served_cell(h[None], cfg, p)
+        c = served_start(stack[0], cfg, budget)[None]
+    else:
+        stack, project, lift = optim._row_space(h[None])
+        c = project(start[None])
     _, sig, inter, psum = optim._stats(stack, c)
     lam = (float(np.log1p(sig / (inter + pm.n0)).sum(axis=-1)[0])
            / total_power(float(psum[0]), pm, cfg.xi))
@@ -350,14 +361,14 @@ def iterate_recomputing(h: np.ndarray, n0: float, budget: float,
 
 def dinkelbach_beam_first(h: np.ndarray, cfg: SystemConfig, budget: float):
     """Dinkelbach's method of ``optim.dinkelbach_ee`` on one problem
-    h (N, M), in the row space a wide cell is factored to, from the
+    h (N, M), on the channels of :func:`served_channels`, from the
     solvers' served start and lam at its efficiency, with every descent
     that of :func:`iterate_recomputing` opening with a beam step: the
     block order before descents opened with their power-scale step.
     Returns the efficiency of the last beamformers and the beam steps
     taken."""
     pm = derive_power_model(cfg)
-    stack = optim._row_space(h[None])[0][0]
+    stack = served_channels(h, cfg, budget)
     c = served_start(stack, cfg, budget)
     lam, steps = instantaneous_ee(stack, c, cfg), 0
     for _ in range(optim._MAX_OUTER):

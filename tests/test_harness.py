@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from saturee.harness import CSV_HEADER, EePoint, ExperimentSpec
 from saturee.sysmodel import (SystemConfig, derive_power_model, load_config,
                               transmit_power_from_dbm, transmit_power_to_dbm)
 
+import oracles
 from oracles import dinkelbach_one
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -908,3 +910,79 @@ def test_cli_rejects_overflowing_circuit_to_noise_ratio(kind, tmp_path, capsys):
     assert cli.main([kind, "--config", str(path)] + trials) == 2
     captured = capsys.readouterr()
     assert "t = inf" in captured.err and captured.out == ""
+
+
+# A fixed grid over the configuration range (M, N, xi, Pc', Po' and, where
+# not the default, further fields): overloaded, square, wide and massive
+# cells, single-antenna and single-user ones, xi up to 1e6, circuit and
+# static powers from -60 to 120 dBm, and the bandwidth, noise figure and
+# beta off their defaults.
+_RANGE = [
+    (1, 1, 1.0, 30.0, 40.0, {}),
+    (1, 16, 1e6, -60.0, -60.0, {}),
+    (64, 1, 1.0, 120.0, 120.0, {}),
+    (64, 16, 1e3, 100.0, 120.0, {}),
+    (2, 8, 4.0, -60.0, 120.0, {}),
+    (3, 6, 1e6, 120.0, -60.0, {}),
+    (8, 16, 1.0, 0.0, 0.0, {}),
+    (16, 16, 30.0, 100.0, 120.0, {"noise_figure_db": 30.0}),
+    (32, 2, 1e6, 70.0, 70.0, {}),
+    (4, 1, 2.5, -30.0, 90.0, {}),
+    (1, 4, 1.0, 60.0, -60.0, {}),
+    (48, 12, 1.0, -60.0, -60.0, {}),
+    (5, 3, 100.0, 40.0, 50.0, {}),
+    (7, 11, 1.5, 90.0, 10.0, {}),
+    (12, 16, 1e4, -20.0, 110.0, {}),
+    (16, 4, 1.0, 30.0, 40.0, {"beta": 1e-3}),
+    (8, 1, 1.0, 30.0, 40.0, {"beta": 0.5}),
+    (24, 9, 3.0, 120.0, 120.0, {"W": 1e3}),
+    (3, 3, 1e6, -60.0, 120.0, {"W": 1e9}),
+    (10, 5, 1.0, 110.0, -40.0, {"beta": 100.0}),
+    (2, 2, 7.0, 50.0, 0.0, {}),
+    (40, 16, 1.2, -45.0, 75.0, {}),
+    (6, 13, 20.0, 15.0, 100.0, {}),
+    (1, 2, 1e5, 120.0, 60.0, {}),
+]
+
+
+@pytest.mark.parametrize("M, N, xi, pc, po, more", _RANGE,
+                         ids=[f"{m}x{n}-xi{xi:g}-pc{pc:g}-po{po:g}"
+                              for m, n, xi, pc, po, _ in _RANGE])
+def test_cli_contract_over_the_configuration_range(M, N, xi, pc, po, more,
+                                                   tmp_path, capsys):
+    """saturation and a 2-trial compare on each config of the grid exit 0,
+    2 (config error) or 3 (numerical error), the last two with a message
+    on stderr; on exit 0 every row is finite.  No run warns, and the
+    mean proposed efficiency stays at or below the mean of the
+    interference-free bound on any linear beamformer over the same
+    draws."""
+    fields = dict(M=M, N=N, xi=xi, Pc_prime_dbm=pc, Po_prime_dbm=po, **more)
+    header = CSV_HEADER.split(",")
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(fields))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for args in (["saturation"], ["compare", "--trials", "2"]):
+            code = cli.main(args + ["--config", str(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3), (args, code)
+            if code:
+                assert err.strip(), (args, code)
+                continue
+            rows = {}
+            for line in out.splitlines()[1:]:
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    continue                # compare's timing note
+                row = dict(zip(header[1:], map(float, cells[1:])))
+                assert all(map(math.isfinite, row.values())), (args, line)
+                rows[cells[0]] = row
+            if args[0] == "compare":
+                cfg = SystemConfig(**fields)
+                budget = transmit_power_from_dbm(46.0, cfg)
+                bound = np.mean([oracles.linear_ee_upper_bound(
+                    channel.generate(cfg, 1, t), cfg, budget)
+                    for t in range(2)])
+                assert rows["proposed"]["ee"] <= bound * (1.0 + 1e-9)
+    assert not [w for w in caught
+                if issubclass(w.category, RuntimeWarning)], caught

@@ -18,7 +18,7 @@ from oracles import (beam_step, dinkelbach_beam_first, dinkelbach_one,
                      iterate_recomputing, multiplier,
                      normalized_config, proposed_one, rescale,
                      rescale_objective, rescale_step, rescale_tau,
-                     served_start, wmmse_one)
+                     served_channels, served_start, wmmse_one)
 
 
 # ----------------------------------------------------------------- wmmse
@@ -601,12 +601,11 @@ def test_descent_opening_step_leaves_the_start_as_given():
 
 def _descent_coordinates(h: np.ndarray, cfg: SystemConfig, p: float):
     """The channel and start the solvers' descent runs on at the power p:
-    for a wide cell the factor r^T of h^T = q r, as ``optim._row_space``
-    takes it, and the served start built on r^T, as the solvers build
-    theirs; any other cell as it is, with its served start."""
-    n, m = h.shape
-    if m > n:
-        h = np.linalg.qr(h.T)[1].T
+    the K x K channels of ``optim._served_cell`` (a wide cell's factor
+    r^T of h^T = q r, an overloaded cell's served rows, any other cell as
+    it is) and the served start built on them, as the solvers build
+    theirs."""
+    h = served_channels(h, cfg, p)
     return h, served_start(h, cfg, p)
 
 
@@ -756,6 +755,41 @@ def test_wide_cells_start_on_the_effective_channels(n, m, monkeypatch):
         for got, x, qx, px in zip(starts[0], h, q, p):
             want = served_start(x, cfg, px) @ qx.conj()
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n, m", [(6, 3), (8, 4), (8, 2), (16, 8)])
+def test_overloaded_cells_solve_on_the_served_rows(n, m):
+    """Both solvers descend on an overloaded cell's M served rows alone
+    and scatter the result back to all N.  The reference descends on all
+    N rows from the zero-filled served start: wmmse given that start,
+    and dinkelbach_outer_loop given it.  At 30 and 46 dBm the unserved
+    rows are exactly 0 in both, and the beamformers (Frobenius), sum
+    rate, sum power and efficiency agree to within 1e-12 relative (the
+    beamformers to 2.4e-15 at worst here)."""
+    cfg = SystemConfig(M=m, N=n)
+    band = satpower.compute_band(cfg)
+    draws = 4
+    h = np.stack([channel.generate(cfg, 43, t) for t in range(draws)])
+    for dbm in (30.0, 46.0):
+        budget = np.full(draws, transmit_power_from_dbm(dbm, cfg))
+        p = np.minimum(band.p_prop, budget)
+        proposed = satpower.proposed_scheme(h, cfg, budget, band)
+        baseline = optim.dinkelbach_ee(h, cfg, budget)
+        for i, x in enumerate(h):
+            idle = np.setdiff1d(np.arange(n), oracles.served_users(x))
+            ref = wmmse_one(x, cfg, p[i], init=served_start(x, cfg, p[i]))
+            b_ref, lam, _, _ = dinkelbach_outer_loop(
+                x, cfg, budget[i], served_start(x, cfg, budget[i]))
+            for got, want in ((proposed.b[i], ref.b), (baseline.b[i], b_ref)):
+                assert np.all(got[idle] == 0.0) and np.all(want[idle] == 0.0)
+                assert (np.linalg.norm(got - want)
+                        <= 1e-12 * np.linalg.norm(want))
+            assert proposed.sum_rate[i] == pytest.approx(ref.sum_rate,
+                                                         rel=1e-12, abs=0.0)
+            assert proposed.p_sum[i] == pytest.approx(ref.p_sum, rel=1e-12,
+                                                      abs=0.0)
+            assert baseline.lambda_star[i] == pytest.approx(lam, rel=1e-12,
+                                                            abs=0.0)
 
 
 def test_wmmse_orthogonal_matches_power_filling(monkeypatch):
