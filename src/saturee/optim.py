@@ -383,23 +383,6 @@ def _served_cell(h: np.ndarray, cfg: SystemConfig, p):
     return h, alpha, np.sqrt(np.asarray(p) / k)[:, None, None], lift
 
 
-def _scale(h: np.ndarray, n0: float, budget: np.ndarray,
-           ridge: np.ndarray, pos: np.ndarray, b: np.ndarray, stats):
-    """The power-scale step (see _rescale) of the entries pos of a stack
-    with channels h, iterate b and its statistics stats = _stats(h, b),
-    written into b and stats in place: an entry that moves is scaled and
-    takes its statistics afresh, and one that keeps tau = 1 is left as
-    it was."""
-    d, sig, inter, psum = stats
-    tau = _rescale(sig[pos].T, inter[pos].T, psum[pos], n0, budget[pos],
-                   ridge[pos])
-    moved = tau != 1.0
-    pos = pos[moved]
-    if pos.size:
-        b[pos] *= np.sqrt(tau[moved])[:, None, None]
-        d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos], b[pos])
-
-
 def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
              ridge: np.ndarray, b: np.ndarray, stats) -> _Descent:
     """Block descent of a stack of entries, channels h (E, N, M) from the
@@ -407,40 +390,30 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
     each under its own budget and ridge (E,).
 
     ridge = lambda * xi regularizes the beamformer step for the
-    fractional inner problems, and a positive ridge adds a power-scale
-    step before the first beam step and after each one; ridge = 0 gives
-    plain sum-rate maximization.  The scale step maximizes exactly over
-    the power at fixed ridge, so the opening one sets the power that
-    beam steps alone move only slowly, and a second one before a beam
-    step would change nothing.  An entry's descent stops when its
-    objective (sum rate minus ridge times sum power) changes by at most
-    _TOL relative, or after _MAX_ITER beam steps; the first objective is
-    the scaled start's.
+    fractional inner problems; ridge = 0 gives plain sum-rate
+    maximization.  Each iteration takes, in order: the power-scale step
+    (see _rescale), the objective (sum rate minus ridge times sum
+    power), the stop test, a beam step and its statistics.  The scale
+    step maximizes exactly over the power at a positive ridge, so on the
+    start it sets the power that beam steps alone move only slowly.  An
+    entry stops when its objective changes by at most _TOL relative (the
+    previous objective starts as NaN, which no test passes), or after
+    _MAX_ITER beam steps.
 
-    The opening step's slope (see _rescale) multiplies
-    (tau_hi q_k + n0)(tau_hi (s_k + q_k) + n0) at the budget's scale
-    tau_hi.  For a start on its budget (tau_hi = 1) each product is at
-    most (s_k + q_k + n0)^2, and for an iterate a scale step left they
-    are the products that step formed.  An entry where that square
-    leaves the float range skips the opening step and descends from the
-    start as given.  The caller's b and stats are not written to.
+    One overflow rule covers every scale step: its slope multiplies
+    (tau_hi q_k + n0)(tau_hi (s_k + q_k) + n0), each at most
+    (s_k + q_k + n0)^2 for an iterate on its budget (tau_hi = 1), so an
+    entry with some s_k + q_k + n0 above _SQRT_MAX skips the step.  An
+    entry that moves takes its statistics afresh, one that keeps tau = 1
+    keeps the beam step's, and the last iterate's come back with it.
+    The start is copied, so the caller's b and stats keep their bits.
 
-    The state of the entries still stepping (previous objective, ridge,
-    step count) is kept in arrays, and each beam step does its
-    bookkeeping in array passes over them: the stop test, the cap and
-    the removal of the finished entries from the stack, state and all.
-    Each pass applies the float operations a scalar loop over the
-    entries would, so an entry gets the same bits.  The previous
-    objective starts as NaN, which no stop test passes.
-
-    Each iterate takes its link statistics once: a power-scale step
-    that keeps tau = 1 leaves them as the beam step's output had them,
-    and the last iterate's come back with it, so a descent continued
-    from there takes none afresh.
-    Every iterate is a C-ordered array, the start included, and each
-    beam step runs every entry at full width with a masked tail (see
-    _beam_step), so an entry's bits do not depend on the stack it
-    shares.
+    The state of the entries still stepping is kept in arrays, and each
+    iteration's bookkeeping (the stop test, the cap, the removal of
+    finished entries) runs in array passes that apply a scalar loop's
+    float operations.  With each beam step at full width with a masked
+    tail (see _beam_step), an entry's bits do not depend on the stack
+    it shares.  Every iterate is a C-ordered array, the start included.
     """
     count = len(budget)
     at = np.arange(count)               # the entry at each stack position
@@ -451,15 +424,19 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
     steps_out, conv_out = np.empty(count, dtype=int), np.empty(count, bool)
     log = []
     last_b = np.empty(b.shape, dtype=complex)
-    d, sig, inter, psum = stats
-    # s_k + q_k + n0 <= _SQRT_MAX, in a form that cannot overflow.
-    inside = (sig <= _SQRT_MAX - n0 - inter).all(axis=-1)
-    pos = np.flatnonzero((ridge > 0.0) & inside)
-    if pos.size:
-        b, stats = b.copy(), tuple(a.copy() for a in stats)
-        _scale(h, n0, budget, ridge, pos, b, stats)
-        d, sig, inter, psum = stats
+    b = b.copy()
+    d, sig, inter, psum = (a.copy() for a in stats)
     while at.size:
+        pos = np.flatnonzero(ridge > 0.0)
+        if pos.size:
+            # s_k + q_k + n0 <= _SQRT_MAX, in a form that cannot overflow.
+            pos = pos[(sig[pos] <= _SQRT_MAX - n0 - inter[pos]).all(axis=-1)]
+            tau = _rescale(sig[pos].T, inter[pos].T, psum[pos], n0,
+                           budget[pos], ridge[pos])
+            pos, tau = pos[tau != 1.0], tau[tau != 1.0]
+        if pos.size:
+            b[pos] *= np.sqrt(tau)[:, None, None]
+            d[pos], sig[pos], inter[pos], psum[pos] = _stats(h[pos], b[pos])
         e = inter + n0
         sinr = sig / e
         rate = np.log1p(sinr).sum(axis=-1)
@@ -484,9 +461,6 @@ def _descend(h: np.ndarray, n0: float, budget: np.ndarray,
         b = _beam_step(h, d / (e + sig), 1.0 + sinr, budget, ridge)
         d, sig, inter, psum = _stats(h, b)
         steps += 1
-        pos = np.flatnonzero(ridge > 0.0)
-        if pos.size:
-            _scale(h, n0, budget, ridge, pos, b, (d, sig, inter, psum))
     return _Descent(b=last_b, rate=rate_out, stats=stats_out, steps=steps_out,
                     converged=conv_out, log=log)
 
@@ -548,10 +522,14 @@ def dinkelbach_ee(h: np.ndarray, cfg: SystemConfig,
     times consumed power (lam xi folded into the beamformer regularizer)
     from their last beamformers, so the lam sequence is nondecreasing,
     and takes those beamformers' link statistics from the last descent.
-    It takes F(lam) = rate - lam * consumed power and then lam = rate /
-    consumed power, the achieved efficiency.  An entry finishes once
-    |F(lam)| <= _DELTA, or unconverged after _MAX_OUTER outer steps; its
-    lambda_star is the efficiency of its last beamformers.
+    Every iteration of a descent scales the power at the ridge lam xi,
+    scores, tests the stop, then takes a beam step and its statistics
+    (see _descend for the scale step's one overflow rule).  The outer
+    step takes F(lam) = rate - lam * consumed power and then
+    lam = rate / consumed power, the achieved efficiency.  An entry
+    finishes once |F(lam)| <= _DELTA, or unconverged after _MAX_OUTER
+    outer steps; its lambda_star is the efficiency of its last
+    beamformers.
     """
     budget = _budgets(h, p_budget)
     pm = derive_power_model(cfg)

@@ -89,6 +89,10 @@ def p_rzf(cfg: SystemConfig, de: DetEquivParams) -> float:
     g (p^2 - a c) / D and g ((1 + g) p^2 - a c) / D.  So f < 0 at and
     below sqrt(a c / (1 + g)) and f > 0 at and above sqrt(a c), and f
     is bisected on that bracket.
+
+    Below x = 0.1 (far below noise) the two terms of f cancel to about x
+    of their size, so f is summed there as g ((1 + g) p^2 - a c) / D
+    + (log1p(x) - x), the last term by its series to n = 17.
     """
     pm = derive_power_model(cfg)
     c = pm.Pconst / cfg.xi
@@ -97,7 +101,11 @@ def p_rzf(cfg: SystemConfig, de: DetEquivParams) -> float:
 
     def f(p: float) -> float:
         den = (p + a) * ((1.0 + g) * p + a)
-        return math.log1p(g * p / (p + a)) - g * a * (p + c) / den
+        x = g * p / (p + a)
+        if x >= 0.1:
+            return math.log1p(x) - g * a * (p + c) / den
+        return (g * ((1.0 + g) * p * p - a * c) / den
+                - sum((-x) ** n / n for n in range(17, 1, -1)))
 
     return bisect_root_log(f, math.sqrt(a * c / (1.0 + g)), math.sqrt(a * c),
                            rel_tol=1e-8, f_tol=1e-8)
@@ -133,20 +141,26 @@ def interpolate(gamma_lb: float, gamma_ub: float, gamma_rzf: float,
     The estimate beta * gamma_rzf of the optimal efficiency is compared
     against the bracket efficiencies: with gap = (gamma_ub - est)/(est -
     gamma_lb), omega = gap/(1 + gap) = (gamma_ub - est)/(gamma_ub -
-    gamma_lb), clamped to [0, 1], and p = omega p_lb + (1 - omega) p_ub.
-    Estimates at or beyond a bracket end give exactly that end.
+    gamma_lb), and p = omega p_lb + (1 - omega) p_ub.  Estimates at or
+    beyond a bracket end give exactly that end, gamma_ub's first.
+
+    Below t = 1e-30 the two peaks agree to rounding, either way round, so
+    a gamma_ub below gamma_lb by at most 1e-15 relative, and a point band
+    p_lb = p_ub, are bands: the estimate lies at or beyond an end there,
+    and omega divides by no gap.
     """
     if not (gamma_lb > 0.0 and gamma_ub > 0.0 and gamma_rzf > 0.0):
         raise ValueError("peak efficiencies must be positive")
-    if not gamma_ub > gamma_lb:
+    if not gamma_ub >= gamma_lb * (1.0 - 1e-15):
         raise ValueError(
-            f"invalid band: gamma_ub={gamma_ub} not above gamma_lb={gamma_lb}")
-    if not (0.0 < p_lb < p_ub):
+            f"invalid band: gamma_ub={gamma_ub} below gamma_lb={gamma_lb}")
+    if not (0.0 < p_lb <= p_ub):
         raise ValueError(f"invalid band: [{p_lb}, {p_ub}]")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     est = beta * gamma_rzf
-    omega = min(max((gamma_ub - est) / (gamma_ub - gamma_lb), 0.0), 1.0)
+    omega = (0.0 if est >= gamma_ub else 1.0 if est <= gamma_lb else
+             min((gamma_ub - est) / (gamma_ub - gamma_lb), 1.0))
     p_prop = omega * p_lb + (1.0 - omega) * p_ub
     return SaturationBand(p_lb=p_lb, p_ub=p_ub, p_rzf=p_rzf, p_prop=p_prop,
                           gamma_lb=gamma_lb, gamma_ub=gamma_ub,

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -166,15 +167,27 @@ def test_closed_forms_match_direct_maximization(cfg3, cfg_high):
 
 # ------------------------------------------------------------- RZF root
 
-def _stationarity(p, de, n0, pconst_over_xi):
+def _stationarity(p, de, n0, pconst_over_xi) -> Decimal:
     """The sign function whose root is the RZF saturation power,
     restated here from the deterministic-equivalent parameters, on the
-    curve m0^2 P / (gamma0 P + psi0 (1 + m0)^2 n0) with gamma0 = psi0."""
-    m2 = de.m0 ** 2
-    a = de.psi0 * (1.0 + de.m0) ** 2 * n0
-    num = m2 * a * (p + pconst_over_xi)
-    den = ((m2 + de.psi0) * p + a) * (de.psi0 * p + a)
-    return math.log1p(m2 * p / (de.psi0 * p + a)) - num / den
+    curve m0^2 P / (gamma0 P + psi0 (1 + m0)^2 n0) with gamma0 = psi0.
+
+    It is evaluated as it reads in decimal arithmetic from the float
+    arguments.  Far below noise its two terms, about x = SINR(p), differ
+    by about x^2, so the precision, set from x in floats, is 40 digits
+    past those of x^2.
+    """
+    m0, psi0 = float(de.m0), float(de.psi0)
+    x = m0 * m0 * p / (psi0 * (p + (1.0 + m0) ** 2 * n0))
+    with localcontext() as ctx:
+        ctx.prec = 40 + 2 * max(0, -math.floor(math.log10(x)))
+        m0, psi0, p, n0, c = (Decimal(float(v)) for v in
+                              (m0, psi0, p, n0, pconst_over_xi))
+        m2 = m0 * m0
+        a = psi0 * (1 + m0) ** 2 * n0
+        num = m2 * a * (p + c)
+        den = ((m2 + psi0) * p + a) * (psi0 * p + a)
+        return (1 + m2 * p / (psi0 * p + a)).ln() - num / den
 
 
 def test_p_rzf_root_and_monotone(cfg3):
@@ -215,14 +228,9 @@ def _wide_configs():
             continue
 
 
-# Below this circuit-to-noise ratio t = M Pconst / (N n0 xi) of the served
-# cell, the two terms of the RZF stationarity function differ by about
-# sqrt(t) of their size, which double rounding loses; see
-# test_band_at_vanishing_circuit_power.
-_T_VANISHING = 1e-30
-
-
 def _served_ratio(cfg):
+    """The circuit-to-noise ratio t = M Pconst / (N n0 xi) of the served
+    cell."""
     served = dataclasses.replace(cfg, N=min(cfg.N, cfg.M))
     pm = derive_power_model(served)
     return served.M * pm.Pconst / (served.N * pm.n0 * served.xi)
@@ -241,36 +249,23 @@ def _check_rzf_bracket(cfg):
     assert _stationarity(lo, de, pm.n0, c) < 0.0, cfg
     assert _stationarity(hi, de, pm.n0, c) > 0.0, cfg
     assert lo <= band.p_rzf <= hi, cfg
+    assert band.p_lb <= band.p_prop <= band.p_ub, cfg
 
 
 def test_p_rzf_bracket_wide_grid():
     """The bracket [sqrt(a c / (1 + g)), sqrt(a c)] of the p_rzf
     docstring holds the stationarity root on every configuration of a
-    wide grid whose served cell has t >= 1e-30: the restated sign
-    function is negative at its lower end and positive at its upper end,
-    and the band's p_rzf lies inside."""
-    checked = 0
+    wide grid: the restated sign function is negative at its lower end
+    and positive at its upper end, and the band's p_rzf lies inside.
+    365 of the configurations have t < 1e-30 on the served cell, where
+    p_rzf's f sums its series term and the envelope peaks agree to
+    rounding (see satpower.interpolate)."""
+    checked = vanishing = 0
     for cfg in _wide_configs():
-        if _served_ratio(cfg) >= _T_VANISHING:
-            _check_rzf_bracket(cfg)
-            checked += 1
-    assert checked > 7000
-
-
-@pytest.mark.xfail(strict=True, raises=(ValueError, AssertionError), reason=(
-    "below t = 1e-30 the two terms of the RZF stationarity function agree "
-    "to rounding, so its bracket's signs round away (p_rzf: root not "
-    "bracketed) or interpolate finds gamma_ub not above gamma_lb"))
-def test_band_at_vanishing_circuit_power():
-    """The wide grid's configurations with t < 1e-30, where p_ub is
-    exact but the band's later steps lose their signs to rounding: 271 of
-    365 raise ValueError in compute_band, and 69 of the rest fail the
-    bracket check."""
-    vanishing = [cfg for cfg in _wide_configs()
-                 if _served_ratio(cfg) < _T_VANISHING]
-    assert len(vanishing) > 300
-    for cfg in vanishing:
         _check_rzf_bracket(cfg)
+        checked += 1
+        vanishing += _served_ratio(cfg) < 1e-30
+    assert checked > 7000 and vanishing == 365
 
 
 def test_band_far_below_noise():
@@ -307,6 +302,23 @@ def test_interpolate_clamps():
     assert band.omega == 0.0 and band.p_prop == 1e-8
     band = satpower.interpolate(1.0, 3.0, 0.5, 1.3, 1e-13, 1e-8, math.nan)
     assert band.omega == 1.0 and band.p_prop == 1e-13
+
+
+def test_interpolate_peaks_equal_to_rounding():
+    """Far below noise the envelope peaks agree to rounding, either way
+    round: an estimate at or above gamma_ub still gives p_ub, one at or
+    below gamma_lb gives p_lb, and a point band is a band."""
+    lb = 2.0
+    for ub in (lb, math.nextafter(lb, 0.0)):
+        band = satpower.interpolate(lb, ub, lb, 1.3, 1e-13, 1e-8, math.nan)
+        assert band.omega == 0.0 and band.p_prop == 1e-8
+        band = satpower.interpolate(lb, ub, 1.0, 1.0, 1e-13, 1e-8, math.nan)
+        assert band.omega == 1.0 and band.p_prop == 1e-13
+    band = satpower.interpolate(1.0, 3.0, 2.0, 1.0, 1e-8, 1e-8, math.nan)
+    assert band.p_prop == 1e-8
+    with pytest.raises(ValueError):
+        satpower.interpolate(lb, lb * (1.0 - 1e-14), lb, 1.3, 1e-13, 1e-8,
+                             math.nan)
 
 
 def test_interpolate_rejects_bad_bands():
@@ -499,6 +511,52 @@ def test_baseline_fidelity_at_huge_budget(dbm):
     cfg = load_config(DEFAULT_CONFIG)
     report, _, _ = harness.compare_schemes(cfg, dbm, 2, seed=1)
     assert 0.95 <= report.ee_ratio < 1.05, report
+
+
+# The calibration ablation's cells (README, "Calibration ablation"), as
+# changes to configs/default.json.
+_ABLATION_CELLS = {
+    "3x3": {},
+    "16x16": dict(M=16, N=16),
+    "3x6": dict(M=3, N=6),
+    "4x8": dict(M=4, N=8),
+    "3x3-pc50-po60": dict(Pc_prime_dbm=50.0, Po_prime_dbm=60.0),
+    "3x3-xi4": dict(xi=4.0),
+}
+# How far, in mean efficiency over the baseline's, the one-shot scheme at
+# p_ub may read below the calibrated one.  Where the two operating powers
+# differ, p_ub read 1.8e-3 to 7.8e-3 above it on every cell.
+_ABLATION_MARGIN = 5e-4
+
+
+@pytest.mark.parametrize("name", list(_ABLATION_CELLS))
+def test_one_shot_at_p_ub_keeps_calibrated_efficiency(name):
+    """Calibration ablation: beta = 1e6 clamps omega to 0, so the
+    one-shot scheme runs at p_ub.  On 50 paired draws at 25, 26, 28 and
+    46 dBm, its mean efficiency over the baseline's reads at least the
+    calibrated scheme's (beta = 1.3) less _ABLATION_MARGIN: wherever the
+    calibration moves the operating power, it moves it below the
+    efficient point."""
+    cfg = dataclasses.replace(load_config(DEFAULT_CONFIG),
+                              **_ABLATION_CELLS[name])
+    budgets = np.array([transmit_power_from_dbm(d, cfg)
+                        for d in (25.0, 26.0, 28.0, 46.0)])
+    h = np.stack([channel.generate(cfg, 9, t) for t in range(50)])
+
+    def mean_ee(scheme, beta):
+        c = dataclasses.replace(cfg, beta=beta)
+        band = satpower.compute_band(c)
+        cell = harness._Cell(c, derive_power_model(c), band)
+        ee = harness._evaluate(cell, *harness.SCHEMES[scheme][1](
+            cell, h, budgets))[2]
+        return ee.mean(axis=0), band
+
+    base, _ = mean_ee("baseline", cfg.beta)
+    calibrated, _ = mean_ee("proposed", cfg.beta)
+    at_ub, band = mean_ee("proposed", 1e6)
+    assert band.omega == 0.0 and band.p_prop == band.p_ub
+    calibrated, at_ub = calibrated / base, at_ub / base
+    assert np.all(at_ub >= calibrated - _ABLATION_MARGIN), (calibrated, at_ub)
 
 
 def test_band_uses_served_cell():
